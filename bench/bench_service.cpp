@@ -307,7 +307,7 @@ main(int argc, char **argv)
     const Trace marked = makeMarkedTrace(4, quick ? 8 : 24,
                                          quick ? 100 : 400, heap);
     SessionSpec spec;
-    spec.lifeguard = 0; // ADDRCHECK
+    spec.lifeguard = static_cast<std::uint8_t>(Lifeguard::AddrCheck);
     spec.numThreads = static_cast<std::uint32_t>(marked.numThreads());
     spec.granularity = 8;
     spec.heapBase = heap;

@@ -161,13 +161,13 @@ SessionSpec
 specFor(const fuzz::FuzzCase &fuzz_case, const Trace &trace,
         std::uint64_t trace_index)
 {
+    const Lifeguard lg =
+        kAllLifeguards[trace_index % std::size(kAllLifeguards)];
     SessionSpec spec;
-    spec.lifeguard = static_cast<std::uint8_t>(trace_index % 6);
+    spec.lifeguard = static_cast<std::uint8_t>(lg);
     spec.memModel = fuzz_case.model == MemModel::TSO ? 1 : 0;
     spec.numThreads = static_cast<std::uint32_t>(trace.numThreads());
-    const Lifeguard lg = static_cast<Lifeguard>(spec.lifeguard);
-    spec.granularity =
-        (lg == Lifeguard::TaintCheck || lg == Lifeguard::AddrLeak) ? 4 : 8;
+    spec.granularity = lifeguardEntry(lg).defaultGranularity;
     spec.heapBase = fuzz_case.heapBase;
     spec.heapLimit = fuzz_case.heapLimit;
     spec.globalH = fuzz_case.globalH;

@@ -11,12 +11,13 @@
  * timing model, and prints a session report. `--workload list` prints
  * the available workloads.
  *
- * `--lifeguard lockset|addrleak` switches to the race / address-leak
- * lifeguards instead: fuzzer-generated traces (--instr cases, --seed)
- * are monitored by the butterfly checker and replayed through the exact
- * sequential oracle, and the aggregate accuracy (flags, true/false
- * positives, false negatives) is printed. Exit is nonzero on any false
- * negative — the butterfly guarantee is "no error missed".
+ * `--lifeguard NAME` switches to any other registered lifeguard that
+ * has a sequential oracle (taintcheck, definedcheck, lockset, addrleak):
+ * fuzzer-generated traces (--instr cases, --seed) are monitored by the
+ * butterfly checker and replayed through the exact sequential oracle,
+ * and the aggregate accuracy (flags, true/false positives, false
+ * negatives) is printed. Exit is nonzero on any false negative — the
+ * butterfly guarantee is "no error missed".
  *
  * `--batch` selects the lifeguard's batched (columnar SoA) pass-1
  * kernels. Reports are bit-identical to the default scalar kernels;
@@ -41,19 +42,38 @@
  *   ./build/examples/monitor_cli --workload fft --trace fft.trace.json
  */
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "butterfly/window.hpp"
 #include "fuzz/trace_fuzzer.hpp"
 #include "harness/session.hpp"
-#include "lifeguards/addrleak.hpp"
-#include "lifeguards/lockset.hpp"
+#include "lifeguards/registry.hpp"
 #include "telemetry/exporter.hpp"
 
 namespace {
+
+/** "addrcheck|taintcheck|..." over the lifeguards with an oracle. */
+std::string
+oracleLifeguardNames()
+{
+    std::string names;
+    for (bfly::Lifeguard lg : bfly::kAllLifeguards) {
+        const bfly::LifeguardEntry &entry = bfly::lifeguardEntry(lg);
+        if (!entry.oracle)
+            continue;
+        if (!names.empty())
+            names += '|';
+        for (const char *p = entry.name; *p; ++p)
+            names += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(*p)));
+    }
+    return names;
+}
 
 [[noreturn]] void
 usage(const char *argv0)
@@ -62,23 +82,24 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--workload NAME] [--threads N] [--epoch H]\n"
         "          [--instr N] [--model sc|tso] [--seed S] [--verbose]\n"
-        "          [--lifeguard addrcheck|lockset|addrleak] [--batch]\n"
-        "          [--elide] [--telemetry OUT.json] [--trace OUT.trace.json]\n"
+        "          [--lifeguard %s]\n"
+        "          [--batch] [--elide] [--telemetry OUT.json]\n"
+        "          [--trace OUT.trace.json]\n"
         "       %s --workload list\n",
-        argv0, argv0);
+        argv0, oracleLifeguardNames().c_str(), argv0);
     std::exit(2);
 }
 
 /**
- * Fuzzer-driven accuracy session for the LOCKSET / ADDRLEAK lifeguards:
+ * Fuzzer-driven accuracy session for any lifeguard with an oracle:
  * monitor @p cases generated traces with the butterfly checker, replay
  * each through the exact sequential oracle, and aggregate
  * compareToOracle. The butterfly run may over-report (bounded FPs) but
  * must never miss an oracle error.
  */
 int
-runFuzzedLifeguard(const std::string &lifeguard, std::size_t cases,
-                   std::uint64_t seed)
+runFuzzedLifeguard(const bfly::LifeguardEntry &lifeguard,
+                   std::size_t cases, std::uint64_t seed)
 {
     using namespace bfly;
 
@@ -95,43 +116,26 @@ runFuzzedLifeguard(const std::string &lifeguard, std::size_t cases,
             EpochLayout::byGlobalSeq(trace, c.globalH);
         events += trace.instructionCount();
 
-        AccuracyReport acc;
-        std::size_t oracle_n = 0, flagged_n = 0;
-        if (lifeguard == "lockset") {
-            LockSetConfig cfg;
-            cfg.heapBase = c.heapBase;
-            cfg.heapLimit = c.heapLimit;
-            ButterflyLockSet driver(layout.numThreads(), cfg);
-            WindowSchedule(false).run(layout, driver);
-            LockSetOracle oracle(cfg);
-            oracle.runOnTrace(trace);
-            acc = compareToOracle(driver.errors(), oracle.errors(),
-                                  cfg.granularity);
-            oracle_n = oracle.errors().records().size();
-            flagged_n = driver.errors().records().size();
-        } else {
-            AddrLeakConfig cfg;
-            cfg.heapBase = c.heapBase;
-            cfg.heapLimit = c.heapLimit;
-            ButterflyAddrLeak driver(layout.numThreads(), cfg);
-            WindowSchedule(false).run(layout, driver);
-            AddrLeakOracle oracle(cfg);
-            oracle.runOnTrace(trace);
-            acc = compareToOracle(driver.errors(), oracle.errors(),
-                                  cfg.granularity);
-            oracle_n = oracle.errors().records().size();
-            flagged_n = driver.errors().records().size();
-        }
+        const LifeguardParams params =
+            c.lifeguardParams(lifeguard.id, layout.numThreads());
+        const std::unique_ptr<AnalysisDriver> driver =
+            lifeguard.makeDriver(params);
+        WindowSchedule(false).run(layout, *driver);
+        const ErrorLog flagged(
+            lifeguard.report(*driver, layout.numEpochs()).records);
+        const ErrorLog oracle = lifeguard.oracle(trace, params);
+        const AccuracyReport acc =
+            compareToOracle(flagged, oracle, params.granularity);
 
-        oracle_errors += oracle_n;
-        flags += flagged_n;
+        oracle_errors += oracle.size();
+        flags += flagged.size();
         tp += acc.truePositives;
         fp += acc.falsePositives;
         fn += acc.falseNegatives;
     }
 
     std::printf("monitoring %zu fuzzed traces with butterfly %s\n", cases,
-                lifeguard == "lockset" ? "LOCKSET" : "ADDRLEAK");
+                lifeguard.name);
     std::printf("\n-- accuracy (butterfly vs sequential oracle) ------\n");
     std::printf("events            %zu\n", events);
     std::printf("oracle errors     %zu\n", oracle_errors);
@@ -158,7 +162,7 @@ main(int argc, char **argv)
     bool verbose = false;
     bool batch = false;
     bool elide = false;
-    std::string lifeguard = "addrcheck";
+    const LifeguardEntry *lifeguard = &lifeguardEntry(Lifeguard::AddrCheck);
     std::string telemetry_out;
     std::string trace_out;
 
@@ -188,9 +192,8 @@ main(int argc, char **argv)
             else
                 usage(argv[0]);
         } else if (arg == "--lifeguard") {
-            lifeguard = next();
-            if (lifeguard != "addrcheck" && lifeguard != "lockset" &&
-                lifeguard != "addrleak")
+            lifeguard = findLifeguard(next());
+            if (!lifeguard || !lifeguard->oracle)
                 usage(argv[0]);
         } else if (arg == "--telemetry") {
             telemetry_out = next();
@@ -207,12 +210,12 @@ main(int argc, char **argv)
         }
     }
 
-    if (lifeguard != "addrcheck") {
+    if (lifeguard->id != Lifeguard::AddrCheck) {
         // Fuzzer-driven accuracy session; --instr caps the case count
         // (its workload meaning, instructions/thread, does not apply).
         const std::size_t cases =
             instr == 200000 ? 20 : std::max<std::size_t>(instr, 1);
-        return runFuzzedLifeguard(lifeguard, cases, seed);
+        return runFuzzedLifeguard(*lifeguard, cases, seed);
     }
 
     if (workload == "list") {

@@ -21,10 +21,11 @@
  *  - epoch-size monotonicity (Fig. 12/13 direction): shrinking epochs
  *    can only shrink the false-positive count. Checked between the
  *    case's H and factor*H (the factor keeps boundaries nested, so the
- *    small-epoch concurrency relation is a subset of the large one) for
- *    ADDRCHECK and ADDRLEAK per flagged event, and for LOCKSET per
- *    flagged variable (attribution may legitimately move between epoch
- *    sizes, the set of racy variables may only shrink).
+ *    small-epoch concurrency relation is a subset of the large one),
+ *    counted as the lifeguard's registry entry says (FpCounting):
+ *    ADDRCHECK and ADDRLEAK per flagged event, LOCKSET per flagged
+ *    variable (attribution may legitimately move between epoch sizes,
+ *    the set of racy variables may only shrink).
  *
  *  - elision soundness (opt-in, --elision): stamping deterministic
  *    pseudo-sites on the materialized trace, building an ElisionPlan
@@ -50,23 +51,9 @@
 #include <vector>
 
 #include "fuzz/trace_fuzzer.hpp"
-#include "lifeguards/report.hpp"
+#include "lifeguards/registry.hpp"
 
 namespace bfly::fuzz {
-
-/** The monitored analyses (the repo's six lifeguards). */
-enum class Lifeguard : std::uint8_t {
-    AddrCheck,
-    TaintCheck,
-    DefCheck,
-    ReachingDefs, ///< generic analysis: no errors, dataflow sets only
-    LockSet,      ///< Eraser-style data races
-    AddrLeak,     ///< heap-pointer values reaching output sinks
-};
-inline constexpr Lifeguard kAllLifeguards[] = {
-    Lifeguard::AddrCheck, Lifeguard::TaintCheck, Lifeguard::DefCheck,
-    Lifeguard::ReachingDefs, Lifeguard::LockSet, Lifeguard::AddrLeak};
-const char *lifeguardName(Lifeguard lg);
 
 /** Scheduling modes: {sequential, parallel, pipelined} × {full-trace,
  *  EpochStream}, plus the batched-kernel execution strategy. Streaming

@@ -445,6 +445,19 @@ FuzzCase::materialize() const
     return interleave(programs, icfg, rng);
 }
 
+LifeguardParams
+FuzzCase::lifeguardParams(Lifeguard lg, std::size_t num_threads) const
+{
+    LifeguardParams params;
+    params.numThreads = num_threads;
+    params.heapBase = heapBase;
+    params.heapLimit = heapLimit;
+    params.granularity = lifeguardEntry(lg).defaultGranularity;
+    if (model == MemModel::TSO)
+        params.termination = TaintTermination::Relaxed;
+    return params;
+}
+
 const std::vector<std::string> &
 scenarioNames()
 {

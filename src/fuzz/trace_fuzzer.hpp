@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "lifeguards/registry.hpp"
 #include "memmodel/interleaver.hpp"
 #include "trace/trace.hpp"
 
@@ -70,6 +71,12 @@ struct FuzzCase
 
     /** Execute the case: interleave the programs under its model/seed. */
     Trace materialize() const;
+
+    /** How @p lg monitors this case on @p num_threads threads: the
+     *  case's heap window, the lifeguard's default granularity, and
+     *  relaxed taint termination under TSO. */
+    LifeguardParams lifeguardParams(Lifeguard lg,
+                                    std::size_t num_threads) const;
 };
 
 /** Generation knobs. */

@@ -17,6 +17,7 @@
 #ifndef BUTTERFLY_LIFEGUARDS_REPORT_HPP
 #define BUTTERFLY_LIFEGUARDS_REPORT_HPP
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -57,6 +58,9 @@ struct ErrorRecord
         return (static_cast<std::uint64_t>(tid) << 48) ^ index;
     }
 
+    /** Member-wise; ascending order is the canonical report order. */
+    auto operator<=>(const ErrorRecord &) const = default;
+
     std::string toString() const;
 };
 
@@ -64,6 +68,15 @@ struct ErrorRecord
 class ErrorLog
 {
   public:
+    ErrorLog() = default;
+
+    /** A log of @p records, e.g. a canonical report's. */
+    explicit ErrorLog(const std::vector<ErrorRecord> &records)
+    {
+        for (const ErrorRecord &r : records)
+            report(r);
+    }
+
     /**
      * Report an error; duplicates of the same event are coalesced.
      * @return true if this event was not already flagged

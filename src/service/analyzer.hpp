@@ -20,35 +20,19 @@
 #include <vector>
 
 #include "common/worker_pool.hpp"
-#include "lifeguards/report.hpp"
+#include "lifeguards/registry.hpp"
 #include "service/wire.hpp"
 #include "trace/epoch_slicer.hpp"
 #include "trace/trace.hpp"
 
 namespace bfly::service {
 
-/** Lifeguards a session may request (the SessionSpec::lifeguard byte). */
-enum class Lifeguard : std::uint8_t {
-    AddrCheck = 0,
-    TaintCheck = 1,
-    DefCheck = 2,
-    ReachingDefs = 3,
-    LockSet = 4,
-    AddrLeak = 5,
-};
-
-inline constexpr Lifeguard kAllLifeguards[] = {
-    Lifeguard::AddrCheck, Lifeguard::TaintCheck, Lifeguard::DefCheck,
-    Lifeguard::ReachingDefs, Lifeguard::LockSet, Lifeguard::AddrLeak};
-
-const char *lifeguardName(Lifeguard lg);
-
 /** One session's observable analysis result, in canonical form. */
 struct RemoteReport
 {
     std::vector<ErrorRecord> records; ///< sorted (tid,index,addr,kind,size)
     std::vector<Addr> sos;            ///< final SOS, sorted
-    std::uint64_t fingerprint = 0;    ///< FNV over records+SOS+dataflow
+    std::uint64_t fingerprint = 0;    ///< LifeguardReport::digest()
     std::uint64_t epochs = 0;
     std::uint64_t events = 0;         ///< non-heartbeat instructions
     std::uint64_t peakResidentEpochs = 0; ///< streaming runs only

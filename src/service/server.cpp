@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/logging.hpp"
+#include "lifeguards/registry.hpp"
 
 namespace bfly::service {
 
@@ -445,7 +446,7 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
         }
         SessionSpec spec;
         if (decodeSessionOpen(frame.payload, spec) != DecodeStatus::Ok ||
-            spec.lifeguard > 5 || spec.memModel > 1) {
+            !findLifeguard(spec.lifeguard) || spec.memModel > 1) {
             reject(RejectCode::Protocol, "bad SessionOpen");
             return;
         }

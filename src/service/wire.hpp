@@ -127,7 +127,7 @@ class FrameParser
 /** What a client asks the server to monitor (SessionOpen). */
 struct SessionSpec
 {
-    std::uint8_t lifeguard = 0;   ///< service::Lifeguard (analyzer.hpp)
+    std::uint8_t lifeguard = 0;   ///< Lifeguard (lifeguards/registry.hpp)
     std::uint8_t memModel = 0;    ///< 0 = SC, 1 = TSO (taint termination)
     std::uint32_t numThreads = 1; ///< per-thread log streams to expect
     std::uint32_t granularity = 8;

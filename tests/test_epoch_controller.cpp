@@ -353,7 +353,7 @@ TEST(EpochStreamReslice, AnalyzeStreamingMatchesCoalescedReference)
 {
     const Trace trace = makeSkewedMarkedTrace(21);
     SessionSpec spec;
-    spec.lifeguard = 0; // ADDRCHECK
+    spec.lifeguard = static_cast<std::uint8_t>(Lifeguard::AddrCheck);
     spec.numThreads = static_cast<std::uint32_t>(trace.numThreads());
     spec.granularity = 8;
     spec.heapBase = 0x1000000;

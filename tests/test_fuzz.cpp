@@ -370,13 +370,13 @@ TEST(CorpusReplay, BatchedKernelsMatchScalarOnEveryRepro)
         const Trace trace = c.materialize();
         const EpochLayout layout =
             EpochLayout::byGlobalSeq(trace, c.globalH);
-        for (int lg = 0; lg < 6; ++lg) {
+        for (const Lifeguard lg : kAllLifeguards) {
             service::SessionSpec spec;
             spec.lifeguard = static_cast<std::uint8_t>(lg);
             spec.memModel = c.model == MemModel::TSO ? 1 : 0;
             spec.numThreads =
                 static_cast<std::uint32_t>(trace.numThreads());
-            spec.granularity = lg == 1 || lg == 5 ? 4 : 8;
+            spec.granularity = lifeguardEntry(lg).defaultGranularity;
             spec.heapBase = c.heapBase;
             spec.heapLimit = c.heapLimit;
             const service::RemoteReport scalar =
@@ -384,7 +384,7 @@ TEST(CorpusReplay, BatchedKernelsMatchScalarOnEveryRepro)
             const service::RemoteReport batched =
                 service::analyzeReference(spec, trace, layout, true);
             EXPECT_TRUE(batched.identical(scalar))
-                << path << " lifeguard " << lg
+                << path << " " << lifeguardName(lg)
                 << ": columnar kernels diverged from scalar";
         }
     }

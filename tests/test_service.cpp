@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include <sys/socket.h>
@@ -25,6 +26,10 @@
 #include <unistd.h>
 
 #include "fuzz/trace_fuzzer.hpp"
+#include "lifeguards/addrcheck.hpp"
+#include "lifeguards/addrleak.hpp"
+#include "lifeguards/defcheck.hpp"
+#include "lifeguards/lockset.hpp"
 #include "service/client.hpp"
 #include "staticpass/classify.hpp"
 #include "service/server.hpp"
@@ -80,6 +85,27 @@ addrcheckSpec(const Trace &trace, Addr heap_base)
     spec.granularity = 8;
     spec.heapBase = heap_base;
     spec.heapLimit = heap_base + 0x100000;
+    return spec;
+}
+
+/** The lifeguard the @p i-th session of a round-robin mix requests. */
+Lifeguard
+roundRobin(std::size_t i)
+{
+    return kAllLifeguards[i % std::size(kAllLifeguards)];
+}
+
+/** The spec bfly_loadgen sends for @p fuzz_case monitored by @p lg. */
+SessionSpec
+fuzzSpec(const fuzz::FuzzCase &fuzz_case, const Trace &trace, Lifeguard lg)
+{
+    SessionSpec spec;
+    spec.lifeguard = static_cast<std::uint8_t>(lg);
+    spec.memModel = fuzz_case.model == MemModel::TSO ? 1 : 0;
+    spec.numThreads = static_cast<std::uint32_t>(trace.numThreads());
+    spec.granularity = lifeguardEntry(lg).defaultGranularity;
+    spec.heapBase = fuzz_case.heapBase;
+    spec.heapLimit = fuzz_case.heapLimit;
     return spec;
 }
 
@@ -656,16 +682,7 @@ TEST(MonitorService, LoopbackConformanceAcrossLifeguards)
         const EpochLayout layout =
             EpochLayout::byGlobalSeq(trace, fuzz_case.globalH);
 
-        SessionSpec spec;
-        spec.lifeguard = static_cast<std::uint8_t>(i % 6);
-        spec.memModel = fuzz_case.model == MemModel::TSO ? 1 : 0;
-        spec.numThreads =
-            static_cast<std::uint32_t>(trace.numThreads());
-        spec.granularity =
-            spec.lifeguard == 1 || spec.lifeguard == 5 ? 4 : 8;
-        spec.heapBase = fuzz_case.heapBase;
-        spec.heapLimit = fuzz_case.heapLimit;
-
+        const SessionSpec spec = fuzzSpec(fuzz_case, trace, roundRobin(i));
         const RemoteReport local = analyzeReference(spec, trace, layout);
         const Trace marked = withHeartbeatMarkers(trace, layout);
 
@@ -729,7 +746,7 @@ TEST(MonitorService, ElidedSessionEchoesPlanFingerprintAndCounts)
 
     const EpochLayout layout = EpochLayout::byGlobalSeq(elided, 16);
     SessionSpec spec;
-    spec.lifeguard = 0; // ADDRCHECK
+    spec.lifeguard = static_cast<std::uint8_t>(Lifeguard::AddrCheck);
     spec.numThreads = 2;
     spec.granularity = 8;
     spec.heapBase = 0x10000;
@@ -778,17 +795,8 @@ TEST(MonitorService, ConcurrentSessionsConform)
                 const Trace trace = fuzz_case.materialize();
                 const EpochLayout layout =
                     EpochLayout::byGlobalSeq(trace, fuzz_case.globalH);
-                SessionSpec spec;
-                spec.lifeguard =
-                    static_cast<std::uint8_t>((w + i) % 6);
-                spec.memModel =
-                    fuzz_case.model == MemModel::TSO ? 1 : 0;
-                spec.numThreads =
-                    static_cast<std::uint32_t>(trace.numThreads());
-                spec.granularity =
-                    spec.lifeguard == 1 || spec.lifeguard == 5 ? 4 : 8;
-                spec.heapBase = fuzz_case.heapBase;
-                spec.heapLimit = fuzz_case.heapLimit;
+                const SessionSpec spec =
+                    fuzzSpec(fuzz_case, trace, roundRobin(w + i));
                 const RemoteReport local =
                     analyzeReference(spec, trace, layout);
                 const Trace marked =
@@ -933,14 +941,7 @@ runCrashRestartSpoolReplay(std::size_t shards, const char *tag)
                 EpochLayout::byGlobalSeq(trace, fuzz_case.globalH);
 
             Spooled s;
-            s.spec.lifeguard = static_cast<std::uint8_t>(i % 6);
-            s.spec.memModel = fuzz_case.model == MemModel::TSO ? 1 : 0;
-            s.spec.numThreads =
-                static_cast<std::uint32_t>(trace.numThreads());
-            s.spec.granularity =
-                s.spec.lifeguard == 1 || s.spec.lifeguard == 5 ? 4 : 8;
-            s.spec.heapBase = fuzz_case.heapBase;
-            s.spec.heapLimit = fuzz_case.heapLimit;
+            s.spec = fuzzSpec(fuzz_case, trace, roundRobin(i));
 
             const Trace marked = withHeartbeatMarkers(trace, layout);
             s.path = ::testing::TempDir() + "bfly_spool_" + tag + "_" +
@@ -1318,26 +1319,21 @@ TEST(MonitorService, SaturatedAdaptiveShardTurnsAwayNewSessions)
     EXPECT_GE(server.busySent(), 1u);
 }
 
-TEST(MonitorService, GarbageBytesAreRejectedWithProtocolError)
+/** Send @p bytes on a raw connection to @p path and decode the server's
+ *  first reply, which the caller expects to be a Reject. */
+RejectInfo
+rejectionOf(const std::string &path, const std::vector<std::uint8_t> &bytes)
 {
-    ServerConfig scfg;
-    scfg.unixPath = tempSocketPath("garbage");
-    scfg.workers = 1;
-    MonitorServer server(scfg);
-    ASSERT_TRUE(server.start());
-
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
+    EXPECT_GE(fd, 0);
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, scfg.unixPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof(addr)),
               0);
-    const std::uint8_t garbage[] = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01};
-    ASSERT_EQ(::send(fd, garbage, sizeof(garbage), 0),
-              static_cast<ssize_t>(sizeof(garbage)));
+    EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+              static_cast<ssize_t>(bytes.size()));
 
     FrameParser parser;
     Frame frame;
@@ -1352,12 +1348,120 @@ TEST(MonitorService, GarbageBytesAreRejectedWithProtocolError)
         status = parser.next(frame);
     }
     ::close(fd);
-    ASSERT_EQ(status, DecodeStatus::Ok);
-    EXPECT_EQ(frame.type, FrameType::Reject);
     RejectInfo reject;
-    ASSERT_EQ(decodeReject(frame.payload, reject), DecodeStatus::Ok);
-    EXPECT_EQ(reject.code, RejectCode::Protocol);
+    EXPECT_EQ(status, DecodeStatus::Ok);
+    EXPECT_EQ(frame.type, FrameType::Reject);
+    EXPECT_EQ(decodeReject(frame.payload, reject), DecodeStatus::Ok);
+    return reject;
+}
+
+TEST(MonitorService, GarbageBytesAreRejectedWithProtocolError)
+{
+    ServerConfig scfg;
+    scfg.unixPath = tempSocketPath("garbage");
+    scfg.workers = 1;
+    MonitorServer server(scfg);
+    ASSERT_TRUE(server.start());
+
+    const std::vector<std::uint8_t> garbage = {0xde, 0xad, 0xbe,
+                                               0xef, 0x00, 0x01};
+    EXPECT_EQ(rejectionOf(scfg.unixPath, garbage).code,
+              RejectCode::Protocol);
     server.stop();
+}
+
+TEST(MonitorService, UnregisteredLifeguardIsRejectedWithProtocolError)
+{
+    // A well-formed SessionOpen naming a lifeguard byte past the
+    // registry must be refused at the door, never reach the analyzer.
+    ServerConfig scfg;
+    scfg.unixPath = tempSocketPath("badlg");
+    scfg.workers = 1;
+    MonitorServer server(scfg);
+    ASSERT_TRUE(server.start());
+
+    for (const std::uint8_t id : {std::uint8_t{6}, std::uint8_t{255}}) {
+        SessionSpec spec;
+        spec.lifeguard = id;
+        std::vector<std::uint8_t> bytes;
+        appendFrame(bytes, FrameType::SessionOpen, encodeSessionOpen(spec));
+        EXPECT_EQ(rejectionOf(scfg.unixPath, bytes).code,
+                  RejectCode::Protocol)
+            << "lifeguard byte " << unsigned(id);
+    }
+    server.stop();
+    EXPECT_EQ(server.sessionsCompleted(), 0u);
+}
+
+// ---------------------------------------------------------------- registry
+
+TEST(LifeguardRegistry, WireBytesAndNamesArePinned)
+{
+    // The enum value is the SessionSpec::lifeguard wire byte, and the
+    // names appear in fuzz_cli violations, loadgen output and the
+    // benchmark's service.analysis_ms.<name> metrics.
+    // Which lifeguards the fuzzer checks against an oracle and for
+    // FP(H) <= FP(4H) is pinned beside them.
+    const struct
+    {
+        Lifeguard lg;
+        std::uint8_t wire;
+        const char *name;
+        bool oracle;
+        FpCounting fp;
+    } pinned[] = {
+        {Lifeguard::AddrCheck, 0, "ADDRCHECK", true, FpCounting::PerEvent},
+        {Lifeguard::TaintCheck, 1, "TAINTCHECK", true,
+         FpCounting::Unchecked},
+        {Lifeguard::DefCheck, 2, "DEFINEDCHECK", true,
+         FpCounting::Unchecked},
+        {Lifeguard::ReachingDefs, 3, "REACHING-DEFS", false,
+         FpCounting::Unchecked},
+        {Lifeguard::LockSet, 4, "LOCKSET", true, FpCounting::PerVariable},
+        {Lifeguard::AddrLeak, 5, "ADDRLEAK", true, FpCounting::PerEvent},
+    };
+    ASSERT_EQ(std::size(kAllLifeguards), std::size(pinned));
+    for (std::size_t i = 0; i < std::size(pinned); ++i) {
+        const auto &p = pinned[i];
+        EXPECT_EQ(kAllLifeguards[i], p.lg);
+        EXPECT_EQ(static_cast<std::uint8_t>(p.lg), p.wire);
+        EXPECT_STREQ(lifeguardName(p.lg), p.name);
+        ASSERT_NE(findLifeguard(p.wire), nullptr);
+        EXPECT_EQ(findLifeguard(p.wire)->id, p.lg);
+        EXPECT_EQ(findLifeguard(std::string_view(p.name)),
+                  findLifeguard(p.wire));
+        EXPECT_EQ(lifeguardEntry(p.lg).oracle != nullptr, p.oracle);
+        EXPECT_EQ(lifeguardEntry(p.lg).fpCounting, p.fp);
+    }
+    EXPECT_EQ(findLifeguard(std::string_view("lockset")),
+              findLifeguard(std::string_view("LOCKSET")));
+}
+
+TEST(LifeguardRegistry, DefaultGranularityIsTheConfigDefault)
+{
+    EXPECT_EQ(lifeguardEntry(Lifeguard::AddrCheck).defaultGranularity,
+              AddrCheckConfig{}.granularity);
+    EXPECT_EQ(lifeguardEntry(Lifeguard::TaintCheck).defaultGranularity,
+              TaintCheckConfig{}.granularity);
+    EXPECT_EQ(lifeguardEntry(Lifeguard::DefCheck).defaultGranularity,
+              DefCheckConfig{}.granularity);
+    EXPECT_EQ(lifeguardEntry(Lifeguard::ReachingDefs).defaultGranularity,
+              SessionSpec{}.granularity);
+    EXPECT_EQ(lifeguardEntry(Lifeguard::LockSet).defaultGranularity,
+              LockSetConfig{}.granularity);
+    EXPECT_EQ(lifeguardEntry(Lifeguard::AddrLeak).defaultGranularity,
+              AddrLeakConfig{}.granularity);
+}
+
+TEST(LifeguardRegistry, AccessorsBoundsCheck)
+{
+    EXPECT_EQ(findLifeguard(std::uint8_t{6}), nullptr);
+    EXPECT_EQ(findLifeguard(std::uint8_t{255}), nullptr);
+    EXPECT_EQ(findLifeguard(std::string_view("nosuchcheck")), nullptr);
+    EXPECT_THROW(lifeguardEntry(static_cast<Lifeguard>(6)),
+                 std::out_of_range);
+    EXPECT_THROW(lifeguardName(static_cast<Lifeguard>(255)),
+                 std::out_of_range);
 }
 
 } // namespace
