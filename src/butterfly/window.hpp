@@ -103,13 +103,13 @@ class AnalysisDriver
 
     /**
      * True if pass 2 of block (l, t) reads thread t's *own* epoch-l+1
-     * pass-1 summary — e.g. a whole-window fixpoint like ADDRLEAK's
-     * WM_l that must fold every thread's epoch-l+1 rules, its own
-     * included. The pipelined schedule then orders P2(l,t) after
-     * P1(l+1,t) as well. Drivers that exclude the body thread from all
-     * wing reads (TAINTCHECK, ADDRCHECK, DEFINEDCHECK, LOCKSET) keep
-     * the default and let a heavy thread's pass 2 overlap its own next
-     * pass 1.
+     * pass-1 result — e.g. ADDRLEAK's whole-window fixpoint WM_l, which
+     * folds every thread's epoch-l+1 rules, or ADDRCHECK's epoch-l+1
+     * wing table, which the epoch's last pass-1 block builds. The
+     * pipelined schedule then orders P2(l,t) after P1(l+1,t) as well.
+     * Drivers that exclude the body thread from all wing reads
+     * (TAINTCHECK, DEFINEDCHECK, LOCKSET) keep the default and let a
+     * heavy thread's pass 2 overlap its own next pass 1.
      */
     virtual bool pass2ReadsOwnNextPass1() const { return false; }
 };

@@ -151,44 +151,23 @@ lifeguardEventCost(const Event &e, const AddrCheckConfig &cfg,
  * funnels everything through core 0 in the same order.
  */
 std::vector<std::vector<Cycles>>
-replayAppCosts(const Trace &trace, const CoreModel &core, Cmp &cmp,
-               bool parallel)
+replayAppCosts(const Trace &trace, const std::vector<GseqRef> &order,
+               const CoreModel &core, Cmp &cmp, bool parallel)
 {
-    struct Ref
-    {
-        std::uint64_t gseq;
-        ThreadId tid;
-        std::size_t slot;
-        const Event *e;
-    };
-    std::vector<Ref> order;
-    order.reserve(trace.instructionCount());
     std::vector<std::vector<Cycles>> costs(trace.numThreads());
-    for (std::size_t t = 0; t < trace.numThreads(); ++t) {
-        std::size_t slot = 0;
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
-                continue;
-            order.push_back(
-                Ref{e.gseq, static_cast<ThreadId>(t), slot++, &e});
-        }
-        costs[t].resize(slot, 0);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [](const Ref &a, const Ref &b) {
-                         return a.gseq < b.gseq;
-                     });
-
-    for (const Ref &r : order) {
+    for (std::size_t t = 0; t < trace.numThreads(); ++t)
+        costs[t].resize(trace.threads[t].instructionCount(), 0);
+    for (const GseqRef &r : order) {
+        const Event &e = *r.event;
         Cycles mem = 0;
-        if (r.e->isMemoryAccess() || r.e->kind == EventKind::Alloc ||
-            r.e->kind == EventKind::Free) {
-            const unsigned c = parallel ? r.tid : 0;
-            const bool is_write = r.e->kind != EventKind::Read &&
-                                  r.e->kind != EventKind::Use;
-            mem = cmp.access(c, r.e->addr, is_write);
+        if (e.isMemoryAccess() || e.kind == EventKind::Alloc ||
+            e.kind == EventKind::Free) {
+            const unsigned c = parallel ? r.thread : 0;
+            const bool is_write = e.kind != EventKind::Read &&
+                                  e.kind != EventKind::Use;
+            mem = cmp.access(c, e.addr, is_write);
         }
-        costs[r.tid][r.slot] = core.cost(*r.e, mem);
+        costs[r.thread][r.index] = core.cost(e, mem);
     }
     return costs;
 }
@@ -290,13 +269,17 @@ computePerformance(const PerfInputs &in)
 
     PerfReport report;
 
+    // The true execution order, shared by both CMP replays and the
+    // timesliced monitor.
+    const std::vector<GseqRef> order = trace.gseqOrder();
+
     // --- Application-side cycles -------------------------------------
     // Parallel runs use 2T cores (T application + T lifeguard; Table 1
     // scales L2 with the core count). Serial runs use the 2-core config.
     Cmp cmp_parallel(CmpConfig::forCores(static_cast<unsigned>(2 * T)));
     auto par_costs = [&] {
         telemetry::TraceSpan span("perf.app_replay_parallel");
-        return replayAppCosts(trace, in.core, cmp_parallel, true);
+        return replayAppCosts(trace, order, in.core, cmp_parallel, true);
     }();
     report.cacheStats = cmp_parallel.stats();
 
@@ -305,7 +288,7 @@ computePerformance(const PerfInputs &in)
     Cmp cmp_serial(CmpConfig::forCores(2));
     auto ser_costs = [&] {
         telemetry::TraceSpan span("perf.app_replay_serial");
-        return replayAppCosts(trace, in.core, cmp_serial, false);
+        return replayAppCosts(trace, order, in.core, cmp_serial, false);
     }();
 
     // Sequential unmonitored baseline: same work, single-threaded
@@ -355,37 +338,14 @@ computePerformance(const PerfInputs &in)
     // core consumes it with a persistent idempotent filter.
     {
         telemetry::TraceSpan span("perf.timesliced");
-        struct Ref
-        {
-            std::uint64_t gseq;
-            ThreadId tid;
-            std::size_t slot;
-            const Event *e;
-        };
-        std::vector<Ref> order;
-        order.reserve(trace.instructionCount());
-        for (std::size_t t = 0; t < T; ++t) {
-            std::size_t slot = 0;
-            for (const Event &e : trace.threads[t].events) {
-                if (e.kind == EventKind::Heartbeat)
-                    continue;
-                order.push_back(
-                    Ref{e.gseq, static_cast<ThreadId>(t), slot++, &e});
-            }
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [](const Ref &a, const Ref &b) {
-                             return a.gseq < b.gseq;
-                         });
-
         std::vector<Cycles> prod, cons;
         prod.reserve(order.size());
         cons.reserve(order.size());
         IdempotentFilter filter(in.costs.filterSlots);
         std::vector<Addr> scratch;
-        for (const Ref &r : order) {
-            prod.push_back(ser_costs[r.tid][r.slot]);
-            cons.push_back(lifeguardEventCost(*r.e, in.addrcheck,
+        for (const GseqRef &r : order) {
+            prod.push_back(ser_costs[r.thread][r.index]);
+            cons.push_back(lifeguardEventCost(*r.event, in.addrcheck,
                                               in.costs, filter, false,
                                               scratch, nullptr));
         }

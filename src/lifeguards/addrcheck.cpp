@@ -1,6 +1,7 @@
 #include "lifeguards/addrcheck.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 #include "telemetry/metrics.hpp"
@@ -81,6 +82,21 @@ ButterflyAddrCheck::ButterflyAddrCheck(std::size_t num_threads,
     : config_(config), summaries_(num_threads)
 {
     ensure(config_.granularity > 0, "granularity must be positive");
+    ensure(num_threads < kSeveral,
+           "thread ids must stay below the wing table's markers");
+}
+
+std::size_t
+ButterflyAddrCheck::WingTable::find(Addr key) const
+{
+    // Multiplicative hashing: the product's upper 32 bits depend on all
+    // lower key bits, so sequential and strided keys spread out.
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = (key * 0x9e3779b97f4a7c15ULL >> 32) & mask;
+    while ((slots[i].state != kNoThread || slots[i].access != kNoThread) &&
+           slots[i].key != key)
+        i = (i + 1) & mask;
+    return i;
 }
 
 ButterflyAddrCheck::BlockSummary &
@@ -181,6 +197,44 @@ ButterflyAddrCheck::finishPass1(EpochId l, ThreadId t,
                                           s.access.size());
     }
     commitBlock(l, t, local_errors, checks, 0);
+
+    // The epoch's last pass-1 block, which the acq_rel count lets see
+    // every other block's summary, builds the epoch's wing table.
+    std::atomic<std::size_t> &done = pass1Done_[l % kWindow];
+    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        summaries_.size()) {
+        done.store(0, std::memory_order_relaxed);
+        buildWingTable(l);
+    }
+}
+
+void
+ButterflyAddrCheck::buildWingTable(EpochId l)
+{
+    std::size_t keys = 0;
+    for (ThreadId u = 0; u < summaries_.size(); ++u)
+        if (const BlockSummary *s = slotIfValid(l, u))
+            keys += s->allocAny.size() + s->freeAny.size() +
+                    s->access.size();
+    WingTable &table = wingTables_[l % kWindow];
+    // assign() keeps the slot array whenever it is large enough.
+    table.slots.assign(std::bit_ceil(2 * keys + 1), WingTable::Slot{});
+    table.epoch = l;
+    auto mark = [&table](const AddrSet &set, ThreadId u, bool state) {
+        for (Addr k : set) {
+            WingTable::Slot &slot = table.slots[table.find(k)];
+            slot.key = k;
+            ThreadId &owner = state ? slot.state : slot.access;
+            owner = owner == kNoThread || owner == u ? u : kSeveral;
+        }
+    };
+    for (ThreadId u = 0; u < summaries_.size(); ++u) {
+        if (const BlockSummary *s = slotIfValid(l, u)) {
+            mark(s->allocAny, u, true);
+            mark(s->freeAny, u, true);
+            mark(s->access, u, false);
+        }
+    }
 }
 
 void
@@ -431,55 +485,51 @@ ButterflyAddrCheck::pass1(const BlockView &block)
 void
 ButterflyAddrCheck::pass2(const BlockView &block)
 {
+    const std::vector<ErrorRecord> records = isolationRecords(block);
+    commitBlock(block.epoch, block.thread, records, 0, records.size());
+}
+
+std::vector<ErrorRecord>
+ButterflyAddrCheck::isolationRecords(const BlockView &block) const
+{
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
 
-    // Meet the wing summaries S_{l,t} (epochs l-1..l+1, threads != t).
-    AddrSet wing_genkill;
-    AddrSet wing_access;
-    const EpochId lo = l >= 1 ? l - 1 : 0;
-    for (EpochId w = lo; w <= l + 1; ++w) {
-        for (ThreadId u = 0; u < summaries_.size(); ++u) {
-            if (u == t)
-                continue;
-            const BlockSummary *s = slotIfValid(w, u);
-            if (!s)
-                continue;
-            wing_genkill.unionWith(s->allocAny);
-            wing_genkill.unionWith(s->freeAny);
-            wing_access.unionWith(s->access);
+    // The wing tables of epochs l-1..l+1 (the last epoch has no l+1).
+    const WingTable *tables[3] = {};
+    std::size_t ntables = 0;
+    for (EpochId w = l >= 1 ? l - 1 : 0; w <= l + 1; ++w)
+        if (wingTables_[w % kWindow].epoch == w)
+            tables[ntables++] = &wingTables_[w % kWindow];
+
+    // A state change conflicts with another thread's alloc, free or
+    // access of the key, an access only with an alloc or free.
+    auto other = [t](ThreadId owner) {
+        return owner != kNoThread && owner != t;
+    };
+    auto in_wings = [&](Addr k, bool state_change) {
+        for (std::size_t i = 0; i < ntables; ++i) {
+            const WingTable::Slot &s = tables[i]->slots[tables[i]->find(k)];
+            if (other(s.state) || (state_change && other(s.access)))
+                return true;
         }
-    }
+        return false;
+    };
 
-    std::vector<ErrorRecord> local_errors;
-    std::uint64_t isolation = 0;
-
-    // Isolation check (Section 6.1): a body alloc/free conflicts with any
-    // concurrent alloc/free/access of the same key; a body access
-    // conflicts with any concurrent alloc/free of its key.
+    // Isolation check (Section 6.1): one record per conflicting
+    // operation, at its first key in the wings.
+    std::vector<ErrorRecord> records;
     std::vector<Addr> keys;
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
         const std::uint64_t index = block.first + i;
 
-        auto check_state_change = [&](Addr base, std::uint16_t size) {
+        auto check = [&](Addr base, std::uint16_t size, bool state_change) {
             keysOf(base, size, keys);
             for (Addr k : keys) {
-                if (wing_genkill.contains(k) || wing_access.contains(k)) {
-                    local_errors.push_back(ErrorRecord{
+                if (in_wings(k, state_change)) {
+                    records.push_back(ErrorRecord{
                         t, index, base, ErrorKind::NonIsolatedOp, size});
-                    ++isolation;
-                    return;
-                }
-            }
-        };
-        auto check_access = [&](Addr base, std::uint16_t size) {
-            keysOf(base, size, keys);
-            for (Addr k : keys) {
-                if (wing_genkill.contains(k)) {
-                    local_errors.push_back(ErrorRecord{
-                        t, index, base, ErrorKind::NonIsolatedOp, size});
-                    ++isolation;
                     return;
                 }
             }
@@ -488,26 +538,25 @@ ButterflyAddrCheck::pass2(const BlockView &block)
         switch (e.kind) {
           case EventKind::Alloc:
           case EventKind::Free:
-            check_state_change(e.addr, e.size);
+            check(e.addr, e.size, true);
             break;
           case EventKind::Read:
           case EventKind::Write:
           case EventKind::Use:
-            check_access(e.addr, e.size);
+            check(e.addr, e.size, false);
             break;
           case EventKind::Assign: {
-            check_access(e.addr, e.size);
+            check(e.addr, e.size, false);
             const Addr srcs[2] = {e.src0, e.src1};
             for (unsigned n = 0; n < e.nsrc; ++n)
-                check_access(srcs[n], e.size);
+                check(srcs[n], e.size, false);
             break;
           }
           default:
             break;
         }
     }
-
-    commitBlock(l, t, local_errors, 0, isolation);
+    return records;
 }
 
 void

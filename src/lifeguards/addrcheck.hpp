@@ -23,13 +23,16 @@
  * Thread safety: pass1/pass2 may be invoked concurrently for different
  * blocks of the same pass (WindowSchedule's parallel mode). Per-block
  * state is disjoint; shared state (error log, counters) is committed
- * once per block under a mutex. finalizeEpoch is single-writer by design.
+ * once per block under a mutex. An epoch's last pass-1 block, found by
+ * an atomic count, builds its wing table. finalizeEpoch is single-writer
+ * by design.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
 #define BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
 
 #include <array>
+#include <atomic>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -97,6 +100,17 @@ class ButterflyAddrCheck : public AnalysisDriver
      */
     bool finalizeAfterPass2() const override { return false; }
 
+    /** Pass 2 of (l, t) reads epoch l+1's wing table, which only the
+     *  last pass-1 block of l+1 (maybe thread t's own) completes. */
+    bool pass2ReadsOwnNextPass1() const override { return true; }
+
+    /**
+     * The isolation records pass2() commits for body block @p block, in
+     * event order. It reads the wing tables of epochs l-1..l+1, so call
+     * it only where pass 2 of the block may run.
+     */
+    std::vector<ErrorRecord> isolationRecords(const BlockView &block) const;
+
     /** All flagged events (one record per event). */
     const ErrorLog &errors() const { return errors_; }
 
@@ -131,10 +145,39 @@ class ButterflyAddrCheck : public AnalysisDriver
         EpochId epoch = kNoEpoch;
     };
 
-    static std::uint64_t
-    blockKey(EpochId l, ThreadId t)
+    /**
+     * One epoch's wing table, built by its last pass-1 block: per key,
+     * the thread whose blocks changed its state (allocAny, freeAny) and
+     * the one that accessed it, each kNoThread if none and kSeveral if
+     * several. Key k is in the wings of (l, t) iff a table of epochs
+     * l-1..l+1 names an owner other than t. Linear probing over a
+     * power-of-two array at most half full, rebuilt in place.
+     */
+    struct WingTable
     {
-        return (l << 8) | t;
+        struct Slot
+        {
+            Addr key = 0;
+            ThreadId state = kNoThread;
+            ThreadId access = kNoThread;
+        };
+
+        /** Index of the slot holding @p key, or of the free slot that
+         *  would take it. */
+        std::size_t find(Addr key) const;
+
+        std::vector<Slot> slots;
+        EpochId epoch = kNoEpoch; ///< epoch built into the table
+    };
+
+    /** Wing-table owner of a key touched by several threads. */
+    static constexpr ThreadId kSeveral = kNoThread - 1;
+
+    /** Key of block (l, t) in the per-block maps; unique for t < T. */
+    std::uint64_t
+    blockKey(EpochId l, ThreadId t) const
+    {
+        return l * summaries_.size() + t;
     }
 
     BlockSummary &slot(EpochId l, ThreadId t);
@@ -161,11 +204,19 @@ class ButterflyAddrCheck : public AnalysisDriver
     /** The batched (columnar sort-by-key) pass-1 kernel. */
     void pass1Batched(const BlockView &block);
 
+    /** Build epoch @p l's wing table from its pass-1 summaries. */
+    void buildWingTable(EpochId l);
+
     AddrCheckConfig config_;
     bool batched_ = false; ///< batched pass-1 kernels selected
 
     /** Ring of per-epoch, per-thread summaries. */
     std::vector<std::array<BlockSummary, kWindow>> summaries_; ///< [t]
+
+    /** Ring of per-epoch wing tables, and the pass-1 blocks finished
+     *  so far in the epoch each slot is collecting. */
+    std::array<WingTable, kWindow> wingTables_;
+    std::array<std::atomic<std::size_t>, kWindow> pass1Done_{};
 
     AddrSet sos_; ///< single-writer SOS, advanced in finalizeEpoch
 

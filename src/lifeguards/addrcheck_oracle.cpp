@@ -1,21 +1,6 @@
 #include "lifeguards/addrcheck_oracle.hpp"
 
-#include <algorithm>
-
 namespace bfly {
-
-namespace {
-
-/** An event with its per-thread program index and visibility order. */
-struct IndexedEvent
-{
-    std::uint64_t gseq;
-    ThreadId tid;
-    std::uint64_t index;
-    const Event *e;
-};
-
-} // namespace
 
 AddrCheckOracle::AddrCheckOracle(const AddrCheckConfig &config)
     : config_(config)
@@ -96,26 +81,11 @@ AddrCheckOracle::processOne(ThreadId tid, std::uint64_t index,
 void
 AddrCheckOracle::runOnTrace(const Trace &trace)
 {
-    // Build (gseq, tid, program index) triples, then replay in true
-    // visibility order. Program indices stay program-ordered even when
-    // a relaxed model made visibility order differ (TSO store delay).
-    std::vector<IndexedEvent> merged;
-    merged.reserve(trace.instructionCount());
-    for (const ThreadTrace &tt : trace.threads) {
-        std::uint64_t index = 0;
-        for (const Event &e : tt.events) {
-            if (e.kind == EventKind::Heartbeat)
-                continue;
-            merged.push_back(IndexedEvent{e.gseq, tt.tid, index, &e});
-            ++index;
-        }
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const IndexedEvent &a, const IndexedEvent &b) {
-                         return a.gseq < b.gseq;
-                     });
-    for (const IndexedEvent &ie : merged)
-        processOne(ie.tid, ie.index, *ie.e);
+    // Replay in true visibility order. Program indices stay
+    // program-ordered even when a relaxed model made visibility order
+    // differ (TSO store delay).
+    for (const GseqRef &r : trace.gseqOrder())
+        processOne(trace.threads[r.thread].tid, r.index, *r.event);
 }
 
 } // namespace bfly

@@ -1,7 +1,5 @@
 #include "lifeguards/defcheck.hpp"
 
-#include <algorithm>
-
 namespace bfly {
 
 namespace {
@@ -178,30 +176,8 @@ DefCheckOracle::processOne(ThreadId tid, std::uint64_t index,
 void
 DefCheckOracle::runOnTrace(const Trace &trace)
 {
-    struct IndexedEvent
-    {
-        std::uint64_t gseq;
-        ThreadId tid;
-        std::uint64_t index;
-        const Event *e;
-    };
-    std::vector<IndexedEvent> merged;
-    merged.reserve(trace.instructionCount());
-    for (const ThreadTrace &tt : trace.threads) {
-        std::uint64_t index = 0;
-        for (const Event &e : tt.events) {
-            if (e.kind == EventKind::Heartbeat)
-                continue;
-            merged.push_back(IndexedEvent{e.gseq, tt.tid, index, &e});
-            ++index;
-        }
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const IndexedEvent &a, const IndexedEvent &b) {
-                         return a.gseq < b.gseq;
-                     });
-    for (const IndexedEvent &ie : merged)
-        processOne(ie.tid, ie.index, *ie.e);
+    for (const GseqRef &r : trace.gseqOrder())
+        processOne(trace.threads[r.thread].tid, r.index, *r.event);
 }
 
 } // namespace bfly

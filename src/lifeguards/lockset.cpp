@@ -288,28 +288,8 @@ LockSetOracle::processOne(ThreadId tid, std::uint64_t index, const Event &e)
 void
 LockSetOracle::runOnTrace(const Trace &trace)
 {
-    struct IndexedEvent
-    {
-        std::uint64_t gseq;
-        ThreadId tid;
-        std::uint64_t index;
-        const Event *e;
-    };
-    std::vector<IndexedEvent> order;
-    for (const ThreadTrace &tt : trace.threads) {
-        std::uint64_t index = 0;
-        for (const Event &e : tt.events) {
-            if (e.kind == EventKind::Heartbeat)
-                continue;
-            order.push_back(IndexedEvent{e.gseq, tt.tid, index++, &e});
-        }
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [](const IndexedEvent &a, const IndexedEvent &b) {
-                         return a.gseq < b.gseq;
-                     });
-    for (const IndexedEvent &ie : order)
-        processOne(ie.tid, ie.index, *ie.e);
+    for (const GseqRef &r : trace.gseqOrder())
+        processOne(trace.threads[r.thread].tid, r.index, *r.event);
 }
 
 } // namespace bfly

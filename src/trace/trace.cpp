@@ -1,6 +1,11 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <numeric>
+
+#include "common/logging.hpp"
 
 namespace bfly {
 
@@ -44,21 +49,62 @@ Trace::memoryAccessCount() const
     return n;
 }
 
-std::vector<std::pair<ThreadId, Event>>
-Trace::serializedByGseq() const
+std::vector<GseqRef>
+Trace::gseqOrder() const
 {
-    std::vector<std::pair<ThreadId, Event>> merged;
-    for (const ThreadTrace &t : threads) {
-        for (const Event &e : t.events) {
-            if (e.kind != EventKind::Heartbeat)
-                merged.emplace_back(t.tid, e);
+    // Calls f on every non-heartbeat event, in thread-then-index order.
+    const auto each_event = [this](auto &&f) {
+        for (std::size_t t = 0; t < threads.size(); ++t) {
+            std::uint32_t index = 0;
+            for (const Event &e : threads[t].events)
+                if (e.kind != EventKind::Heartbeat)
+                    f(GseqRef{&e, static_cast<ThreadId>(t), index++});
         }
+    };
+    std::size_t n = 0;
+    std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t hi = 0;
+    each_event([&](const GseqRef &r) {
+        ++n;
+        lo = std::min(lo, r.event->gseq);
+        hi = std::max(hi, r.event->gseq);
+    });
+    ensure(n <= std::numeric_limits<std::uint32_t>::max(),
+           "too many events for 32-bit instruction indices");
+
+    // Digits of about log2(2n) bits, so the counters cost no more than
+    // the refs. The first scatter reads the threads directly; the
+    // buffers alternate so that the last one lands in `order`.
+    const unsigned bits = n > 0 ? std::bit_width(hi - lo) : 0;
+    const unsigned width = std::min(
+        std::max(bits, 1u),
+        std::max(8u, static_cast<unsigned>(std::bit_width(n)) + 1));
+    const unsigned passes = std::max(1u, (bits + width - 1) / width);
+    std::vector<std::uint32_t> count(std::size_t{1} << width);
+    const auto scatter = [&](unsigned pass, auto &&each,
+                             std::vector<GseqRef> &dst) {
+        const auto digit = [&](const GseqRef &r) {
+            return static_cast<std::size_t>(
+                (r.event->gseq - lo) >> (pass * width) &
+                ((std::uint64_t{1} << width) - 1));
+        };
+        std::fill(count.begin(), count.end(), 0);
+        each([&](const GseqRef &r) { ++count[digit(r)]; });
+        std::exclusive_scan(count.begin(), count.end(), count.begin(), 0u);
+        each([&](const GseqRef &r) { dst[count[digit(r)]++] = r; });
+    };
+    std::vector<GseqRef> order(n);
+    std::vector<GseqRef> other(passes > 1 ? n : 0);
+    std::vector<GseqRef> *dst = passes % 2 ? &order : &other;
+    scatter(0, each_event, *dst);
+    for (unsigned p = 1; p < passes; ++p) {
+        const std::vector<GseqRef> &src = *dst;
+        dst = dst == &order ? &other : &order;
+        scatter(
+            p, [&src](auto &&f) { std::for_each(src.begin(), src.end(), f); },
+            *dst);
     }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second.gseq < b.second.gseq;
-                     });
-    return merged;
+    return order;
 }
 
 std::vector<std::pair<ThreadId, Event>>

@@ -31,6 +31,14 @@ struct ThreadTrace
     std::size_t memoryAccessCount() const;
 };
 
+/** One event's place in the true execution order (Trace::gseqOrder). */
+struct GseqRef
+{
+    const Event *event = nullptr;
+    ThreadId thread = 0;     ///< position in Trace::threads
+    std::uint32_t index = 0; ///< per-thread instruction index
+};
+
 /** A complete multithreaded program trace. */
 struct Trace
 {
@@ -42,11 +50,15 @@ struct Trace
     std::size_t memoryAccessCount() const;
 
     /**
-     * Merge all threads into the actual execution order, sorted by the
-     * events' global sequence numbers. Heartbeats are dropped.
-     * @return vector of (tid, event) in execution order.
+     * Every non-heartbeat event in the actual execution order: ascending
+     * gseq, with equal gseqs kept in thread-then-index order (what a
+     * stable sort of the threads' concatenation gives). An LSD radix
+     * sort over gseq - min, so the cost is linear in the event count
+     * for any gseq range: one counting pass when the range is within
+     * about twice the event count (gseqs from one interleaving are), at
+     * most eight otherwise. The refs point into this trace.
      */
-    std::vector<std::pair<ThreadId, Event>> serializedByGseq() const;
+    std::vector<GseqRef> gseqOrder() const;
 
     /**
      * Merge all threads round-robin (one event at a time), the way a

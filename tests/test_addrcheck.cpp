@@ -5,12 +5,17 @@
  * negative property against SC and TSO executions of randomized workloads
  * with injected bugs. Also checks the paper's accuracy trade-off: false
  * positives are monotone-ish in epoch size and vanish for isolated
- * activity.
+ * activity. Pass 2's per-epoch wing tables are checked record for record
+ * against a brute-force per-block union meet of the wings.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+
 #include "butterfly/window.hpp"
+#include "fuzz/trace_fuzzer.hpp"
 #include "lifeguards/addrcheck.hpp"
 #include "lifeguards/addrcheck_oracle.hpp"
 #include "memmodel/interleaver.hpp"
@@ -303,6 +308,404 @@ TEST(AddrCheck, BatchedKernelComposesWithParallelPasses)
     EXPECT_EQ(seq.errors().size(), par_batched.errors().size());
     EXPECT_EQ(seq.eventsChecked(), par_batched.eventsChecked());
     EXPECT_EQ(seq.sosNow().sorted(), par_batched.sosNow().sorted());
+}
+
+TEST(AddrCheck, EveryBlockOfA300ThreadLayoutKeepsItsOwnCounts)
+{
+    // Past 256 threads, an (l << 8) | t block key would make block
+    // (0, 256) and block (1, 0) share their per-block counts. Give every
+    // block its own number of private allocations and unallocated reads.
+    constexpr ThreadId kThreads = 300;
+    auto allocs = [](EpochId l, ThreadId t) { return 1 + (t + 2 * l) % 4; };
+    auto bad_reads = [](EpochId l, ThreadId t) { return (t + 2 * l) % 3; };
+    std::vector<std::vector<Event>> programs(kThreads);
+    for (ThreadId t = 0; t < kThreads; ++t) {
+        for (EpochId l = 0; l < 2; ++l) {
+            const Addr base = 0x1000000 + (l * kThreads + t) * 0x1000;
+            for (unsigned k = 0; k < allocs(l, t); ++k)
+                programs[t].push_back(Event::alloc(base + 8 * k, 8));
+            for (unsigned k = 0; k < bad_reads(l, t); ++k)
+                programs[t].push_back(Event::read(base + 0x800 + 8 * k, 8));
+            if (l == 0)
+                programs[t].push_back(Event::heartbeat());
+        }
+    }
+    auto run = runAddrCheck(test::traceOf(std::move(programs)),
+                            wideConfig());
+    ASSERT_EQ(run.layout.numEpochs(), 2u);
+    for (EpochId l = 0; l < 2; ++l) {
+        for (ThreadId t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(run.check->summarySize(l, t),
+                      allocs(l, t) + bad_reads(l, t))
+                << "block (" << l << ", " << t << ")";
+            EXPECT_EQ(run.check->errorsInBlock(l, t), bad_reads(l, t))
+                << "block (" << l << ", " << t << ")";
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// Pass 2's wing tables against a per-block union meet of the wings,
+// the reference kept here.
+// --------------------------------------------------------------------
+
+std::vector<Addr>
+refKeys(const AddrCheckConfig &cfg, Addr base, std::uint16_t size)
+{
+    std::vector<Addr> keys;
+    if (base == kNoAddr || !cfg.monitored(base))
+        return keys;
+    for (Addr k = cfg.keyOf(base);
+         k <= cfg.keyOf(base + (size > 0 ? size - 1 : 0)); ++k)
+        keys.push_back(k);
+    return keys;
+}
+
+/** The key sets of block (l, t) that pass 2 meets, from its events. */
+struct RefSummary
+{
+    AddrSet allocAny;
+    AddrSet freeAny;
+    AddrSet access;
+};
+
+RefSummary
+refSummary(const BlockView &block, const AddrCheckConfig &cfg)
+{
+    RefSummary s;
+    auto add = [&](AddrSet &set, Addr base, std::uint16_t size) {
+        for (Addr k : refKeys(cfg, base, size))
+            set.insert(k);
+    };
+    for (const Event &e : block.events) {
+        switch (e.kind) {
+          case EventKind::Alloc:
+            add(s.allocAny, e.addr, e.size);
+            break;
+          case EventKind::Free:
+            add(s.freeAny, e.addr, e.size);
+            break;
+          case EventKind::Read:
+          case EventKind::Write:
+          case EventKind::Use:
+            add(s.access, e.addr, e.size);
+            break;
+          case EventKind::Assign:
+            add(s.access, e.addr, e.size);
+            if (e.nsrc >= 1)
+                add(s.access, e.src0, e.size);
+            if (e.nsrc >= 2)
+                add(s.access, e.src1, e.size);
+            break;
+          default:
+            break;
+        }
+    }
+    return s;
+}
+
+/**
+ * Reference pass 2 of block (l, t): union the summaries of its wings
+ * (epochs l-1..l+1, threads != t) into two sets, then flag every
+ * alloc/free with a key in either and every access with a key in the
+ * alloc/free union, once per operation.
+ */
+std::vector<ErrorRecord>
+unionMeetRecords(const EpochLayout &layout,
+                 const std::vector<std::vector<RefSummary>> &summaries,
+                 EpochId l, ThreadId t, const AddrCheckConfig &cfg)
+{
+    AddrSet wing_genkill;
+    AddrSet wing_access;
+    for (EpochId w = l >= 1 ? l - 1 : 0;
+         w <= l + 1 && w < layout.numEpochs(); ++w) {
+        for (ThreadId u = 0; u < layout.numThreads(); ++u) {
+            if (u == t)
+                continue;
+            wing_genkill.unionWith(summaries[w][u].allocAny);
+            wing_genkill.unionWith(summaries[w][u].freeAny);
+            wing_access.unionWith(summaries[w][u].access);
+        }
+    }
+
+    const BlockView block = layout.block(l, t);
+    std::vector<ErrorRecord> out;
+    for (InstrOffset i = 0; i < block.size(); ++i) {
+        const Event &e = block.events[i];
+        auto check = [&](Addr base, bool state_change) {
+            for (Addr k : refKeys(cfg, base, e.size)) {
+                if (wing_genkill.contains(k) ||
+                    (state_change && wing_access.contains(k))) {
+                    out.push_back(ErrorRecord{t, block.first + i, base,
+                                              ErrorKind::NonIsolatedOp,
+                                              e.size});
+                    return;
+                }
+            }
+        };
+        switch (e.kind) {
+          case EventKind::Alloc:
+          case EventKind::Free:
+            check(e.addr, true);
+            break;
+          case EventKind::Read:
+          case EventKind::Write:
+          case EventKind::Use:
+            check(e.addr, false);
+            break;
+          case EventKind::Assign:
+            check(e.addr, false);
+            if (e.nsrc >= 1)
+                check(e.src0, false);
+            if (e.nsrc >= 2)
+                check(e.src1, false);
+            break;
+          default:
+            break;
+        }
+    }
+    return out;
+}
+
+/** Forwards to ADDRCHECK, keeping the records each pass 2 commits. */
+class Pass2Recorder final : public AnalysisDriver
+{
+  public:
+    explicit Pass2Recorder(ButterflyAddrCheck &inner) : inner_(inner) {}
+
+    void pass1(const BlockView &block) override { inner_.pass1(block); }
+
+    void
+    pass2(const BlockView &block) override
+    {
+        std::vector<ErrorRecord> records = inner_.isolationRecords(block);
+        {
+            std::lock_guard<std::mutex> guard(mutex_);
+            byBlock[{block.epoch, block.thread}] = std::move(records);
+        }
+        inner_.pass2(block);
+    }
+
+    void finalizeEpoch(EpochId l) override { inner_.finalizeEpoch(l); }
+
+    bool
+    finalizeAfterPass2() const override
+    {
+        return inner_.finalizeAfterPass2();
+    }
+
+    bool
+    pass2ReadsOwnNextPass1() const override
+    {
+        return inner_.pass2ReadsOwnNextPass1();
+    }
+
+    std::map<std::pair<EpochId, ThreadId>, std::vector<ErrorRecord>>
+        byBlock;
+
+  private:
+    ButterflyAddrCheck &inner_;
+    std::mutex mutex_;
+};
+
+enum class Schedule { Barrier, ParallelPasses, Pipelined, Streamed };
+
+/** Epochs of @p global_h events (EpochLayout::byGlobalSeq). */
+EpochStream::Config
+globalSlicing(std::size_t global_h)
+{
+    EpochStream::Config slicing;
+    slicing.globalH = global_h;
+    return slicing;
+}
+
+/**
+ * Slice @p trace as @p slicing says, run ADDRCHECK over it under every
+ * schedule, and compare each block's pass-2 records, one for one and in
+ * order, with the union meet; the isolation counters must sum to the
+ * same total. Returns that total.
+ */
+std::uint64_t
+expectTablesMatchUnionMeet(const Trace &trace,
+                           const EpochStream::Config &slicing,
+                           const AddrCheckConfig &cfg,
+                           const std::string &what)
+{
+    const EpochLayout layout =
+        slicing.fromHeartbeats
+            ? EpochLayout::fromHeartbeats(trace)
+            : EpochLayout::byGlobalSeq(trace, slicing.globalH);
+    const std::size_t L = layout.numEpochs();
+    const std::size_t T = layout.numThreads();
+    std::vector<std::vector<RefSummary>> summaries(L);
+    for (EpochId l = 0; l < L; ++l)
+        for (ThreadId t = 0; t < T; ++t)
+            summaries[l].push_back(refSummary(layout.block(l, t), cfg));
+    std::uint64_t want_total = 0;
+    std::map<std::pair<EpochId, ThreadId>, std::vector<ErrorRecord>> want;
+    for (EpochId l = 0; l < L; ++l) {
+        for (ThreadId t = 0; t < T; ++t) {
+            want[{l, t}] = unionMeetRecords(layout, summaries, l, t, cfg);
+            want_total += want[{l, t}].size();
+        }
+    }
+
+    WorkerPool pool(4);
+    for (Schedule schedule :
+         {Schedule::Barrier, Schedule::ParallelPasses, Schedule::Pipelined,
+          Schedule::Streamed}) {
+        ButterflyAddrCheck check(T, cfg);
+        Pass2Recorder recorder(check);
+        switch (schedule) {
+          case Schedule::Barrier:
+            WindowSchedule(false).run(layout, recorder);
+            break;
+          case Schedule::ParallelPasses:
+            WindowSchedule(true, &pool).run(layout, recorder);
+            break;
+          case Schedule::Pipelined:
+            WindowSchedule(false, &pool).runPipelined(layout, recorder);
+            break;
+          case Schedule::Streamed: {
+            EpochStream stream(trace, slicing);
+            WindowSchedule(false, &pool).runPipelined(stream, recorder);
+            break;
+          }
+        }
+        const std::string where =
+            what + ", schedule " + std::to_string(int(schedule));
+        EXPECT_EQ(recorder.byBlock.size(), L * T) << where;
+        for (const auto &[block, records] : want) {
+            const auto &got = recorder.byBlock[block];
+            EXPECT_EQ(got.size(), records.size())
+                << where << ", block (" << block.first << ", "
+                << block.second << ")";
+            for (std::size_t i = 0; i < got.size() && i < records.size();
+                 ++i)
+                EXPECT_EQ(got[i], records[i])
+                    << where << ": " << got[i].toString() << " vs "
+                    << records[i].toString();
+        }
+        EXPECT_EQ(check.isolationViolations(), want_total) << where;
+    }
+    return want_total;
+}
+
+TEST(AddrCheckWingTable, MatchesUnionMeetOnBuggyScAndTsoTraces)
+{
+    const BugKind kinds[] = {BugKind::UseAfterFree,
+                             BugKind::UnallocatedAccess,
+                             BugKind::DoubleFree};
+    std::uint64_t records = 0;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        for (MemModel model :
+             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+            WorkloadConfig wcfg;
+            wcfg.numThreads = 2 + seed % 3;
+            wcfg.instrPerThread = 1500;
+            wcfg.seed = seed;
+            Workload w = makeRandomMix(wcfg);
+            Rng bug_rng(seed ^ 0xbeef);
+            injectBugs(w, kinds[seed % 3], 4, bug_rng);
+            InterleaveConfig icfg;
+            icfg.model = model;
+            Rng rng(seed * 31 + 7);
+            const Trace trace = interleave(w.programs, icfg, rng);
+
+            AddrCheckConfig cfg;
+            cfg.heapBase = w.heapBase;
+            cfg.heapLimit = w.heapLimit + 0x100000;
+            records += expectTablesMatchUnionMeet(
+                trace, globalSlicing(100 * wcfg.numThreads), cfg,
+                "seed " + std::to_string(seed));
+        }
+    }
+    EXPECT_GT(records, 0u) << "no wing conflicts exercised";
+}
+
+TEST(AddrCheckWingTable, MatchesUnionMeetOnFuzzCases)
+{
+    fuzz::FuzzerConfig fcfg;
+    fcfg.seed = 14;
+    const fuzz::TraceFuzzer fuzzer(fcfg);
+    std::uint64_t records = 0;
+    for (std::uint64_t id = 0; id < 60; ++id) {
+        const fuzz::FuzzCase c = fuzzer.generate(id);
+        AddrCheckConfig cfg;
+        cfg.heapBase = c.heapBase;
+        cfg.heapLimit = c.heapLimit;
+        records += expectTablesMatchUnionMeet(
+            c.materialize(), globalSlicing(c.globalH), cfg,
+            c.scenario + " case " + std::to_string(id));
+    }
+    EXPECT_GT(records, 0u) << "no wing conflicts exercised";
+}
+
+TEST(AddrCheckWingTable, MatchesUnionMeetOnSeventyThreads)
+{
+    // More threads than any 64-bit thread mask could name.
+    WorkloadConfig wcfg;
+    wcfg.numThreads = 70;
+    wcfg.instrPerThread = 240;
+    wcfg.seed = 70;
+    const Workload w = makeRandomMix(wcfg);
+    Rng rng(17);
+    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
+    AddrCheckConfig cfg;
+    cfg.heapBase = w.heapBase;
+    cfg.heapLimit = w.heapLimit;
+    EXPECT_GT(expectTablesMatchUnionMeet(
+                  trace, globalSlicing(40 * wcfg.numThreads), cfg,
+                  "70 threads"),
+              0u);
+}
+
+TEST(AddrCheckWingTable, MatchesUnionMeetOnOneThread)
+{
+    // No wings at all: the only thread owns every key it touches.
+    WorkloadConfig wcfg;
+    wcfg.numThreads = 1;
+    wcfg.instrPerThread = 2000;
+    wcfg.seed = 1;
+    const Workload w = makeRandomMix(wcfg);
+    Rng rng(3);
+    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
+    AddrCheckConfig cfg;
+    cfg.heapBase = w.heapBase;
+    cfg.heapLimit = w.heapLimit;
+    EXPECT_EQ(
+        expectTablesMatchUnionMeet(trace, globalSlicing(128), cfg, "1 thread"),
+        0u);
+}
+
+TEST(AddrCheckWingTable, LastEpochIgnoresTheStaleRingSlot)
+{
+    // Five epochs. The last has no epoch l+1, and the ring slot epoch 5
+    // would use still holds epoch 1's table, in which thread 1 frees a.
+    // Thread 0's last-epoch read of a must stay clean; its free of b
+    // races with thread 1's epoch-3 read of b.
+    const Addr a = 0x100;
+    const Addr b = 0x200;
+    const Trace trace = test::traceOf({
+        {Event::alloc(a, 8), Event::alloc(b, 8), Event::heartbeat(),
+         Event::heartbeat(), Event::heartbeat(), Event::heartbeat(),
+         Event::read(a, 8), Event::freeOf(b, 8)},
+        {Event::heartbeat(), Event::read(b, 8), Event::freeOf(a, 8),
+         Event::heartbeat(), Event::heartbeat(), Event::read(b, 8),
+         Event::heartbeat()},
+    });
+    EpochStream::Config slicing;
+    slicing.fromHeartbeats = true;
+    expectTablesMatchUnionMeet(trace, slicing, wideConfig(), "stale slot");
+
+    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    ASSERT_EQ(layout.numEpochs(), 5u);
+    ButterflyAddrCheck check(layout, wideConfig());
+    Pass2Recorder recorder(check);
+    WindowSchedule().run(layout, recorder);
+    const auto &last = recorder.byBlock[{4, 0}];
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(last[0].addr, b);
 }
 
 // --------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "memmodel/interleaver.hpp"
 #include "tests/helpers.hpp"
 #include "trace/log_buffer.hpp"
+#include "workloads/workload.hpp"
 
 namespace bfly {
 namespace {
@@ -37,15 +41,153 @@ TEST(Trace, InstructionAndAccessCounts)
     EXPECT_EQ(trace.memoryAccessCount(), 3u);
 }
 
-TEST(Trace, SerializedByGseqOrdersAcrossThreads)
+TEST(Trace, GseqOrderOrdersAcrossThreads)
 {
     Trace trace = test::traceOf({{Event::read(1)}, {Event::write(2)}});
     trace.threads[0].events[0].gseq = 2;
     trace.threads[1].events[0].gseq = 1;
-    const auto merged = trace.serializedByGseq();
-    ASSERT_EQ(merged.size(), 2u);
-    EXPECT_EQ(merged[0].first, 1u);
-    EXPECT_EQ(merged[1].first, 0u);
+    const auto order = trace.gseqOrder();
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_EQ(order[0].thread, 1u);
+    EXPECT_EQ(order[1].thread, 0u);
+    EXPECT_EQ(order[0].event, &trace.threads[1].events[0]);
+}
+
+/** The reference order: the threads' concatenation, stable-sorted by
+ *  gseq. */
+std::vector<GseqRef>
+stableSortedByGseq(const Trace &trace)
+{
+    std::vector<GseqRef> refs;
+    for (std::size_t t = 0; t < trace.numThreads(); ++t) {
+        std::uint32_t index = 0;
+        for (const Event &e : trace.threads[t].events)
+            if (e.kind != EventKind::Heartbeat)
+                refs.push_back(
+                    GseqRef{&e, static_cast<ThreadId>(t), index++});
+    }
+    std::stable_sort(refs.begin(), refs.end(),
+                     [](const GseqRef &a, const GseqRef &b) {
+                         return a.event->gseq < b.event->gseq;
+                     });
+    return refs;
+}
+
+void
+expectMatchesStableSort(const Trace &trace)
+{
+    const std::vector<GseqRef> got = trace.gseqOrder();
+    const std::vector<GseqRef> want = stableSortedByGseq(trace);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].event, want[i].event) << "position " << i;
+        ASSERT_EQ(got[i].thread, want[i].thread) << "position " << i;
+        ASSERT_EQ(got[i].index, want[i].index) << "position " << i;
+    }
+}
+
+TEST(Trace, GseqOrderMatchesStableSortOnScAndTsoInterleavings)
+{
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        for (MemModel model :
+             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+            WorkloadConfig wcfg;
+            wcfg.numThreads = 1 + seed % 4;
+            wcfg.instrPerThread = 3000;
+            wcfg.seed = seed;
+            const Workload w = makeRandomMix(wcfg);
+            InterleaveConfig icfg;
+            icfg.model = model;
+            Rng rng(seed * 13 + 1);
+            expectMatchesStableSort(interleave(w.programs, icfg, rng));
+        }
+    }
+}
+
+/** Random multi-thread trace with heartbeats and gseqs from @p draw. */
+template <typename Draw>
+Trace
+randomGseqTrace(Rng &rng, Draw draw)
+{
+    std::vector<std::vector<Event>> programs(1 + rng.below(5));
+    for (auto &p : programs) {
+        const std::size_t n = rng.below(4000);
+        for (std::size_t i = 0; i < n; ++i) {
+            Event e = rng.below(10) == 0 ? Event::heartbeat()
+                                         : Event::read(0x100 + i, 8);
+            e.gseq = draw();
+            p.push_back(e);
+        }
+    }
+    return test::traceOf(std::move(programs));
+}
+
+TEST(Trace, GseqOrderKeepsEqualGseqsInThreadThenIndexOrder)
+{
+    Rng rng(7);
+    for (int round = 0; round < 20; ++round) {
+        const std::uint64_t base = rng.next();
+        const std::uint64_t span = 1 + rng.below(8);
+        expectMatchesStableSort(
+            randomGseqTrace(rng, [&] { return base + rng.below(span); }));
+    }
+    // Every gseq equal: nothing to sort, ties only.
+    expectMatchesStableSort(randomGseqTrace(rng, [] { return 42; }));
+}
+
+TEST(Trace, GseqOrderSortsSparseGseqsUpToNearTwoToThe63)
+{
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+    Rng rng(11);
+    for (int round = 0; round < 10; ++round) {
+        // Spread over the whole range, bunched just under 2^63, and
+        // spaced so that some radix digits are constant.
+        expectMatchesStableSort(
+            randomGseqTrace(rng, [&] { return rng.below(kTop); }));
+        expectMatchesStableSort(
+            randomGseqTrace(rng, [&] { return kTop - 1 - rng.below(64); }));
+        expectMatchesStableSort(randomGseqTrace(
+            rng, [&] { return rng.below(1024) << 40; }));
+    }
+    Trace extremes = test::traceOf({{Event::read(1), Event::read(2)},
+                                    {Event::read(3)}});
+    extremes.threads[0].events[0].gseq = kTop - 1;
+    extremes.threads[0].events[1].gseq = 0;
+    extremes.threads[1].events[0].gseq = kTop - 1;
+    expectMatchesStableSort(extremes);
+}
+
+TEST(Trace, GseqOrderSkipsHeartbeatsAndEmptyThreads)
+{
+    Trace trace = test::traceOf({
+        {},
+        {Event::heartbeat(), Event::write(1), Event::heartbeat(),
+         Event::read(2)},
+        {},
+        {Event::heartbeat()},
+        {Event::read(3)},
+    });
+    trace.threads[1].events[1].gseq = 5;
+    trace.threads[1].events[3].gseq = 1;
+    trace.threads[4].events[0].gseq = 3;
+    const auto order = trace.gseqOrder();
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0].thread, 1u);
+    EXPECT_EQ(order[0].index, 1u); // the heartbeats take no index
+    EXPECT_EQ(order[1].thread, 4u);
+    EXPECT_EQ(order[1].index, 0u);
+    EXPECT_EQ(order[2].thread, 1u);
+    EXPECT_EQ(order[2].index, 0u);
+    expectMatchesStableSort(trace);
+}
+
+TEST(Trace, GseqOrderOfTraceWithoutEvents)
+{
+    EXPECT_TRUE(Trace{}.gseqOrder().empty());
+    EXPECT_TRUE(test::traceOf({{}, {}}).gseqOrder().empty());
+    EXPECT_TRUE(test::traceOf({{Event::heartbeat()}, {}})
+                    .gseqOrder()
+                    .empty());
 }
 
 TEST(Trace, RoundRobinAlternatesThreads)
