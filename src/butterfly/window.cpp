@@ -426,26 +426,16 @@ WindowSchedule::runPass(const EpochLayout &layout, EpochId l, bool second,
         blocks.push_back(layout.block(l, t));
 
     auto work = [&](std::size_t t) {
-        const BlockView &block = blocks[t];
-        if (!traced) {
-            if (second)
-                driver.pass2(block);
-            else
-                driver.pass1(block);
-            return;
-        }
-        // Worker t writes its spans to timeline track t+1 (track 0 is
-        // the scheduler thread); each block index is claimed by exactly
-        // one pool worker per pass, so each track keeps a single writer
-        // at any moment.
-        telemetry::ScopedTid tid(static_cast<std::uint16_t>(t + 1));
-        telemetry::TraceSpan span(second ? w->blockPass2Span
-                                         : w->blockPass1Span,
-                                  w->epochArg, l);
+        // The span lands on the executing thread's own track, as in the
+        // pipelined schedule: a session's stage tasks run beside the
+        // passes, so a fixed per-block track could have two writers.
+        telemetry::TraceSpan span(
+            traced ? (second ? w->blockPass2Span : w->blockPass1Span) : 0,
+            traced ? w->epochArg : telemetry::kNoMetric, l);
         if (second)
-            driver.pass2(block);
+            driver.pass2(blocks[t]);
         else
-            driver.pass1(block);
+            driver.pass1(blocks[t]);
     };
 
     if (traced)

@@ -44,6 +44,44 @@ inline constexpr EpochId kNoEpoch = std::numeric_limits<EpochId>::max();
 /** Sentinel for "no thread". */
 inline constexpr ThreadId kNoThread = std::numeric_limits<ThreadId>::max();
 
+/**
+ * The metadata keys [first, last] of an access, at some number of bytes
+ * per key. Never empty; last may be the top key of the address space.
+ */
+struct KeyRange
+{
+    Addr first = 0;
+    Addr last = 0;
+
+    /** Keys in the range (an access spans at most 2^16 of them). */
+    std::uint64_t count() const { return last - first + 1; }
+
+    /** Call @p fn on every key in order; stops after the last one. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (Addr k = first;; ++k) {
+            fn(k);
+            if (k == last)
+                return;
+        }
+    }
+};
+
+/**
+ * Keys touched by @p size bytes at @p base (a zero size touches one
+ * byte). An access that runs past the top of the address space is cut
+ * at its last byte, 2^64 - 1, instead of wrapping around to 0.
+ */
+inline KeyRange
+keyRange(Addr base, std::uint16_t size, unsigned granularity)
+{
+    const Addr span = size > 0 ? size - 1u : 0u;
+    const Addr end = base > kNoAddr - span ? kNoAddr : base + span;
+    return KeyRange{base / granularity, end / granularity};
+}
+
 } // namespace bfly
 
 #endif // BUTTERFLY_COMMON_TYPES_HPP

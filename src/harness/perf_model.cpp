@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "common/worker_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_span.hpp"
 
@@ -73,10 +74,9 @@ monitoredKeys(const Event &e, const AddrCheckConfig &cfg,
     auto push_range = [&](Addr base, std::uint16_t size) {
         if (base == kNoAddr || !cfg.monitored(base))
             return;
-        const Addr first = cfg.keyOf(base);
-        const Addr last = cfg.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
+        keyRange(base, size, cfg.granularity).forEach([&](Addr k) {
             out.push_back(k);
+        });
     };
     push_range(e.addr, e.size);
     if (e.kind == EventKind::Assign) {
@@ -144,19 +144,18 @@ lifeguardEventCost(const Event &e, const AddrCheckConfig &cfg,
 }
 
 /**
- * Replay the trace through a CMP, returning per-thread, per-event
- * application cycles (indexed by per-thread non-heartbeat event index).
- * Parallel mode assigns each thread its own core and replays in true
- * (gseq) order so coherence misses land where they occurred; serial mode
- * funnels everything through core 0 in the same order.
+ * Replay the trace through a CMP, filling per-thread, per-event
+ * application cycles (indexed by per-thread non-heartbeat event index)
+ * into @p costs, which is already allocated. Parallel mode assigns each
+ * thread its own core and replays in true (gseq) order so coherence
+ * misses land where they occurred; serial mode funnels everything
+ * through core 0 in the same order.
  */
-std::vector<std::vector<Cycles>>
-replayAppCosts(const Trace &trace, const std::vector<GseqRef> &order,
-               const CoreModel &core, Cmp &cmp, bool parallel)
+void
+replayAppCosts(const std::vector<GseqRef> &order, const CoreModel &core,
+               Cmp &cmp, bool parallel,
+               std::vector<std::unique_ptr<Cycles[]>> &costs)
 {
-    std::vector<std::vector<Cycles>> costs(trace.numThreads());
-    for (std::size_t t = 0; t < trace.numThreads(); ++t)
-        costs[t].resize(trace.threads[t].instructionCount(), 0);
     for (const GseqRef &r : order) {
         const Event &e = *r.event;
         Cycles mem = 0;
@@ -169,7 +168,6 @@ replayAppCosts(const Trace &trace, const std::vector<GseqRef> &order,
         }
         costs[r.thread][r.index] = core.cost(e, mem);
     }
-    return costs;
 }
 
 /**
@@ -221,7 +219,7 @@ replaySegmentOrderedBaseline(const Trace &trace, const CoreModel &core,
  */
 Cycles
 barrierAwareParallelTime(const Trace &trace,
-                         const std::vector<std::vector<Cycles>> &costs)
+                         const std::vector<std::unique_ptr<Cycles[]>> &costs)
 {
     const std::size_t T = trace.numThreads();
     // Segment sums between Barrier events, per thread.
@@ -254,58 +252,112 @@ barrierAwareParallelTime(const Trace &trace,
     return total;
 }
 
+/** Log-buffer capacity in records (at least one). */
+std::size_t
+logCapacity(const PerfInputs &in)
+{
+    return std::max<std::size_t>(1, in.logBufferBytes / in.logRecordBytes);
+}
+
+const Trace &
+checkedTrace(const PerfInputs &in)
+{
+    ensure(in.trace != nullptr, "perf model needs a trace");
+    return *in.trace;
+}
+
+/** The three CMP replays, in the order run() executes them inline. */
+enum Replay : std::size_t
+{
+    kParallelReplay,
+    kSerialReplay,
+    kBaselineReplay,
+    kReplays
+};
+
 } // namespace
 
-PerfReport
-computePerformance(const PerfInputs &in)
+AppPerformance::AppPerformance(const PerfInputs &in,
+                               const std::vector<GseqRef> &order)
+    : trace_(checkedTrace(in)), order_(order), in_(in),
+      // Parallel runs use 2T cores (T application + T lifeguard; Table 1
+      // scales L2 with the core count). Serial runs use the 2-core
+      // config.
+      parallelCmp_(CmpConfig::forCores(
+          static_cast<unsigned>(2 * trace_.numThreads()))),
+      serialCmp_(CmpConfig::forCores(2)),
+      baselineCmp_(CmpConfig::forCores(2)),
+      parallelCosts_(trace_.numThreads()),
+      serialCosts_(trace_.numThreads())
 {
-    ensure(in.trace && in.layout && in.butterfly,
-           "perf model needs trace, layout and functional results");
-    const Trace &trace = *in.trace;
-    const EpochLayout &layout = *in.layout;
-    const std::size_t T = trace.numThreads();
-    const std::size_t capacity =
-        std::max<std::size_t>(1, in.logBufferBytes / in.logRecordBytes);
-
-    PerfReport report;
-
-    // The true execution order, shared by both CMP replays and the
-    // timesliced monitor.
-    const std::vector<GseqRef> order = trace.gseqOrder();
-
-    // --- Application-side cycles -------------------------------------
-    // Parallel runs use 2T cores (T application + T lifeguard; Table 1
-    // scales L2 with the core count). Serial runs use the 2-core config.
-    Cmp cmp_parallel(CmpConfig::forCores(static_cast<unsigned>(2 * T)));
-    auto par_costs = [&] {
-        telemetry::TraceSpan span("perf.app_replay_parallel");
-        return replayAppCosts(trace, order, in.core, cmp_parallel, true);
-    }();
-    report.cacheStats = cmp_parallel.stats();
-
-    // Timesliced app core: the fine-grained interleave (cache
-    // interference between the timesliced threads' working sets).
-    Cmp cmp_serial(CmpConfig::forCores(2));
-    auto ser_costs = [&] {
-        telemetry::TraceSpan span("perf.app_replay_serial");
-        return replayAppCosts(trace, order, in.core, cmp_serial, false);
-    }();
-
-    // Sequential unmonitored baseline: same work, single-threaded
-    // traversal order (phase-by-phase, locality intact).
-    Cmp cmp_baseline(CmpConfig::forCores(2));
-    {
-        telemetry::TraceSpan span("perf.sequential_baseline");
-        report.sequentialBaseline =
-            replaySegmentOrderedBaseline(trace, in.core, cmp_baseline);
+    // Every slot is written by a replay or push_back before it is read.
+    std::size_t events = 0;
+    for (std::size_t t = 0; t < trace_.numThreads(); ++t) {
+        const std::size_t n = trace_.threads[t].instructionCount();
+        parallelCosts_[t] = std::make_unique_for_overwrite<Cycles[]>(n);
+        serialCosts_[t] = std::make_unique_for_overwrite<Cycles[]>(n);
+        events += n;
     }
-    const Cycles seq_total = report.sequentialBaseline;
+    produce_.reserve(events);
+    consume_.reserve(events);
+}
+
+void
+AppPerformance::replay(std::size_t which)
+{
+    switch (which) {
+      case kParallelReplay: {
+        telemetry::TraceSpan span("perf.app_replay_parallel");
+        replayAppCosts(order_, in_.core, parallelCmp_, true,
+                       parallelCosts_);
+        break;
+      }
+      case kSerialReplay: {
+        // Timesliced app core: the fine-grained interleave (cache
+        // interference between the timesliced threads' working sets).
+        telemetry::TraceSpan span("perf.app_replay_serial");
+        replayAppCosts(order_, in_.core, serialCmp_, false, serialCosts_);
+        break;
+      }
+      case kBaselineReplay: {
+        // Sequential unmonitored baseline: same work, single-threaded
+        // traversal order (phase-by-phase, locality intact).
+        telemetry::TraceSpan span("perf.sequential_baseline");
+        report_.sequentialBaseline =
+            replaySegmentOrderedBaseline(trace_, in_.core, baselineCmp_);
+        break;
+      }
+      default:
+        panic("unknown CMP replay");
+    }
+}
+
+void
+AppPerformance::run(WorkerPool *pool)
+{
+    // --- Application-side cycles -------------------------------------
+    // Each replay owns its Cmp and its output; they share only the
+    // read-only trace and order, so they run concurrently.
+    const auto task = [](void *self, std::size_t which) {
+        static_cast<AppPerformance *>(self)->replay(which);
+    };
+    if (pool) {
+        TaskGroup replays;
+        pool->submitTask(replays, task, this, kSerialReplay);
+        pool->submitTask(replays, task, this, kBaselineReplay);
+        replay(kParallelReplay);
+        pool->waitGroup(replays);
+    } else {
+        for (std::size_t which = 0; which < kReplays; ++which)
+            replay(which);
+    }
+    report_.cacheStats = parallelCmp_.stats();
 
     // Parallel, no monitoring: barrier-aware slowest-thread time.
     {
-        const Cycles t = barrierAwareParallelTime(trace, par_costs);
-        report.parallelNoMonitor.timing.totalCycles = t;
-        report.parallelNoMonitor.timing.appCycles = t;
+        const Cycles t = barrierAwareParallelTime(trace_, parallelCosts_);
+        report_.parallelNoMonitor.timing.totalCycles = t;
+        report_.parallelNoMonitor.timing.appCycles = t;
     }
 
     // --- Software-only DBI monitoring --------------------------------
@@ -317,20 +369,20 @@ computePerformance(const PerfInputs &in)
         telemetry::TraceSpan span("perf.dbi");
         Cycles total = 0;
         std::vector<Addr> scratch;
-        for (std::size_t t = 0; t < T; ++t) {
+        for (std::size_t t = 0; t < trace_.numThreads(); ++t) {
             std::size_t slot = 0;
-            for (const Event &e : trace.threads[t].events) {
+            for (const Event &e : trace_.threads[t].events) {
                 if (e.kind == EventKind::Heartbeat)
                     continue;
-                monitoredKeys(e, in.addrcheck, scratch);
-                total += ser_costs[t][slot] +
-                         (scratch.empty() ? in.costs.dbiPerOtherEvent
-                                          : in.costs.dbiPerMemEvent);
+                monitoredKeys(e, in_.addrcheck, scratch);
+                total += serialCosts_[t][slot] +
+                         (scratch.empty() ? in_.costs.dbiPerOtherEvent
+                                          : in_.costs.dbiPerMemEvent);
                 ++slot;
             }
         }
-        report.dbiSoftware.timing.totalCycles = total;
-        report.dbiSoftware.timing.appCycles = total;
+        report_.dbiSoftware.timing.totalCycles = total;
+        report_.dbiSoftware.timing.appCycles = total;
     }
 
     // --- Timesliced monitoring ---------------------------------------
@@ -338,19 +390,31 @@ computePerformance(const PerfInputs &in)
     // core consumes it with a persistent idempotent filter.
     {
         telemetry::TraceSpan span("perf.timesliced");
-        std::vector<Cycles> prod, cons;
-        prod.reserve(order.size());
-        cons.reserve(order.size());
-        IdempotentFilter filter(in.costs.filterSlots);
+        IdempotentFilter filter(in_.costs.filterSlots);
         std::vector<Addr> scratch;
-        for (const GseqRef &r : order) {
-            prod.push_back(ser_costs[r.thread][r.index]);
-            cons.push_back(lifeguardEventCost(*r.event, in.addrcheck,
-                                              in.costs, filter, false,
-                                              scratch, nullptr));
+        for (const GseqRef &r : order_) {
+            produce_.push_back(serialCosts_[r.thread][r.index]);
+            consume_.push_back(lifeguardEventCost(*r.event, in_.addrcheck,
+                                                  in_.costs, filter, false,
+                                                  scratch, nullptr));
         }
-        report.timesliced.timing = simulateSpsc(prod, cons, capacity);
+        report_.timesliced.timing =
+            simulateSpsc(produce_, consume_, logCapacity(in_));
     }
+}
+
+PerfReport
+priceButterfly(const AppPerformance &app, const PerfInputs &in)
+{
+    ensure(in.trace == &app.trace_ && in.layout && in.butterfly,
+           "perf model needs the priced trace, layout and functional "
+           "results");
+    const EpochLayout &layout = *in.layout;
+    const std::size_t T = app.trace_.numThreads();
+    const std::size_t capacity = logCapacity(in);
+    const auto &par_costs = app.parallelCosts_;
+
+    PerfReport report = app.report_;
 
     // --- Parallel butterfly monitoring -------------------------------
     {
@@ -435,7 +499,7 @@ computePerformance(const PerfInputs &in)
         }
     }
 
-    const double denom = static_cast<double>(seq_total);
+    const double denom = static_cast<double>(report.sequentialBaseline);
     report.parallelNoMonitor.normalized =
         report.parallelNoMonitor.timing.totalCycles / denom;
     report.timesliced.normalized =
@@ -467,6 +531,21 @@ computePerformance(const PerfInputs &in)
                 report.butterflyPipelined.timing.taskWaitCycles);
     }
     return report;
+}
+
+PerfReport
+computePerformance(const PerfInputs &in)
+{
+    ensure(in.trace && in.layout && in.butterfly,
+           "perf model needs trace, layout and functional results");
+    const std::vector<GseqRef> order = in.trace->gseqOrder();
+    AppPerformance app(in, order);
+    {
+        // Two workers beside this thread: one per replay it hands off.
+        WorkerPool pool(2);
+        app.run(&pool);
+    }
+    return priceButterfly(app, in);
 }
 
 } // namespace bfly

@@ -26,6 +26,8 @@
 #define BUTTERFLY_HARNESS_PERF_MODEL_HPP
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "sim/cmp.hpp"
 #include "sim/core_model.hpp"
@@ -35,6 +37,8 @@
 #include "trace/trace.hpp"
 
 namespace bfly {
+
+class WorkerPool;
 
 /** Cycle costs of lifeguard processing (per event / per element). */
 struct LifeguardCosts
@@ -119,7 +123,78 @@ struct PerfReport
     StatSet cacheStats;
 };
 
-/** Compute the full performance report for one workload run. */
+/**
+ * The application half of the perf model: the parallel, serial and
+ * segment-ordered CMP replays, then the modes priced from the
+ * application side alone (parallel no-monitor, software DBI and
+ * timesliced monitoring). It reads the trace, its gseq order and the
+ * cost settings, never the layout or the butterfly run, so a session
+ * can run it beside the butterfly analysis.
+ *
+ * The constructor allocates every large buffer run() fills: the three
+ * Cmp models, the per-event cost arrays and the timesliced
+ * producer/consumer streams. Construct it on the thread that owns the
+ * session; run() can then execute on a pool thread without growing that
+ * thread's malloc arena (DESIGN.md §6, "Session stage graph"). The
+ * arrays are allocated but not written, so their first-touch page
+ * faults are paid by run(), off the session thread.
+ */
+class AppPerformance
+{
+  public:
+    /**
+     * @param in     the trace and cost settings to price; in.layout and
+     *               in.butterfly are not read and may still be null
+     * @param order  in.trace->gseqOrder(); borrowed, like the trace
+     */
+    AppPerformance(const PerfInputs &in, const std::vector<GseqRef> &order);
+    /** Its replay tasks hold its address. */
+    AppPerformance(const AppPerformance &) = delete;
+    AppPerformance &operator=(const AppPerformance &) = delete;
+
+    /**
+     * Run the three replays, concurrently on @p pool unless it is null
+     * (safe from inside one of the pool's tasks), then price the
+     * application-side modes.
+     */
+    void run(WorkerPool *pool);
+
+  private:
+    friend PerfReport priceButterfly(const AppPerformance &app,
+                                     const PerfInputs &in);
+
+    void replay(std::size_t which);
+
+    const Trace &trace_;
+    const std::vector<GseqRef> &order_;
+    PerfInputs in_;
+    Cmp parallelCmp_; ///< 2T cores: T application + T lifeguard
+    Cmp serialCmp_;   ///< the timesliced application core
+    Cmp baselineCmp_; ///< sequential unmonitored run
+    /** Application cycles per thread and per-thread event index. */
+    std::vector<std::unique_ptr<Cycles[]>> parallelCosts_;
+    std::vector<std::unique_ptr<Cycles[]>> serialCosts_;
+    /** Timesliced producer and consumer cycles, in gseq order. */
+    std::vector<Cycles> produce_;
+    std::vector<Cycles> consume_;
+    /** The application-side modes; priceButterfly adds the rest. */
+    PerfReport report_;
+};
+
+/**
+ * The butterfly half of the perf model: price barrier-scheduled and
+ * pipelined butterfly monitoring from @p app's parallel application
+ * costs, in.layout and the functional run in.butterfly, then normalize
+ * every mode by the sequential baseline. @p app must have run() over
+ * in.trace.
+ */
+PerfReport priceButterfly(const AppPerformance &app, const PerfInputs &in);
+
+/**
+ * Compute the full performance report for one workload run: the
+ * application half, its replays on a pool of its own, then the
+ * butterfly half.
+ */
 PerfReport computePerformance(const PerfInputs &inputs);
 
 } // namespace bfly

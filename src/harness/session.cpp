@@ -1,7 +1,10 @@
 #include "harness/session.hpp"
 
+#include <algorithm>
+
 #include "butterfly/window.hpp"
 #include "common/logging.hpp"
+#include "common/worker_pool.hpp"
 #include "lifeguards/addrcheck_oracle.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_span.hpp"
@@ -46,6 +49,45 @@ struct SessionMetrics
         }();
         return m;
     }
+};
+
+/**
+ * Pool threads for the stage graph. Its widest point is the oracle and
+ * the perf model's three replays; with the session thread running the
+ * butterfly analysis, three workers fill a four-core box, and the last
+ * replay starts when the first of the others finishes.
+ */
+constexpr std::size_t kStageWorkers = 3;
+
+/** Run @p body as one task of @p group; @p body must outlive it. */
+template <typename Body>
+void
+submitStage(WorkerPool &pool, TaskGroup &group, Body &body)
+{
+    pool.submitTask(
+        group,
+        [](void *stage, std::size_t) { (*static_cast<Body *>(stage))(); },
+        &body, 0);
+}
+
+/**
+ * Waits for a group's tasks when it goes out of scope. Declared after
+ * everything the tasks use, it keeps an exception leaving runSession
+ * from destroying state a stage still reads.
+ */
+class StageJoin
+{
+  public:
+    StageJoin(WorkerPool &pool, TaskGroup &group)
+        : pool_(pool), group_(group)
+    {}
+    ~StageJoin() { pool_.waitGroup(group_); }
+    StageJoin(const StageJoin &) = delete;
+    StageJoin &operator=(const StageJoin &) = delete;
+
+  private:
+    WorkerPool &pool_;
+    TaskGroup &group_;
 };
 
 } // namespace
@@ -96,7 +138,51 @@ runSession(const SessionConfig &config)
     }
     const Trace &monitored = config.elide ? elided : trace;
 
-    // 2. Slice into heartbeat epochs.
+    AddrCheckConfig acfg;
+    acfg.granularity = config.granularity;
+    acfg.heapBase = workload.heapBase;
+    acfg.heapLimit = workload.heapLimit;
+
+    // 2. Start the stages that read only the trace (DESIGN.md §6,
+    // "Session stage graph"): the exact oracle over the full trace, and
+    // the perf model's application half over the monitored one. They
+    // run on the pool while this thread slices the epochs and runs the
+    // butterfly analysis. The two share one gseq order unless elision
+    // makes them read different traces. The orders and every large
+    // buffer of the application half are allocated here, on the
+    // session thread; the stages only fill them.
+    const std::vector<GseqRef> order = trace.gseqOrder();
+    const std::vector<GseqRef> elidedOrder =
+        config.elide ? elided.gseqOrder() : std::vector<GseqRef>{};
+    AddrCheckOracle oracle(acfg);
+    PerfInputs pin;
+    pin.trace = &monitored; // priced on what the log actually carries
+    pin.addrcheck = acfg;
+    pin.costs = config.costs;
+    pin.logBufferBytes = config.logBufferBytes;
+    AppPerformance app(pin, config.elide ? elidedOrder : order);
+
+    // One pool per session serves the stage graph and, in the parallel
+    // and pipelined modes, the passes.
+    TaskGroup stages;
+    const bool passesOnPool = config.parallelPasses || config.pipelineMode;
+    WorkerPool pool(passesOnPool
+                        ? std::max(kStageWorkers, monitored.numThreads())
+                        : kStageWorkers);
+    auto appStage = [&] {
+        telemetry::TraceSpan span("session.perf_app");
+        app.run(&pool);
+    };
+    // Ground truth from the exact oracle over the true interleaving.
+    auto oracleStage = [&] {
+        telemetry::TraceSpan span("session.oracle");
+        oracle.runInOrder(trace, order);
+    };
+    const StageJoin join(pool, stages);
+    submitStage(pool, stages, appStage);
+    submitStage(pool, stages, oracleStage);
+
+    // 3. Slice into heartbeat epochs.
     // Heartbeats fire after h*n instructions of global progress (the
     // prototype's mechanism, Section 7.1), so the epoch structure is
     // time-like: stalled threads contribute empty blocks.
@@ -106,21 +192,10 @@ runSession(const SessionConfig &config)
             monitored, config.epochSize * monitored.numThreads());
     }();
 
-    // 3. Functional butterfly ADDRCHECK run.
-    AddrCheckConfig acfg;
-    acfg.granularity = config.granularity;
-    acfg.heapBase = workload.heapBase;
-    acfg.heapLimit = workload.heapLimit;
-
+    // 4. Functional butterfly ADDRCHECK run.
     ButterflyAddrCheck butterfly(layout, acfg);
     butterfly.setBatchMode(config.batchMode);
-    // One persistent pool per run: its threads service every pass of the
-    // schedule instead of being spawned and joined twice per epoch.
-    std::unique_ptr<WorkerPool> pool;
-    if ((config.parallelPasses || config.pipelineMode) &&
-        monitored.numThreads() > 1)
-        pool = std::make_unique<WorkerPool>(monitored.numThreads());
-    WindowSchedule schedule(config.parallelPasses, pool.get());
+    WindowSchedule schedule(config.parallelPasses, &pool);
     std::size_t peak_resident = 0;
     {
         telemetry::TraceSpan span("session.butterfly");
@@ -138,13 +213,7 @@ runSession(const SessionConfig &config)
             schedule.run(layout, butterfly);
         }
     }
-
-    // 4. Ground truth from the exact oracle over the true interleaving.
-    AddrCheckOracle oracle(acfg);
-    {
-        telemetry::TraceSpan span("session.oracle");
-        oracle.runOnTrace(trace);
-    }
+    pool.waitGroup(stages);
 
     if (config.elide) {
         const auto encodedBytes = [](const Trace &t) {
@@ -170,17 +239,13 @@ runSession(const SessionConfig &config)
     result.falsePositiveRate =
         result.accuracy.falsePositiveRate(result.memoryAccesses);
 
-    // 5. Timing for every monitoring mode.
-    PerfInputs pin;
-    pin.trace = &monitored; // priced on what the log actually carries
+    // 5. Timing for every monitoring mode: the butterfly half of the
+    // perf model, on top of the application half the pool ran.
     pin.layout = &layout;
     pin.butterfly = &butterfly;
-    pin.addrcheck = acfg;
-    pin.costs = config.costs;
-    pin.logBufferBytes = config.logBufferBytes;
     {
         telemetry::TraceSpan span("session.perf_model");
-        result.perf = computePerformance(pin);
+        result.perf = priceButterfly(app, pin);
     }
 
     if (telemetry::enabled()) {

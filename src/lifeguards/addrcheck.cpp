@@ -119,10 +119,9 @@ ButterflyAddrCheck::keysOf(Addr base, std::uint16_t size,
     out.clear();
     if (base == kNoAddr || !config_.monitored(base))
         return;
-    const Addr first = config_.keyOf(base);
-    const Addr last = config_.keyOf(base + (size > 0 ? size - 1 : 0));
-    for (Addr k = first; k <= last; ++k)
+    keyRange(base, size, config_.granularity).forEach([&](Addr k) {
         out.push_back(k);
+    });
 }
 
 bool
@@ -261,11 +260,10 @@ ButterflyAddrCheck::pass1Batched(const BlockView &block)
                       std::uint8_t op) {
         if (base == kNoAddr || !config_.monitored(base))
             return;
-        const Addr first = config_.keyOf(base);
-        const Addr last = config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
+        keyRange(base, size, config_.granularity).forEach([&](Addr k) {
             ops.push_back(KeyOp{k, base, static_cast<std::uint32_t>(evt),
                                 size, op});
+        });
     };
     for (std::size_t i = 0; i < b.size(); ++i) {
         switch (b.kinds[i]) {

@@ -13,15 +13,13 @@ AddrCheckOracle::checkKeys(ThreadId tid, std::uint64_t index, Addr base,
 {
     if (base == kNoAddr || !config_.monitored(base))
         return;
-    const Addr first = config_.keyOf(base);
-    const Addr last = config_.keyOf(base + (size > 0 ? size - 1 : 0));
-    const std::size_t count = static_cast<std::size_t>(last - first) + 1;
-    eventsChecked_ += count;
+    const KeyRange keys = keyRange(base, size, config_.granularity);
+    eventsChecked_ += keys.count();
     // One span walk instead of one shadow lookup per key. The log
     // coalesces repeated reports of the same event, so flagging the
     // event once is equivalent to the old per-key reporting.
     bool any_bad = false;
-    allocated_.forEachInRange(first, count, [&](std::uint8_t v) {
+    allocated_.forEachInRange(keys.first, keys.count(), [&](std::uint8_t v) {
         any_bad |= (v != 0) != want_allocated;
     });
     if (any_bad)
@@ -37,11 +35,9 @@ AddrCheckOracle::processOne(ThreadId tid, std::uint64_t index,
         checkKeys(tid, index, e.addr, e.size, false,
                   ErrorKind::DoubleAlloc);
         if (e.addr != kNoAddr && config_.monitored(e.addr)) {
-            const Addr first = config_.keyOf(e.addr);
-            const Addr last = config_.keyOf(
-                e.addr + (e.size > 0 ? e.size - 1 : 0));
-            allocated_.setRange(
-                first, static_cast<std::size_t>(last - first) + 1, 1);
+            const KeyRange keys =
+                keyRange(e.addr, e.size, config_.granularity);
+            allocated_.setRange(keys.first, keys.count(), 1);
         }
         break;
       }
@@ -49,11 +45,9 @@ AddrCheckOracle::processOne(ThreadId tid, std::uint64_t index,
         checkKeys(tid, index, e.addr, e.size, true,
                   ErrorKind::UnallocatedFree);
         if (e.addr != kNoAddr && config_.monitored(e.addr)) {
-            const Addr first = config_.keyOf(e.addr);
-            const Addr last = config_.keyOf(
-                e.addr + (e.size > 0 ? e.size - 1 : 0));
-            allocated_.setRange(
-                first, static_cast<std::size_t>(last - first) + 1, 0);
+            const KeyRange keys =
+                keyRange(e.addr, e.size, config_.granularity);
+            allocated_.setRange(keys.first, keys.count(), 0);
         }
         break;
       }
@@ -81,10 +75,17 @@ AddrCheckOracle::processOne(ThreadId tid, std::uint64_t index,
 void
 AddrCheckOracle::runOnTrace(const Trace &trace)
 {
+    runInOrder(trace, trace.gseqOrder());
+}
+
+void
+AddrCheckOracle::runInOrder(const Trace &trace,
+                            const std::vector<GseqRef> &order)
+{
     // Replay in true visibility order. Program indices stay
     // program-ordered even when a relaxed model made visibility order
     // differ (TSO store delay).
-    for (const GseqRef &r : trace.gseqOrder())
+    for (const GseqRef &r : order)
         processOne(trace.threads[r.thread].tid, r.index, *r.event);
 }
 

@@ -32,6 +32,13 @@ class AddrCheckOracle
     void runOnTrace(const Trace &trace);
 
     /**
+     * runOnTrace with the order already computed: @p order must be
+     * @p trace.gseqOrder(). Lets a caller that needs the order for other
+     * stages too compute it once.
+     */
+    void runInOrder(const Trace &trace, const std::vector<GseqRef> &order);
+
+    /**
      * Replay an explicit serialized order of (tid, per-thread index,
      * event) triples; used for the timesliced baseline and tests.
      */

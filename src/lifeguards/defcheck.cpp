@@ -12,10 +12,9 @@ keysOf(const DefCheckConfig &cfg, Addr base, std::uint16_t size,
     out.clear();
     if (base == kNoAddr || !cfg.monitored(base))
         return;
-    const Addr first = cfg.keyOf(base);
-    const Addr last = cfg.keyOf(base + (size > 0 ? size - 1 : 0));
-    for (Addr k = first; k <= last; ++k)
+    keyRange(base, size, cfg.granularity).forEach([&](Addr k) {
         out.push_back(k);
+    });
 }
 
 /** The reaching-expressions instantiation: "key holds defined data". */

@@ -41,16 +41,10 @@ compareToOracle(const ErrorLog &monitored, const ErrorLog &oracle,
             ++report.falsePositives;
     }
 
-    auto key_range = [&](const ErrorRecord &rec) {
-        const Addr lo = rec.addr / granularity;
-        const Addr hi =
-            (rec.addr + (rec.size > 0 ? rec.size - 1 : 0)) / granularity;
-        return std::pair<Addr, Addr>{lo, hi};
-    };
     auto overlaps = [&](const ErrorRecord &a, const ErrorRecord &b) {
-        const auto [alo, ahi] = key_range(a);
-        const auto [blo, bhi] = key_range(b);
-        return alo <= bhi && blo <= ahi;
+        const KeyRange ka = keyRange(a.addr, a.size, granularity);
+        const KeyRange kb = keyRange(b.addr, b.size, granularity);
+        return ka.first <= kb.last && kb.first <= ka.last;
     };
 
     for (const ErrorRecord &rec : oracle.records()) {

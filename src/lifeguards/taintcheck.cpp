@@ -94,11 +94,7 @@ ButterflyTaintCheck::pass1Batched(const BlockView &block)
     auto keys_over = [&](Addr base, std::uint16_t size, auto &&fn) {
         if (base == kNoAddr)
             return;
-        const Addr first = config_.keyOf(base);
-        const Addr last =
-            config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
-            fn(k);
+        keyRange(base, size, config_.granularity).forEach(fn);
     };
 
     for (std::size_t i = 0; i < b.size(); ++i) {
@@ -175,11 +171,7 @@ ButterflyTaintCheck::pass1(const BlockView &block)
     auto keys_over = [&](Addr base, std::uint16_t size, auto &&fn) {
         if (base == kNoAddr)
             return;
-        const Addr first = config_.keyOf(base);
-        const Addr last =
-            config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
-            fn(k);
+        keyRange(base, size, config_.granularity).forEach(fn);
     };
 
     for (InstrOffset i = 0; i < block.size(); ++i) {
@@ -488,11 +480,7 @@ ButterflyTaintCheck::pass2(const BlockView &block)
     auto keys_over = [&](Addr base, std::uint16_t size, auto &&fn) {
         if (base == kNoAddr)
             return;
-        const Addr first = config_.keyOf(base);
-        const Addr last =
-            config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
-            fn(k);
+        keyRange(base, size, config_.granularity).forEach(fn);
     };
 
     for (int phase = 1; phase <= 2; ++phase) {

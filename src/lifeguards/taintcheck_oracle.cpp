@@ -19,11 +19,9 @@ TaintCheckOracle::processOne(ThreadId tid, std::uint64_t index,
     auto set_range = [&](Addr base, std::uint16_t size, std::uint8_t v) {
         if (base == kNoAddr)
             return;
-        const Addr first = config_.keyOf(base);
-        const Addr last =
-            config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
+        keyRange(base, size, config_.granularity).forEach([&](Addr k) {
             taint_.set(k, v);
+        });
     };
 
     switch (e.kind) {

@@ -187,18 +187,6 @@ tracer()
     return *t;
 }
 
-// ---------------------------------------------------------------- ScopedTid
-
-ScopedTid::ScopedTid(std::uint16_t tid) : saved_(t_logicalTid)
-{
-    t_logicalTid = tid;
-}
-
-ScopedTid::~ScopedTid()
-{
-    t_logicalTid = saved_;
-}
-
 // ---------------------------------------------------------------- TraceSpan
 
 TraceSpan::TraceSpan(std::string_view name)

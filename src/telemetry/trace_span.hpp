@@ -13,11 +13,10 @@
  *    butterfly pipeline (per-lifeguard pass-1/pass-2 spans, barriers,
  *    SOS updates) as a timeline.
  *
- * Concurrency model: each ring has a single writer. A thread's events go
- * to the ring selected by its *logical tid* — auto-assigned on first use,
- * or pinned with ScopedTid (the window scheduler pins worker w to ring
- * w+1, so re-spawned std::threads across passes reuse one track and the
- * single-writer invariant holds because passes are join-separated).
+ * Concurrency model: each ring has a single writer. A thread's wall-clock
+ * spans go to the ring of its *logical tid*, auto-assigned on first use
+ * and never shared between threads; simulated-pipeline events name their
+ * track explicitly and are written from one thread once the pool is idle.
  * Rings overwrite their oldest events on wrap; the drop count is
  * reported in the export. collect() is meant for quiescent points
  * (after joins / end of session).
@@ -125,8 +124,6 @@ class SpanTracer
     static std::uint16_t currentTid();
 
   private:
-    friend class ScopedTid;
-
     struct Ring
     {
         explicit Ring(std::size_t capacity) : buf(capacity) {}
@@ -150,22 +147,6 @@ class SpanTracer
 
 /** The process-wide tracer all spans write into. */
 SpanTracer &tracer();
-
-/**
- * Pin the calling thread's logical tid for the guard's lifetime (e.g.
- * per-app-thread timeline tracks in the window scheduler's workers).
- */
-class ScopedTid
-{
-  public:
-    explicit ScopedTid(std::uint16_t tid);
-    ~ScopedTid();
-    ScopedTid(const ScopedTid &) = delete;
-    ScopedTid &operator=(const ScopedTid &) = delete;
-
-  private:
-    std::uint16_t saved_;
-};
 
 /**
  * RAII span: captures the start time at construction and pushes one

@@ -78,9 +78,9 @@ LogEncoder::putVarint(std::uint64_t v)
 void
 LogEncoder::putSignedDelta(Addr addr)
 {
-    const std::int64_t delta = static_cast<std::int64_t>(addr) -
-                               static_cast<std::int64_t>(lastAddr_);
-    putVarint(zigzag(delta));
+    // Subtract unsigned: the difference wraps instead of overflowing,
+    // and read as two's complement it is the signed delta.
+    putVarint(zigzag(static_cast<std::int64_t>(addr - lastAddr_)));
     lastAddr_ = addr;
 }
 
@@ -161,8 +161,8 @@ LogDecoder::getSignedDelta(Addr &out)
     const DecodeStatus status = getVarint(raw);
     if (status != DecodeStatus::Ok)
         return status;
-    lastAddr_ = static_cast<Addr>(static_cast<std::int64_t>(lastAddr_) +
-                                  unzigzag(raw));
+    // Add unsigned, so a hostile delta wraps instead of overflowing.
+    lastAddr_ += static_cast<Addr>(unzigzag(raw));
     out = lastAddr_;
     return DecodeStatus::Ok;
 }

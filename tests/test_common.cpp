@@ -11,9 +11,64 @@
 #include "common/rng.hpp"
 #include "common/shadow_memory.hpp"
 #include "common/stats.hpp"
+#include "common/types.hpp"
 
 namespace bfly {
 namespace {
+
+std::vector<Addr>
+keysOf(const KeyRange &r)
+{
+    std::vector<Addr> keys;
+    r.forEach([&](Addr k) { keys.push_back(k); });
+    return keys;
+}
+
+TEST(KeyRange, CoversTheAccessedBytes)
+{
+    const KeyRange r = keyRange(0x1004, 8, 8);
+    EXPECT_EQ(r.first, 0x200u);
+    EXPECT_EQ(r.last, 0x201u);
+    EXPECT_EQ(r.count(), 2u);
+    EXPECT_EQ(keysOf(r), (std::vector<Addr>{0x200, 0x201}));
+    EXPECT_EQ(keyRange(0x1000, 0, 8).count(), 1u); // zero size: one byte
+}
+
+TEST(KeyRange, StopsAtTheTopOfTheAddressSpaceAtGranularity1)
+{
+    // The last byte of an 8-byte access at 2^64 - 8 is 2^64 - 1: the
+    // key loop must end there instead of wrapping to key 0.
+    const KeyRange r = keyRange(kNoAddr - 7, 8, 1);
+    EXPECT_EQ(r.first, kNoAddr - 7);
+    EXPECT_EQ(r.last, kNoAddr);
+    EXPECT_EQ(r.count(), 8u);
+    const std::vector<Addr> keys = keysOf(r);
+    ASSERT_EQ(keys.size(), 8u);
+    EXPECT_EQ(keys.front(), kNoAddr - 7);
+    EXPECT_EQ(keys.back(), kNoAddr);
+
+    // An access running past the top is cut at its last byte.
+    const KeyRange cut = keyRange(kNoAddr - 3, 8, 1);
+    EXPECT_EQ(cut.first, kNoAddr - 3);
+    EXPECT_EQ(cut.last, kNoAddr);
+    EXPECT_EQ(keysOf(cut).size(), 4u);
+    EXPECT_EQ(keyRange(kNoAddr, 0xffff, 1).count(), 1u);
+}
+
+TEST(KeyRange, StopsAtTheTopOfTheAddressSpaceAtGranularity8)
+{
+    const Addr top_key = kNoAddr / 8;
+    const KeyRange r = keyRange(kNoAddr - 7, 8, 8);
+    EXPECT_EQ(r.first, top_key);
+    EXPECT_EQ(r.last, top_key);
+    EXPECT_EQ(keysOf(r), std::vector<Addr>{top_key});
+
+    // Wrapping used to make last < first, silently skipping every key.
+    const KeyRange cut = keyRange(kNoAddr - 11, 16, 8);
+    EXPECT_EQ(cut.first, top_key - 1);
+    EXPECT_EQ(cut.last, top_key);
+    EXPECT_EQ(keysOf(cut), (std::vector<Addr>{top_key - 1, top_key}));
+}
 
 TEST(FlatSet, BasicOperations)
 {

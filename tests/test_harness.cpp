@@ -1,12 +1,18 @@
 /**
  * @file
  * Tests for the monitoring harness: the performance model's structural
- * properties (who gets faster with what) and end-to-end sessions.
+ * properties (who gets faster with what), end-to-end sessions, and the
+ * session stage graph against the same session run one stage after
+ * another.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/worker_pool.hpp"
 #include "harness/session.hpp"
+#include "lifeguards/addrcheck_oracle.hpp"
+#include "staticpass/elision_plan.hpp"
+#include "trace/log_codec.hpp"
 
 namespace bfly {
 namespace {
@@ -171,6 +177,282 @@ TEST(PerfModel, TinyLogBufferStallsTheApp)
     const SessionResult big = runSession(cfg);
     EXPECT_GE(tiny.perf.butterfly.timing.appStallCycles,
               big.perf.butterfly.timing.appStallCycles);
+}
+
+// ---------------------------------------------------------------------
+// Session stage graph: runSession overlaps the oracle and the perf
+// model's application half with the butterfly run. None of that may
+// change a result.
+// ---------------------------------------------------------------------
+
+void
+expectSameMode(const ModeTiming &a, const ModeTiming &b, const char *mode)
+{
+    SCOPED_TRACE(mode);
+    EXPECT_EQ(a.timing.totalCycles, b.timing.totalCycles);
+    EXPECT_EQ(a.timing.appCycles, b.timing.appCycles);
+    EXPECT_EQ(a.timing.appStallCycles, b.timing.appStallCycles);
+    EXPECT_EQ(a.timing.barrierWaitCycles, b.timing.barrierWaitCycles);
+    EXPECT_EQ(a.timing.barrierStallPerBlock, b.timing.barrierStallPerBlock);
+    EXPECT_EQ(a.timing.taskWaitCycles, b.timing.taskWaitCycles);
+    EXPECT_EQ(a.normalized, b.normalized);
+}
+
+void
+expectSamePerf(const PerfReport &a, const PerfReport &b)
+{
+    EXPECT_EQ(a.sequentialBaseline, b.sequentialBaseline);
+    expectSameMode(a.parallelNoMonitor, b.parallelNoMonitor,
+                   "parallel no-monitor");
+    expectSameMode(a.timesliced, b.timesliced, "timesliced");
+    expectSameMode(a.butterfly, b.butterfly, "butterfly");
+    expectSameMode(a.butterflyPipelined, b.butterflyPipelined,
+                   "butterfly pipelined");
+    expectSameMode(a.dbiSoftware, b.dbiSoftware, "dbi");
+    EXPECT_EQ(a.cacheStats.all(), b.cacheStats.all());
+}
+
+/** Every SessionResult field but peakResidentEpochs, which depends on
+ *  how the pipelined schedule's tasks happened to interleave. */
+void
+expectSameResult(const SessionResult &a, const SessionResult &b)
+{
+    EXPECT_EQ(a.workloadName, b.workloadName);
+    EXPECT_EQ(a.threads, b.threads);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.memoryAccesses, b.memoryAccesses);
+    EXPECT_EQ(a.epochs, b.epochs);
+
+    EXPECT_EQ(a.siteClasses.sites, b.siteClasses.sites);
+    for (std::size_t c = 0; c < 4; ++c)
+        EXPECT_EQ(a.siteClasses.byClass[c], b.siteClasses.byClass[c]);
+    EXPECT_EQ(a.siteClasses.candidateEvents, b.siteClasses.candidateEvents);
+    EXPECT_EQ(a.siteClasses.analyzedEvents, b.siteClasses.analyzedEvents);
+    EXPECT_EQ(a.siteClasses.fixpointRounds, b.siteClasses.fixpointRounds);
+    EXPECT_EQ(a.elision.inputEvents, b.elision.inputEvents);
+    EXPECT_EQ(a.elision.retainedEvents, b.elision.retainedEvents);
+    EXPECT_EQ(a.elision.elidedEvents, b.elision.elidedEvents);
+    EXPECT_EQ(a.elision.summaryEvents, b.elision.summaryEvents);
+    EXPECT_EQ(a.planFingerprint, b.planFingerprint);
+    EXPECT_EQ(a.encodedBytesFull, b.encodedBytesFull);
+    EXPECT_EQ(a.encodedBytesMonitored, b.encodedBytesMonitored);
+
+    EXPECT_EQ(a.butterflyErrorCount, b.butterflyErrorCount);
+    EXPECT_EQ(a.oracleErrorCount, b.oracleErrorCount);
+    EXPECT_EQ(a.accuracy.truePositives, b.accuracy.truePositives);
+    EXPECT_EQ(a.accuracy.falsePositives, b.accuracy.falsePositives);
+    EXPECT_EQ(a.accuracy.falseNegatives, b.accuracy.falseNegatives);
+    EXPECT_EQ(a.falsePositiveRate, b.falsePositiveRate);
+
+    expectSamePerf(a.perf, b.perf);
+}
+
+/**
+ * runSession composed from its public calls, one stage after another
+ * on this thread: interleave, EpochLayout::byGlobalSeq,
+ * WindowSchedule::run, AddrCheckOracle::runOnTrace, computePerformance.
+ * Also checks that the perf model's two halves without a pool compose
+ * to computePerformance.
+ */
+SessionResult
+sequentialSession(const SessionConfig &cfg)
+{
+    SessionResult r;
+    Workload workload = cfg.factory(cfg.workload);
+    staticpass::ElisionPlan plan;
+    if (cfg.elide) {
+        staticpass::assignPseudoSites(workload.programs, workload.sites);
+        staticpass::ClassifyOptions copt;
+        copt.granularity = cfg.granularity;
+        plan = staticpass::classifySites(workload.programs, workload.sites,
+                                         copt, &r.siteClasses);
+        r.planFingerprint = plan.fingerprint();
+    }
+    Rng rng(cfg.interleaveSeed);
+    InterleaveConfig icfg;
+    icfg.model = cfg.model;
+    const Trace trace = interleave(workload.programs, icfg, rng);
+    Trace elided;
+    if (cfg.elide)
+        elided = staticpass::applyElisionPlan(trace, plan, &r.elision);
+    const Trace &monitored = cfg.elide ? elided : trace;
+
+    const EpochLayout layout = EpochLayout::byGlobalSeq(
+        monitored, cfg.epochSize * monitored.numThreads());
+    AddrCheckConfig acfg;
+    acfg.granularity = cfg.granularity;
+    acfg.heapBase = workload.heapBase;
+    acfg.heapLimit = workload.heapLimit;
+    ButterflyAddrCheck butterfly(layout, acfg);
+    WindowSchedule().run(layout, butterfly);
+    AddrCheckOracle oracle(acfg);
+    oracle.runOnTrace(trace);
+
+    PerfInputs pin;
+    pin.trace = &monitored;
+    pin.layout = &layout;
+    pin.butterfly = &butterfly;
+    pin.addrcheck = acfg;
+    pin.costs = cfg.costs;
+    pin.logBufferBytes = cfg.logBufferBytes;
+    r.perf = computePerformance(pin);
+
+    const std::vector<GseqRef> order = monitored.gseqOrder();
+    AppPerformance app(pin, order);
+    app.run(nullptr);
+    expectSamePerf(priceButterfly(app, pin), r.perf);
+
+    if (cfg.elide) {
+        for (const ThreadTrace &tt : trace.threads)
+            r.encodedBytesFull += encodeEvents(tt.events).size();
+        for (const ThreadTrace &tt : monitored.threads)
+            r.encodedBytesMonitored += encodeEvents(tt.events).size();
+    }
+    r.workloadName = workload.name;
+    r.threads = trace.numThreads();
+    r.instructions = trace.instructionCount();
+    r.memoryAccesses = trace.memoryAccessCount();
+    r.epochs = layout.numEpochs();
+    r.butterflyErrorCount = butterfly.errors().size();
+    r.oracleErrorCount = oracle.errors().size();
+    r.accuracy = compareToOracle(butterfly.errors(), oracle.errors(),
+                                 acfg.granularity);
+    r.falsePositiveRate = r.accuracy.falsePositiveRate(r.memoryAccesses);
+    return r;
+}
+
+TEST(SessionStageGraph, MatchesTheSessionRunStageByStage)
+{
+    struct Case
+    {
+        const char *name;
+        WorkloadFactory factory;
+        MemModel model;
+        bool parallel = false;
+        bool pipeline = false;
+        bool batch = false;
+        bool elide = false;
+    };
+    const Case cases[] = {
+        {"ocean SC", makeOcean, MemModel::SequentiallyConsistent},
+        {"ocean TSO", makeOcean, MemModel::TSO},
+        {"barnes parallel passes", makeBarnes,
+         MemModel::SequentiallyConsistent, true},
+        {"ocean pipelined", makeOcean, MemModel::SequentiallyConsistent,
+         false, true},
+        {"lu TSO pipelined", makeLu, MemModel::TSO, false, true},
+        {"ocean batched", makeOcean, MemModel::SequentiallyConsistent,
+         false, false, true},
+        {"fft elided", makeFft, MemModel::SequentiallyConsistent, false,
+         false, false, true},
+    };
+    std::size_t false_positives = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        SessionConfig cfg = baseConfig(c.factory, 4, 4096);
+        cfg.model = c.model;
+        cfg.parallelPasses = c.parallel;
+        cfg.pipelineMode = c.pipeline;
+        cfg.batchMode = c.batch;
+        cfg.elide = c.elide;
+        const SessionResult staged = runSession(cfg);
+        expectSameResult(staged, sequentialSession(cfg));
+        if (c.pipeline) {
+            EXPECT_GE(staged.peakResidentEpochs, 1u);
+        } else {
+            EXPECT_EQ(staged.peakResidentEpochs, 0u);
+        }
+        EXPECT_EQ(staged.accuracy.falseNegatives, 0u);
+        false_positives += staged.accuracy.falsePositives;
+    }
+    // The comparison covers flagged events, not only clean sessions.
+    EXPECT_GT(false_positives, 0u);
+}
+
+TEST(SessionStageGraph, KeepsTheSequentialSessionsFftNumbers)
+{
+    // Computed by the sequential runSession this stage graph replaced.
+    struct Pinned
+    {
+        bool elide;
+        Cycles sequential, parallelNoMonitor, timesliced, butterfly,
+            butterflyPipelined, dbi;
+    };
+    const Pinned pinned[] = {
+        {false, 528368, 121952, 894215, 1099386, 1041629, 3757022},
+        {true, 480210, 109614, 788032, 949627, 896845, 2984050},
+    };
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(p.elide ? "elided" : "full log");
+        SessionConfig cfg = baseConfig(makeFft, 4);
+        cfg.elide = p.elide;
+        const SessionResult r = runSession(cfg);
+        EXPECT_EQ(r.perf.sequentialBaseline, p.sequential);
+        EXPECT_EQ(r.perf.parallelNoMonitor.timing.totalCycles,
+                  p.parallelNoMonitor);
+        EXPECT_EQ(r.perf.timesliced.timing.totalCycles, p.timesliced);
+        EXPECT_EQ(r.perf.butterfly.timing.totalCycles, p.butterfly);
+        EXPECT_EQ(r.perf.butterflyPipelined.timing.totalCycles,
+                  p.butterflyPipelined);
+        EXPECT_EQ(r.perf.dbiSoftware.timing.totalCycles, p.dbi);
+        EXPECT_EQ(r.oracleErrorCount, 0u);
+        EXPECT_EQ(r.butterflyErrorCount, 0u);
+        EXPECT_EQ(r.accuracy.truePositives, 0u);
+        EXPECT_EQ(r.accuracy.falsePositives, 0u);
+        EXPECT_EQ(r.accuracy.falseNegatives, 0u);
+    }
+}
+
+TEST(SessionStageGraph, TwentyRunsInARowAgree)
+{
+    const SessionConfig cfg = baseConfig(makeOcean, 4, 4096);
+    const SessionResult first = runSession(cfg);
+    for (int run = 1; run < 20; ++run) {
+        SCOPED_TRACE(run);
+        const SessionResult again = runSession(cfg);
+        expectSameResult(again, first);
+        EXPECT_EQ(again.peakResidentEpochs, first.peakResidentEpochs);
+    }
+}
+
+TEST(SessionStageGraph, PerfHalvesRunInsideAPoolTask)
+{
+    // runSession calls AppPerformance::run from a pool task that then
+    // waits on its own replays: the nested wait must not deadlock, even
+    // on a one-thread pool whose only worker is the waiting task.
+    const SessionConfig cfg = baseConfig(makeOcean, 2);
+    Workload workload = cfg.factory(cfg.workload);
+    Rng rng(cfg.interleaveSeed);
+    const Trace trace = interleave(workload.programs, {}, rng);
+    const EpochLayout layout = EpochLayout::byGlobalSeq(
+        trace, cfg.epochSize * trace.numThreads());
+    AddrCheckConfig acfg;
+    acfg.heapBase = workload.heapBase;
+    acfg.heapLimit = workload.heapLimit;
+    ButterflyAddrCheck butterfly(layout, acfg);
+    WindowSchedule().run(layout, butterfly);
+    PerfInputs pin;
+    pin.trace = &trace;
+    pin.layout = &layout;
+    pin.butterfly = &butterfly;
+    pin.addrcheck = acfg;
+
+    const std::vector<GseqRef> order = trace.gseqOrder();
+    struct Stage
+    {
+        AppPerformance app;
+        WorkerPool pool{1};
+    } stage{AppPerformance(pin, order)};
+    TaskGroup group;
+    stage.pool.submitTask(
+        group,
+        [](void *ctx, std::size_t) {
+            Stage &s = *static_cast<Stage *>(ctx);
+            s.app.run(&s.pool);
+        },
+        &stage, 0);
+    stage.pool.waitGroup(group);
+    expectSamePerf(priceButterfly(stage.app, pin), computePerformance(pin));
 }
 
 } // namespace

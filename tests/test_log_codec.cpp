@@ -493,6 +493,35 @@ TEST(LogCodec, SiteSummaryChunkedDecodeSurvivesByteSplits)
     EXPECT_EQ(decoded[1].summaryCount(), 1000000u);
 }
 
+TEST(LogCodec, DecoderWrapsAddressDeltasThatOverflowInt64)
+{
+    // Hand-built chunk: two Reads whose deltas are each INT64_MAX, then
+    // two whose deltas are each INT64_MIN. The second of each pair
+    // overflows a signed 64-bit add; the decoder must wrap modulo 2^64
+    // (and UBSan must stay quiet).
+    const std::uint8_t read = static_cast<std::uint8_t>(EventKind::Read);
+    const std::uint64_t zigzag_max = 0xfffffffffffffffeull; // INT64_MAX
+    const std::uint64_t zigzag_min = 0xffffffffffffffffull; // INT64_MIN
+    std::vector<std::uint8_t> bytes;
+    for (const std::uint64_t delta :
+         {zigzag_max, zigzag_max, zigzag_min, zigzag_min}) {
+        bytes.push_back(read);
+        putVarint(bytes, delta);
+    }
+    const std::vector<Event> decoded = decodeEvents(bytes);
+    ASSERT_EQ(decoded.size(), 4u);
+    EXPECT_EQ(decoded[0].addr, 0x7fffffffffffffffull);
+    EXPECT_EQ(decoded[1].addr, 0xfffffffffffffffeull);
+    EXPECT_EQ(decoded[2].addr, 0x7ffffffffffffffeull);
+    EXPECT_EQ(decoded[3].addr, 0xfffffffffffffffeull);
+
+    // The encoder produces exactly these deltas for the same addresses.
+    std::vector<Event> events;
+    for (const Event &e : decoded)
+        events.push_back(Event::read(e.addr, e.size));
+    EXPECT_EQ(encodeEvents(events), bytes);
+}
+
 TEST(LogCodec, LoadRejectsGarbage)
 {
     const std::string path = ::testing::TempDir() + "bfly_garbage.log";

@@ -771,6 +771,47 @@ TEST(MonitorService, ElidedSessionEchoesPlanFingerprintAndCounts)
     EXPECT_EQ(server.summaryEventsSeen(), stats.summaryEvents);
 }
 
+TEST(MonitorService, AccessEndingAtTheTopOfTheAddressSpaceGetsASummary)
+{
+    // Granularity 1 and a heap window reaching 2^64 - 1 are both valid
+    // SessionOpen values. An 8-byte Write at 2^64 - 8 ends on the top
+    // byte, where a `k <= last` key loop never ends.
+    ServerConfig scfg;
+    scfg.unixPath = tempSocketPath("topaddr");
+    scfg.workers = 2;
+    MonitorServer server(scfg);
+    ASSERT_TRUE(server.start());
+
+    Trace trace;
+    trace.threads.resize(1);
+    Event write = Event::write(kNoAddr - 7, 8);
+    write.gseq = 1;
+    trace.threads[0].events.push_back(write);
+
+    SessionSpec spec;
+    spec.lifeguard = static_cast<std::uint8_t>(Lifeguard::AddrCheck);
+    spec.numThreads = 1;
+    spec.granularity = 1;
+    spec.heapBase = kNoAddr - 0xffff;
+    spec.heapLimit = kNoAddr;
+
+    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 16);
+    const RemoteReport local = analyzeReference(spec, trace, layout);
+    ASSERT_EQ(local.records.size(), 1u); // the write hits no allocation
+    EXPECT_EQ(local.records[0].addr, kNoAddr - 7);
+
+    MonitorClient client;
+    ASSERT_TRUE(client.connectUnix(scfg.unixPath));
+    const RunResult remote =
+        client.run(spec, withHeartbeatMarkers(trace, layout));
+    ASSERT_TRUE(remote.ok) << remote.error;
+    EXPECT_EQ(remote.summary.status, SummaryStatus::Complete);
+    EXPECT_TRUE(remote.report.identical(local));
+
+    server.stop();
+    EXPECT_EQ(server.sessionsCompleted(), 1u);
+}
+
 TEST(MonitorService, ConcurrentSessionsConform)
 {
     ServerConfig scfg;

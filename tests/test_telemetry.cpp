@@ -15,6 +15,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -566,6 +567,38 @@ TEST_F(TelemetryTest, SessionMetricsMatchSessionResult)
     telemetry::writeChromeTrace(trace_os);
     EXPECT_TRUE(JsonValidator(metrics_os.str()).valid());
     EXPECT_TRUE(JsonValidator(trace_os.str()).valid());
+}
+
+TEST_F(TelemetryTest, StageSpansLandBesideParallelPassSpans)
+{
+    // The oracle and the perf model's replays run on pool threads while
+    // the butterfly passes fan out over the same pool: every span must
+    // arrive exactly once, with nothing dropped.
+    SessionConfig cfg;
+    cfg.factory = makeRandomMix;
+    cfg.workload.numThreads = 4;
+    cfg.workload.instrPerThread = 4000;
+    cfg.workload.phaseEvents = 900;
+    cfg.workload.warmupNops = 1000;
+    cfg.epochSize = 512;
+    cfg.parallelPasses = true;
+
+    const SessionResult r = runSession(cfg);
+
+    std::map<std::string, std::size_t> spans;
+    for (const ResolvedEvent &e : telemetry::tracer().collect())
+        if (e.pid == SpanTracer::kWallPid)
+            ++spans[e.name];
+    for (const char *stage :
+         {"session", "session.oracle", "session.perf_app",
+          "perf.app_replay_parallel", "perf.app_replay_serial",
+          "perf.sequential_baseline", "perf.dbi", "perf.timesliced",
+          "session.epoch_slice", "session.butterfly", "session.perf_model",
+          "perf.butterfly"})
+        EXPECT_EQ(spans[stage], 1u) << stage;
+    EXPECT_EQ(spans["block.pass1"], 4u * r.epochs);
+    EXPECT_EQ(spans["block.pass2"], 4u * r.epochs);
+    EXPECT_EQ(telemetry::tracer().dropped(), 0u);
 }
 
 TEST_F(TelemetryTest, LogBufferPublishesStallsAndHeartbeats)
