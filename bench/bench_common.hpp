@@ -153,19 +153,6 @@ inline constexpr std::size_t kLargeEpoch = 16384; ///< "h = 64K"
 /** Thread counts from Figure 11. */
 inline constexpr unsigned kThreadCounts[] = {2, 4, 8};
 
-/**
- * Process-wide batched-kernel toggle for session benchmarks. Set from a
- * `--batch` CLI flag before any session runs; every paperSession()
- * config picks it up. Reports are bit-identical either way, so a
- * batched run is directly comparable to a scalar one.
- */
-inline bool &
-batchMode()
-{
-    static bool enabled = false;
-    return enabled;
-}
-
 /** Benchmark-scale workload knobs. */
 inline SessionConfig
 paperSession(WorkloadFactory factory, unsigned threads,
@@ -178,7 +165,6 @@ paperSession(WorkloadFactory factory, unsigned threads,
     cfg.workload.phaseEvents = 9000;
     cfg.workload.warmupNops = 40000;
     cfg.epochSize = epoch_size;
-    cfg.batchMode = batchMode();
     return cfg;
 }
 

@@ -21,7 +21,6 @@
  */
 
 #include <chrono>
-#include <cstring>
 
 #include <benchmark/benchmark.h>
 
@@ -162,15 +161,6 @@ int
 main(int argc, char **argv)
 {
     using namespace bfly;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--batch") == 0) {
-            bench::batchMode() = true;
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            break;
-        }
-    }
     for (const bool elide : {false, true})
         benchmark::RegisterBenchmark(
             elide ? "elision/ocean/elided"

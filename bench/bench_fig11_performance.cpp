@@ -11,13 +11,7 @@
  * eight threads butterfly wins in five of six benchmarks (four by a wide
  * margin), with BLACKSCHOLES converging on — but not quite past — the
  * crossover.
- *
- * `--batch` runs every monitored session with the columnar (SoA)
- * batched pass-1 kernels instead of the scalar walk; reports are
- * bit-identical, so the two runs are directly comparable.
  */
-
-#include <cstring>
 
 #include <benchmark/benchmark.h>
 
@@ -72,17 +66,6 @@ int
 main(int argc, char **argv)
 {
     using namespace bfly;
-    // --batch: run every monitored session with the columnar pass-1
-    // kernels (reports are bit-identical; only throughput may change).
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--batch") == 0) {
-            bench::batchMode() = true;
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            break;
-        }
-    }
     for (const auto &[name, factory] : paperWorkloads()) {
         for (unsigned threads : bench::kThreadCounts) {
             benchmark::RegisterBenchmark(

@@ -5,21 +5,15 @@
  * seed implementation so the speedup is computed within one binary on
  * one machine state:
  *
- *   dispatch     spawn+join std::threads per pass (seed) vs one batch on
- *                the persistent WorkerPool;
+ *   dispatch     spawn+join std::threads per pass (seed) vs one task
+ *                group on the persistent WorkerPool;
  *   set_algebra  node-based std::unordered_set wrapper (seed) vs the
  *                open-addressed inline-buffered FlatSet, over the union/
  *                intersect/subtract/contains mix the dataflow equations
  *                use;
  *   shadow_range per-element hash-map lookups (seed) vs page-span walks
  *                and the last-page cache, over range fills, range scans
- *                and sequential pointwise traffic;
- *   addrcheck_pass1 / taintcheck_pass1
- *                the scalar per-event pass-1 kernels (seed) vs the
- *                batched columnar kernels (sort-by-key runs + bulk set
- *                inserts) over one synthetic block — same driver, same
- *                block, only setBatchMode differs, and the reports are
- *                bit-identical by contract.
+ *                and sequential pointwise traffic.
  *
  * Writes BENCH_bench_hotpath.json (see bench_common.hpp; directory
  * overridable with BFLY_BENCH_JSON_DIR). `--quick` shrinks every group
@@ -43,8 +37,6 @@
 #include "common/rng.hpp"
 #include "common/shadow_memory.hpp"
 #include "common/worker_pool.hpp"
-#include "lifeguards/addrcheck.hpp"
-#include "lifeguards/taintcheck.hpp"
 
 namespace bfly {
 namespace {
@@ -200,11 +192,17 @@ benchDispatch(bool quick)
     }
     const double seedSecs = now() - t0;
 
-    // New: one persistent pool, one batch submission per pass.
+    // New: one persistent pool, one task group per pass.
     WorkerPool pool(nthreads);
     const double t1 = now();
-    for (std::size_t r = 0; r < rounds; ++r)
-        pool.run(nthreads, blockWork);
+    for (std::size_t r = 0; r < rounds; ++r) {
+        TaskGroup pass;
+        for (std::size_t t = 0; t < nthreads; ++t)
+            pool.submitTask(
+                pass, [](void *, std::size_t item) { blockWork(item); },
+                nullptr, t);
+        pool.waitGroup(pass);
+    }
     const double newSecs = now() - t1;
 
     GroupResult g{"dispatch"};
@@ -342,137 +340,6 @@ benchShadowRange(bool quick)
     return g;
 }
 
-// ---------------------------------------------------------------------
-// Groups 4+5: batched vs scalar lifeguard pass-1 kernels.
-// ---------------------------------------------------------------------
-
-/**
- * One ADDRCHECK pass-1 block in the regime the batched kernel targets:
- * allocations covering a bounded working set followed by a dense stream
- * of accesses into it (plus a tail of frees), all monitored. No event
- * flags an error, so both kernels measure pure set-building.
- */
-std::vector<Event>
-makeAddrBlock(std::size_t n, std::size_t working_keys, Rng &rng)
-{
-    const Addr heap = 0x10000;
-    std::vector<Event> events;
-    events.reserve(n);
-    // Cover the working set with 8-key span allocs (granularity 8).
-    for (Addr k = 0; k < working_keys; k += 8)
-        events.push_back(Event::alloc(heap + k * 8, 64));
-    while (events.size() + working_keys / 16 < n) {
-        const Addr a = heap + (rng.next() % working_keys) * 8;
-        switch (rng.next() % 8) {
-          case 0:
-            events.push_back(Event::write(a, 8));
-            break;
-          case 1:
-            events.push_back(
-                Event::assign(a, heap + (rng.next() % working_keys) * 8));
-            break;
-          default:
-            events.push_back(Event::read(a, 8));
-            break;
-        }
-    }
-    for (Addr k = 0; k < working_keys / 2; k += 8)
-        events.push_back(Event::freeOf(heap + k * 8, 64));
-    return events;
-}
-
-GroupResult
-benchAddrCheckPass1(bool quick)
-{
-    const std::size_t n = 8192;
-    Rng rng(1234);
-    const std::vector<Event> events = makeAddrBlock(n, 512, rng);
-    const BlockView block{0, 0, {events.data(), events.size()}, 0};
-
-    AddrCheckConfig cfg;
-    cfg.granularity = 8;
-    ButterflyAddrCheck driver(std::size_t{1}, cfg);
-
-    const std::size_t reps = quick ? 40 : 400;
-    GroupResult g{"addrcheck_pass1"};
-    // Warm both paths once (page-in, scratch growth) before timing.
-    driver.setBatchMode(false);
-    driver.pass1(block);
-    const double t0 = now();
-    for (std::size_t r = 0; r < reps; ++r)
-        driver.pass1(block);
-    g.seedOpsPerSec =
-        static_cast<double>(reps * events.size()) / (now() - t0);
-
-    driver.setBatchMode(true);
-    driver.pass1(block);
-    const double t1 = now();
-    for (std::size_t r = 0; r < reps; ++r)
-        driver.pass1(block);
-    g.newOpsPerSec =
-        static_cast<double>(reps * events.size()) / (now() - t1);
-    return g;
-}
-
-/** TAINTCHECK pass-1 block: taint/untaint/assign mix (rule building). */
-std::vector<Event>
-makeTaintBlock(std::size_t n, std::size_t working_keys, Rng &rng)
-{
-    const Addr heap = 0x10000;
-    std::vector<Event> events;
-    events.reserve(n);
-    auto key = [&] { return heap + (rng.next() % working_keys) * 8; };
-    for (std::size_t i = 0; i < n; ++i) {
-        switch (rng.next() % 8) {
-          case 0:
-            events.push_back(Event::taintSrc(key(), 8));
-            break;
-          case 1:
-            events.push_back(Event::untaint(key(), 8));
-            break;
-          case 2:
-          case 3:
-            events.push_back(Event::write(key(), 8));
-            break;
-          default:
-            events.push_back(Event::assign2(key(), key(), key()));
-            break;
-        }
-    }
-    return events;
-}
-
-GroupResult
-benchTaintCheckPass1(bool quick)
-{
-    const std::size_t n = 8192;
-    Rng rng(4321);
-    const std::vector<Event> events = makeTaintBlock(n, 512, rng);
-    const BlockView block{0, 0, {events.data(), events.size()}, 0};
-
-    TaintCheckConfig cfg;
-    ButterflyTaintCheck driver(std::size_t{1}, cfg);
-
-    const std::size_t reps = quick ? 40 : 400;
-    GroupResult g{"taintcheck_pass1"};
-    driver.setBatchMode(false);
-    driver.pass1(block);
-    const double t0 = now();
-    for (std::size_t r = 0; r < reps; ++r)
-        driver.pass1(block);
-    g.seedOpsPerSec =
-        static_cast<double>(reps * events.size()) / (now() - t0);
-
-    driver.setBatchMode(true);
-    driver.pass1(block);
-    const double t1 = now();
-    for (std::size_t r = 0; r < reps; ++r)
-        driver.pass1(block);
-    g.newOpsPerSec =
-        static_cast<double>(reps * events.size()) / (now() - t1);
-    return g;
-}
-
 } // namespace
 } // namespace bfly
 
@@ -490,8 +357,6 @@ main(int argc, char **argv)
         bfly::benchDispatch(quick),
         bfly::benchSetAlgebra(quick),
         bfly::benchShadowRange(quick),
-        bfly::benchAddrCheckPass1(quick),
-        bfly::benchTaintCheckPass1(quick),
     };
 
     std::printf("%-14s %16s %16s %9s\n", "group", "seed ops/s",

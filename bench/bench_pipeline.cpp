@@ -1,17 +1,16 @@
 /**
  * @file
- * Barrier-per-pass vs pipelined (dependency-task-graph) window schedule.
+ * Sequential walk vs pipelined (dependency-task-graph) window schedule.
  *
  * Two measurements, one binary:
  *
  *   wall       real ButterflyAddrCheck runs over the same trace: the
- *              barrier schedule on a worker pool vs the pipelined
- *              schedule fed by the streaming epoch slicer. Error reports
- *              must be identical (the sequential-equivalence guarantee);
- *              peak resident epochs must stay within the stream window.
- *              Wall-clock speedup requires real cores — on a 1-CPU host
- *              both schedules serialize onto the same hardware thread
- *              and the ratio hovers near 1.
+ *              sequential barrier walk on the calling thread vs the
+ *              pipelined schedule on a worker pool, fed by the
+ *              streaming epoch slicer. Error reports must be identical
+ *              (the sequential-equivalence guarantee); peak resident
+ *              epochs must stay within the stream window. A wall-clock
+ *              speedup requires real cores for the graph to use.
  *
  *   model      the cycle-accurate schedule models (sim/lba) on a
  *              synthetic skewed-epoch input: every epoch one rotating
@@ -75,14 +74,14 @@ sortedRecords(const ErrorLog &log)
 
 struct WallResult
 {
-    double barrierSecs = 0;
+    double sequentialSecs = 0;
     double pipelinedSecs = 0;
     bool identicalReports = false;
     std::size_t errorCount = 0;
     std::size_t epochs = 0;
     std::size_t peakResidentEpochs = 0;
     std::size_t windowEpochs = 0;
-    double speedup() const { return barrierSecs / pipelinedSecs; }
+    double speedup() const { return sequentialSecs / pipelinedSecs; }
 };
 
 WallResult
@@ -110,15 +109,15 @@ benchWall(bool quick)
 
     std::vector<std::tuple<ThreadId, std::uint64_t, Addr, int,
                            std::uint16_t>>
-        barrier_reports, pipelined_reports;
+        sequential_reports, pipelined_reports;
 
-    r.barrierSecs = 1e30;
+    r.sequentialSecs = 1e30;
     for (int rep = 0; rep < reps; ++rep) {
         ButterflyAddrCheck check(layout, cfg);
         const double t0 = now();
-        WindowSchedule(true, &pool).run(layout, check);
-        r.barrierSecs = std::min(r.barrierSecs, now() - t0);
-        barrier_reports = sortedRecords(check.errors());
+        WindowSchedule().run(layout, check);
+        r.sequentialSecs = std::min(r.sequentialSecs, now() - t0);
+        sequential_reports = sortedRecords(check.errors());
     }
 
     r.pipelinedSecs = 1e30;
@@ -130,13 +129,13 @@ benchWall(bool quick)
         r.windowEpochs = stream.windowEpochs();
         const double t0 = now();
         const PipelineStats stats =
-            WindowSchedule(true, &pool).runPipelined(stream, check);
+            WindowSchedule(false, &pool).runPipelined(stream, check);
         r.pipelinedSecs = std::min(r.pipelinedSecs, now() - t0);
         pipelined_reports = sortedRecords(check.errors());
         r.peakResidentEpochs = stats.peakResidentEpochs;
     }
 
-    r.identicalReports = barrier_reports == pipelined_reports;
+    r.identicalReports = sequential_reports == pipelined_reports;
     r.errorCount = pipelined_reports.size();
     return r;
 }
@@ -224,7 +223,7 @@ main(int argc, char **argv)
                 "speedup");
     std::printf("%-26s %11.3fs %11.3fs %8.2fx  (reports %s, peak "
                 "resident %zu/%zu epochs of %zu)\n",
-                "wall_addrcheck_t4", wall.barrierSecs, wall.pipelinedSecs,
+                "wall_addrcheck_t4", wall.sequentialSecs, wall.pipelinedSecs,
                 wall.speedup(),
                 wall.identicalReports ? "identical" : "DIFFER",
                 wall.peakResidentEpochs, wall.windowEpochs, wall.epochs);
@@ -245,8 +244,8 @@ main(int argc, char **argv)
 
     if (!wall.identicalReports) {
         std::fprintf(stderr,
-                     "FAIL: pipelined error report differs from barrier "
-                     "schedule\n");
+                     "FAIL: pipelined error report differs from the "
+                     "sequential walk\n");
         return 1;
     }
     if (wall.peakResidentEpochs > wall.windowEpochs) {
@@ -269,12 +268,12 @@ main(int argc, char **argv)
                  "{\n  \"bench\": \"bench_pipeline\",\n"
                  "  \"quick\": %s,\n"
                  "  \"wall\": {\"config\": \"addrcheck_t4\", "
-                 "\"barrier_seconds\": %.6f, "
+                 "\"sequential_seconds\": %.6f, "
                  "\"pipelined_seconds\": %.6f, \"speedup\": %.3f, "
                  "\"identical_reports\": %s, \"error_count\": %zu, "
                  "\"epochs\": %zu, \"peak_resident_epochs\": %zu, "
                  "\"window_epochs\": %zu},\n  \"model\": [\n",
-                 quick ? "true" : "false", wall.barrierSecs,
+                 quick ? "true" : "false", wall.sequentialSecs,
                  wall.pipelinedSecs, wall.speedup(),
                  wall.identicalReports ? "true" : "false", wall.errorCount,
                  wall.epochs, wall.peakResidentEpochs, wall.windowEpochs);

@@ -148,40 +148,6 @@ BENCHMARK(BM_ButterflyAddrCheckThroughput)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void
-BM_TwoPassVsParallelPasses(benchmark::State &state)
-{
-    // Wall-clock effect of running the lifeguard passes on real threads
-    // (the paper's lock-free schedule, Section 4.3 "single writer").
-    const bool parallel = state.range(0) != 0;
-    WorkloadConfig wcfg;
-    wcfg.numThreads = 8;
-    wcfg.instrPerThread = 50000;
-    const Workload w = makeBarnes(wcfg);
-    Rng rng(7);
-    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
-    const EpochLayout layout =
-        EpochLayout::byGlobalSeq(trace, 2048 * 8);
-    AddrCheckConfig acfg;
-    acfg.heapBase = w.heapBase;
-    acfg.heapLimit = w.heapLimit;
-
-    // One persistent pool for the whole measurement (as Session does);
-    // per-iteration cost is batch dispatch, not thread creation.
-    WorkerPool pool(8);
-    const WindowSchedule schedule(parallel, parallel ? &pool : nullptr);
-    for (auto _ : state) {
-        ButterflyAddrCheck butterfly(layout, acfg);
-        schedule.run(layout, butterfly);
-        benchmark::DoNotOptimize(butterfly.errors().size());
-    }
-    state.SetLabel(parallel ? "parallel-passes" : "sequential-passes");
-}
-BENCHMARK(BM_TwoPassVsParallelPasses)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace bfly
 

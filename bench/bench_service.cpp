@@ -12,10 +12,7 @@
  * fails the binary, so the bench doubles as a conformance smoke.
  *
  * Writes BENCH_bench_service.json (directory overridable with
- * BFLY_BENCH_JSON_DIR). `--quick` shrinks the sweep for CI smoke;
- * `--batch` turns on the server-side columnar pass-1 kernels
- * (MuxConfig::batchMode) while the reference stays scalar, so the
- * conformance check also proves batch-mode bit-identity end to end.
+ * BFLY_BENCH_JSON_DIR). `--quick` shrinks the sweep for CI smoke.
  */
 
 #include <atomic>
@@ -170,7 +167,7 @@ SweepResult
 benchConfig(std::size_t sessions, std::size_t chunk_bytes,
             std::size_t traces_per_session, const Trace &marked,
             const SessionSpec &spec, const RemoteReport &reference,
-            bool batch, std::size_t shards = 1,
+            std::size_t shards = 1,
             std::size_t adaptive_target_events = 0)
 {
     ServerConfig scfg;
@@ -179,9 +176,6 @@ benchConfig(std::size_t sessions, std::size_t chunk_bytes,
                     std::to_string(chunk_bytes) + "-" +
                     std::to_string(shards) +
                     (adaptive_target_events ? "-a" : "") + ".sock";
-    // Server-side batched kernels; the reference report stays scalar,
-    // so the conformance check doubles as a batch bit-identity check.
-    scfg.mux.batchMode = batch;
     scfg.shards = shards;
     if (adaptive_target_events > 0) {
         scfg.mux.adaptive = true;
@@ -295,12 +289,9 @@ main(int argc, char **argv)
     using namespace bfly;
 
     bool quick = false;
-    bool batch = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
-        else if (std::strcmp(argv[i], "--batch") == 0)
-            batch = true;
     }
 
     const Addr heap = 0x1000000;
@@ -331,7 +322,7 @@ main(int argc, char **argv)
         for (std::size_t chunk : chunk_sizes) {
             const SweepResult r = benchConfig(
                 sessions, chunk, traces_per_session, marked, spec,
-                reference, batch);
+                reference);
             results.push_back(r);
             std::printf("%-22s %10.3f %12.0f %12.3f %8llu%s\n",
                         ("s" + std::to_string(sessions) + "_c" +
@@ -359,7 +350,7 @@ main(int argc, char **argv)
     for (std::size_t shards : shard_counts) {
         const SweepResult r =
             benchConfig(shard_sessions, 64 * 1024, traces_per_session,
-                        marked, spec, reference, batch, shards);
+                        marked, spec, reference, shards);
         results.push_back(r);
         std::printf("%-22s %10.3f %12.0f %12.3f %8llu%s\n",
                     ("s" + std::to_string(shard_sessions) + "_sh" +
@@ -427,12 +418,11 @@ main(int argc, char **argv)
         // run failing conformance still fails the row.
         SweepResult r =
             benchConfig(adaptiveSessions, 64 * 1024, adaptiveTraces,
-                        *row.trace, bspec, *row.ref, batch, 1,
-                        row.target);
+                        *row.trace, bspec, *row.ref, 1, row.target);
         {
             const SweepResult again = benchConfig(
                 adaptiveSessions, 64 * 1024, adaptiveTraces,
-                *row.trace, bspec, *row.ref, batch, 1, row.target);
+                *row.trace, bspec, *row.ref, 1, row.target);
             const std::uint64_t mm = r.mismatches + again.mismatches;
             const std::uint64_t ff = r.failures + again.failures;
             if (again.eventsPerSec() > r.eventsPerSec())
@@ -480,13 +470,12 @@ main(int argc, char **argv)
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"bench_service\",\n  \"quick\": %s,\n"
-                 "  \"batch\": %s,\n  \"shard_ratio_2v1\": %.3f,\n"
+                 "  \"shard_ratio_2v1\": %.3f,\n"
                  "  \"adaptive_ratio\": %.3f,\n"
                  "  \"adaptive_sheds\": %llu,\n"
                  "  \"static_sheds\": %llu,\n"
                  "  \"sweep\": [\n",
-                 quick ? "true" : "false", batch ? "true" : "false",
-                 shardRatio, adaptiveRatio,
+                 quick ? "true" : "false", shardRatio, adaptiveRatio,
                  static_cast<unsigned long long>(adaptiveSheds),
                  static_cast<unsigned long long>(staticSheds));
     for (std::size_t i = 0; i < results.size(); ++i) {

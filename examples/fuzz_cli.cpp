@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential fuzzing CLI: generate adversarial traces, cross-check
- * every lifeguard in every scheduling mode against the sequential
+ * every lifeguard in both scheduling modes against the sequential
  * oracles, and minimize + persist any invariant violation as a .bfz
  * repro.
  *
@@ -354,7 +354,9 @@ main(int argc, char **argv)
         rcfg.fault.enabled = true;
         rcfg.fault.target = Lifeguard::AddrCheck;
         rcfg.fault.dropKind = ErrorKind::UnallocatedAccess;
-        rcfg.fault.modeMask = 0x2; // parallel mode only
+        // Corrupt only the production schedule's reports, so the fault
+        // must surface as a mode-equivalence violation.
+        rcfg.fault.modeMask = modeBit(RunMode::PipelinedStream);
     }
     const DifferentialRunner runner(rcfg);
 

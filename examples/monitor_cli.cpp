@@ -19,10 +19,6 @@
  * negatives) is printed. Exit is nonzero on any false negative — the
  * butterfly guarantee is "no error missed".
  *
- * `--batch` selects the lifeguard's batched (columnar SoA) pass-1
- * kernels. Reports are bit-identical to the default scalar kernels;
- * only the per-block execution strategy changes.
- *
  * `--elide` runs the static elision pre-pass (src/staticpass/) first:
  * sites proven AlwaysPrivate log SiteSummary counts instead of their
  * Read/Write events. The oracle still replays the full trace, so the
@@ -48,6 +44,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "butterfly/window.hpp"
 #include "fuzz/trace_fuzzer.hpp"
@@ -83,7 +80,7 @@ usage(const char *argv0)
         "usage: %s [--workload NAME] [--threads N] [--epoch H]\n"
         "          [--instr N] [--model sc|tso] [--seed S] [--verbose]\n"
         "          [--lifeguard %s]\n"
-        "          [--batch] [--elide] [--telemetry OUT.json]\n"
+        "          [--elide] [--telemetry OUT.json]\n"
         "          [--trace OUT.trace.json]\n"
         "       %s --workload list\n",
         argv0, oracleLifeguardNames().c_str(), argv0);
@@ -120,7 +117,7 @@ runFuzzedLifeguard(const bfly::LifeguardEntry &lifeguard,
             c.lifeguardParams(lifeguard.id, layout.numThreads());
         const std::unique_ptr<AnalysisDriver> driver =
             lifeguard.makeDriver(params);
-        WindowSchedule(false).run(layout, *driver);
+        WindowSchedule().run(layout, *driver);
         const ErrorLog flagged(
             lifeguard.report(*driver, layout.numEpochs()).records);
         const ErrorLog oracle = lifeguard.oracle(trace, params);
@@ -160,7 +157,6 @@ main(int argc, char **argv)
     MemModel model = MemModel::SequentiallyConsistent;
     std::uint64_t seed = 42;
     bool verbose = false;
-    bool batch = false;
     bool elide = false;
     const LifeguardEntry *lifeguard = &lifeguardEntry(Lifeguard::AddrCheck);
     std::string telemetry_out;
@@ -199,8 +195,6 @@ main(int argc, char **argv)
             telemetry_out = next();
         } else if (arg == "--trace") {
             trace_out = next();
-        } else if (arg == "--batch") {
-            batch = true;
         } else if (arg == "--elide") {
             elide = true;
         } else if (arg == "--verbose") {
@@ -251,7 +245,6 @@ main(int argc, char **argv)
     cfg.epochSize = epoch;
     cfg.model = model;
     cfg.interleaveSeed = seed * 7919 + 1;
-    cfg.batchMode = batch;
     cfg.elide = elide;
 
     std::printf("monitoring %s: %u threads, h=%zu, %s, ~%zu "
@@ -344,8 +337,16 @@ main(int argc, char **argv)
         std::printf("barrier wait         %llu cycles\n",
                     static_cast<unsigned long long>(
                         r.perf.butterfly.timing.barrierWaitCycles));
-        for (const auto &[name, value] : r.perf.cacheStats.all())
-            std::printf("%-20s %llu\n", name.c_str(),
+        const CacheStats &cs = r.perf.cacheStats;
+        const std::pair<const char *, std::uint64_t> cache_lines[] = {
+            {"coherence.invalidations", cs.coherenceInvalidations},
+            {"l1.hits", cs.l1Hits},
+            {"l1.misses", cs.l1Misses},
+            {"l2.hits", cs.l2Hits},
+            {"l2.misses", cs.l2Misses},
+        };
+        for (const auto &[name, value] : cache_lines)
+            std::printf("%-20s %llu\n", name,
                         static_cast<unsigned long long>(value));
     }
     return r.accuracy.falseNegatives == 0 ? 0 : 1;

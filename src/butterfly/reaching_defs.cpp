@@ -50,9 +50,9 @@ ReachingDefinitions::priv(EpochId l, ThreadId t)
 void
 ReachingDefinitions::beginPass(EpochId l, bool second)
 {
-    // Pre-size the per-epoch block storage on the scheduler thread; a
-    // resize during the parallel fan-out would invalidate references the
-    // sibling blocks are reading (computeLsos walks epochs l-1/l-2).
+    // Pre-size the per-epoch block storage single-threaded; a resize
+    // while the pipelined graph runs blocks would invalidate references
+    // the sibling blocks are reading (computeLsos walks epochs l-1/l-2).
     (void)second;
     if (blocks_.size() <= l)
         blocks_.resize(l + 1);
@@ -255,8 +255,8 @@ ReachingDefinitions::locOf(DefId d) const
 {
     // The id itself names the defining block; its (offset, addr) pairs
     // are recorded in program order, so a binary search replaces the old
-    // globally-shared DefId->Addr map (which raced under parallel
-    // passes and cost a hash lookup per query).
+    // globally-shared DefId->Addr map (which raced when blocks ran
+    // concurrently and cost a hash lookup per query).
     const InstrId id = InstrId::unpack(d);
     ensure(id.l < blocks_.size() && id.t < blocks_[id.l].size(),
            "unknown definition id");

@@ -58,79 +58,22 @@ struct WindowTelemetry
 };
 
 /**
- * Uniform block access for the pipelined schedule: either a materialized
- * EpochLayout (everything resident; admission and retirement are no-ops)
- * or a streaming EpochStream (bounded ring; admission slices, retirement
- * frees).
- */
-class PipelineSource
-{
-  public:
-    virtual ~PipelineSource() = default;
-    virtual std::size_t numEpochs() const = 0;
-    virtual std::size_t numThreads() const = 0;
-    virtual void acquire(EpochId l) = 0;
-    virtual BlockView block(EpochId l, ThreadId t) const = 0;
-    virtual void retire(EpochId l) = 0;
-    virtual void fillStats(PipelineStats &stats) const { (void)stats; }
-};
-
-class LayoutSource final : public PipelineSource
-{
-  public:
-    explicit LayoutSource(const EpochLayout &layout) : layout_(layout) {}
-    std::size_t numEpochs() const override { return layout_.numEpochs(); }
-    std::size_t numThreads() const override { return layout_.numThreads(); }
-    void acquire(EpochId) override {}
-    BlockView block(EpochId l, ThreadId t) const override
-    {
-        return layout_.block(l, t);
-    }
-    void retire(EpochId) override {}
-
-  private:
-    const EpochLayout &layout_;
-};
-
-class StreamSource final : public PipelineSource
-{
-  public:
-    explicit StreamSource(EpochStream &stream) : stream_(stream) {}
-    std::size_t numEpochs() const override { return stream_.numEpochs(); }
-    std::size_t numThreads() const override { return stream_.numThreads(); }
-    void acquire(EpochId l) override { stream_.acquire(l); }
-    BlockView block(EpochId l, ThreadId t) const override
-    {
-        return stream_.block(l, t);
-    }
-    void retire(EpochId l) override { stream_.retire(l); }
-    void fillStats(PipelineStats &stats) const override
-    {
-        stats.peakResidentEpochs = stream_.peakResidentEpochs();
-        stats.producerStalls = stream_.producerStalls();
-    }
-
-  private:
-    EpochStream &stream_;
-};
-
-/**
  * The dependency task graph of one pipelined butterfly run.
  *
  * Tasks, for a trace of L epochs and T threads ("X <- Y" = X runs after
  * Y completes):
  *
- *   A(l)     admission, l in [0, L]. Acquires epoch l from the source
+ *   A(l)     admission, l in [0, L]. Acquires epoch l from the stream
  *            (l < L), then runs the driver's single-threaded beginPass
  *            hooks: beginPass(l, pass1) and, for l >= 1,
- *            beginPass(l-1, pass2) — the same scheduler-thread order the
- *            barrier schedule uses. The A chain is totally ordered (see
- *            edges), so the source's streaming cursors see in-order
- *            acquires from one task at a time.
+ *            beginPass(l-1, pass2) — the same order the sequential walk
+ *            uses. The A chain is totally ordered (see edges), so the
+ *            stream's cursors see in-order acquires from one task at a
+ *            time.
  *   P1(l,t)  pass 1 of block (l, t).
  *   P2(l,t)  pass 2 of block (l, t).
  *   F(l)     finalizeEpoch(l) — the single-writer SOS fold.
- *   R(l)     retire epoch l's events from the source.
+ *   R(l)     retire epoch l's events from the stream.
  *
  * Edges:
  *   A(1)    <- P1(0,u) for all u          (head of the A chain)
@@ -180,10 +123,10 @@ class StreamSource final : public PipelineSource
 class GraphRunner
 {
   public:
-    GraphRunner(PipelineSource &source, AnalysisDriver &driver,
+    GraphRunner(EpochStream &stream, AnalysisDriver &driver,
                 WorkerPool &pool)
-        : source_(source), driver_(driver), pool_(pool),
-          L_(source.numEpochs()), T_(source.numThreads()),
+        : stream_(stream), driver_(driver), pool_(pool),
+          L_(stream.numEpochs()), T_(stream.numThreads()),
           strict_(driver.finalizeAfterPass2()),
           ownNextP1_(driver.pass2ReadsOwnNextPass1()), p1Base_(L_ + 1),
           p2Base_(p1Base_ + L_ * T_), fBase_(p2Base_ + L_ * T_),
@@ -218,7 +161,8 @@ class GraphRunner
         PipelineStats stats;
         stats.tasksRun = tasksRun_.load(std::memory_order_relaxed);
         stats.epochsFinalized = L_;
-        source_.fillStats(stats);
+        stats.peakResidentEpochs = stream_.peakResidentEpochs();
+        stats.producerStalls = stream_.producerStalls();
         return stats;
     }
 
@@ -337,7 +281,7 @@ class GraphRunner
             const EpochId l = id;
             telemetry::TraceSpan span(traced_ ? w_->admitSpan : 0, arg, l);
             if (l < L_) {
-                source_.acquire(l);
+                stream_.acquire(l);
                 driver_.beginPass(l, false);
             }
             if (l >= 1)
@@ -350,7 +294,7 @@ class GraphRunner
                 telemetry::registry().add(w_->pass1Blocks);
             telemetry::TraceSpan span(traced_ ? w_->blockPass1Span : 0,
                                       arg, l);
-            driver_.pass1(source_.block(l, t));
+            driver_.pass1(stream_.block(l, t));
         } else if (id < fBase_) {
             const std::size_t k = id - p2Base_;
             const EpochId l = k / T_;
@@ -359,7 +303,7 @@ class GraphRunner
                 telemetry::registry().add(w_->pass2Blocks);
             telemetry::TraceSpan span(traced_ ? w_->blockPass2Span : 0,
                                       arg, l);
-            driver_.pass2(source_.block(l, t));
+            driver_.pass2(stream_.block(l, t));
         } else if (id < rBase_) {
             const EpochId l = id - fBase_;
             telemetry::TraceSpan span(traced_ ? w_->finalizeSpan : 0, arg,
@@ -371,11 +315,11 @@ class GraphRunner
             const EpochId l = id - rBase_;
             telemetry::TraceSpan span(traced_ ? w_->retireSpan : 0, arg,
                                       l);
-            source_.retire(l);
+            stream_.retire(l);
         }
     }
 
-    PipelineSource &source_;
+    EpochStream &stream_;
     AnalysisDriver &driver_;
     WorkerPool &pool_;
     const std::size_t L_;
@@ -397,16 +341,6 @@ class GraphRunner
 
 } // namespace
 
-WorkerPool &
-WindowSchedule::ensurePool(std::size_t nthreads) const
-{
-    if (pool_)
-        return *pool_;
-    if (!owned_)
-        owned_ = std::make_unique<WorkerPool>(nthreads);
-    return *owned_;
-}
-
 void
 WindowSchedule::runPass(const EpochLayout &layout, EpochId l, bool second,
                         AnalysisDriver &driver) const
@@ -415,39 +349,22 @@ WindowSchedule::runPass(const EpochLayout &layout, EpochId l, bool second,
     const bool traced = telemetry::enabled();
     const WindowTelemetry *w = traced ? &WindowTelemetry::get() : nullptr;
 
-    // Give drivers one single-threaded hook to pre-size shared state
-    // before blocks fan out.
     driver.beginPass(l, second);
-
-    // Resolve every block view once, on the scheduler thread.
-    std::vector<BlockView> blocks;
-    blocks.reserve(nthreads);
-    for (ThreadId t = 0; t < nthreads; ++t)
-        blocks.push_back(layout.block(l, t));
-
-    auto work = [&](std::size_t t) {
-        // The span lands on the executing thread's own track, as in the
+    if (traced)
+        telemetry::registry().add(second ? w->pass2Blocks : w->pass1Blocks,
+                                  nthreads);
+    for (ThreadId t = 0; t < nthreads; ++t) {
+        // The span lands on the calling thread's own track, as in the
         // pipelined schedule: a session's stage tasks run beside the
         // passes, so a fixed per-block track could have two writers.
         telemetry::TraceSpan span(
             traced ? (second ? w->blockPass2Span : w->blockPass1Span) : 0,
             traced ? w->epochArg : telemetry::kNoMetric, l);
         if (second)
-            driver.pass2(blocks[t]);
+            driver.pass2(layout.block(l, t));
         else
-            driver.pass1(blocks[t]);
-    };
-
-    if (traced)
-        telemetry::registry().add(second ? w->pass2Blocks : w->pass1Blocks,
-                                  nthreads);
-
-    if (!parallelPasses_ || nthreads <= 1) {
-        for (std::size_t t = 0; t < nthreads; ++t)
-            work(t);
-        return;
+            driver.pass1(layout.block(l, t));
     }
-    ensurePool(nthreads).run(nthreads, work);
 }
 
 void
@@ -502,24 +419,13 @@ WindowSchedule::run(const EpochLayout &layout, AnalysisDriver &driver) const
 }
 
 PipelineStats
-WindowSchedule::runPipelined(const EpochLayout &layout,
-                             AnalysisDriver &driver) const
-{
-    if (layout.numEpochs() == 0)
-        return PipelineStats{};
-    LayoutSource source(layout);
-    GraphRunner runner(source, driver, ensurePool(layout.numThreads()));
-    return runner.run();
-}
-
-PipelineStats
 WindowSchedule::runPipelined(EpochStream &stream,
                              AnalysisDriver &driver) const
 {
+    ensure(pool_ != nullptr, "runPipelined needs a worker pool");
     if (stream.numEpochs() == 0)
         return PipelineStats{};
-    StreamSource source(stream);
-    GraphRunner runner(source, driver, ensurePool(stream.numThreads()));
+    GraphRunner runner(stream, driver, *pool_);
     return runner.run();
 }
 

@@ -13,10 +13,13 @@
  *           with wing state and performing the lifeguard's checks;
  *   step 4  epoch l-1's summary (GEN_l-1 / KILL_l-1) updates the SOS.
  *
- * The WindowSchedule drives an AnalysisDriver through exactly this order,
- * optionally fanning each pass out over real threads — safe because blocks
- * within a pass touch disjoint state and the shared SOS is only advanced in
- * the single-writer step 4 (the paper's "no synchronization on metadata"
+ * The WindowSchedule drives an AnalysisDriver through exactly this order
+ * in one of two ways: run() walks the steps sequentially on the calling
+ * thread (the reference), and runPipelined() executes them as a
+ * dependency task graph on a worker pool (the monitoring service's
+ * path). The graph may run blocks of a pass concurrently — safe because
+ * they touch disjoint state and the shared SOS is only advanced in the
+ * single-writer step 4 (the paper's "no synchronization on metadata"
  * observation).
  */
 
@@ -24,7 +27,6 @@
 #define BUTTERFLY_BUTTERFLY_WINDOW_HPP
 
 #include <cstddef>
-#include <memory>
 
 #include "common/worker_pool.hpp"
 #include "trace/epoch_slicer.hpp"
@@ -56,11 +58,11 @@ class AnalysisDriver
     virtual void finalizeEpoch(EpochId l) = 0;
 
     /**
-     * Called on the scheduler thread immediately before the per-block
-     * fan-out of a pass over epoch @p l (@p second selects pass 2).
-     * Drivers that grow shared containers lazily (e.g. the per-epoch
-     * block vectors in reaching_defs) override this to pre-size them
-     * single-threaded, so the parallel blocks only touch disjoint,
+     * Called single-threaded immediately before the blocks of a pass
+     * over epoch @p l run (@p second selects pass 2). Drivers that grow
+     * shared containers lazily (e.g. the per-epoch block vectors in
+     * reaching_defs) override this to pre-size them, so blocks the
+     * pipelined schedule runs concurrently only touch disjoint,
      * already-allocated slots.
      */
     virtual void beginPass(EpochId l, bool second)
@@ -70,14 +72,10 @@ class AnalysisDriver
     }
 
     /**
-     * Select the batched (columnar) pass-1 kernels where the driver has
-     * them. The contract is strict: batched pass 1 must produce
-     * bit-identical observable results — error records (including
-     * first-report order per event), block summaries, SOS and counters
-     * — to the scalar walk; pass 2 and finalizeEpoch are never batched.
-     * The default is a scalar shim (the flag is ignored), so drivers
-     * without batched kernels stay uniform members of any mode matrix.
-     * Must be called before the schedule runs, never mid-run.
+     * No-op. Every lifeguard has exactly one pass-1 kernel, so there is
+     * nothing to select and nothing in src/ overrides this. It stays
+     * only because the benchmark's wrapping driver (TimedDriver in
+     * perfbench/bench.hpp) still overrides it.
      */
     virtual void setBatchMode(bool enabled) { (void)enabled; }
 
@@ -119,9 +117,7 @@ struct PipelineStats
 {
     std::size_t tasksRun = 0;         ///< graph tasks executed
     std::size_t epochsFinalized = 0;  ///< finalize tasks executed
-    /** High-water mark of simultaneously resident epochs (streaming
-     *  source only; 0 for a materialized layout, which is all-resident
-     *  by definition). */
+    /** High-water mark of simultaneously resident stream epochs. */
     std::size_t peakResidentEpochs = 0;
     /** Producer stalls recorded by the stream's back-pressure buffer. */
     std::uint64_t producerStalls = 0;
@@ -132,40 +128,41 @@ class WindowSchedule
 {
   public:
     /**
-     * @param parallel_passes  run each pass's per-thread blocks on a
-     *                         persistent worker pool (demonstrates the
-     *                         lock-free schedule; results must equal
-     *                         sequential)
-     * @param pool             pool to dispatch on; borrowed, must outlive
-     *                         the schedule. When null and parallel passes
-     *                         are requested, the schedule lazily creates
-     *                         its own pool sized to the trace's threads.
+     * @param parallel_passes  ignored: run() never fans out. The
+     *                         parameter stays only because the
+     *                         benchmark (perfbench/) still constructs
+     *                         schedules as WindowSchedule(false, nullptr)
+     *                         and WindowSchedule(true, &pool).
+     * @param pool             pool runPipelined() dispatches its graph
+     *                         tasks on; borrowed, must outlive the
+     *                         schedule. run() does not use it.
      */
     explicit WindowSchedule(bool parallel_passes = false,
                             WorkerPool *pool = nullptr)
-        : parallelPasses_(parallel_passes), pool_(pool)
-    {}
+        : pool_(pool)
+    {
+        (void)parallel_passes;
+    }
 
-    /** Process the whole trace pass-by-pass (barrier after every pass). */
+    /**
+     * Process the whole trace pass by pass on the calling thread — the
+     * reference schedule, and the one every in-process caller uses.
+     */
     void run(const EpochLayout &layout, AnalysisDriver &driver) const;
 
     /**
-     * Process the whole trace as a dependency task graph: each block-pass
-     * and each finalize is one task that becomes runnable the instant its
+     * Process the whole trace as a dependency task graph on the pool
+     * given at construction (required): each block-pass and each
+     * finalize is one task that becomes runnable the instant its
      * prerequisites complete, so pass 1 of epoch l+1 overlaps pass 2 of
      * epoch l-1 and a thread with a heavy block never stalls the whole
-     * window behind a barrier. Produces bit-identical analysis results to
-     * run() for any driver (sequential-equivalence guarantee — see
-     * DESIGN.md "Pipelined scheduler").
-     */
-    PipelineStats runPipelined(const EpochLayout &layout,
-                               AnalysisDriver &driver) const;
-
-    /**
-     * Pipelined run over a streaming source: epochs are admitted into the
-     * stream's bounded ring as the graph reaches them and retired once no
-     * remaining task can read their events, keeping resident event memory
-     * O(window) regardless of trace length.
+     * window behind a barrier. Epochs are admitted into the stream's
+     * bounded ring as the graph reaches them and retired once no
+     * remaining task can read their events, keeping resident event
+     * memory O(window) regardless of trace length. Produces
+     * bit-identical analysis results to run() for any driver
+     * (sequential-equivalence guarantee — see DESIGN.md "Pipelined
+     * scheduler").
      */
     PipelineStats runPipelined(EpochStream &stream,
                                AnalysisDriver &driver) const;
@@ -173,11 +170,8 @@ class WindowSchedule
   private:
     void runPass(const EpochLayout &layout, EpochId l, bool second,
                  AnalysisDriver &driver) const;
-    WorkerPool &ensurePool(std::size_t nthreads) const;
 
-    bool parallelPasses_;
     WorkerPool *pool_;
-    mutable std::unique_ptr<WorkerPool> owned_;
 };
 
 } // namespace bfly

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -189,61 +188,6 @@ class FlatSet
             cap *= 2;
         if (cap != cap_)
             rehash(cap);
-    }
-
-    /**
-     * Insert every key of @p keys: one capacity reservation up front
-     * instead of incremental doubling, and adjacent equal keys (the
-     * run-length shape a sort-by-address pass-1 kernel produces) are
-     * collapsed before probing. Equivalent to per-element insert() for
-     * any input order, sorted or not.
-     */
-    void
-    insertBulk(std::span<const Key> keys)
-    {
-        if (keys.empty())
-            return;
-        reserve(size_ + keys.size());
-        if (!table_) {
-            // Still inline-small after the reservation: plain inserts.
-            for (Key k : keys)
-                insert(k);
-            return;
-        }
-        const Key *prev = nullptr;
-        for (const Key &k : keys) {
-            if (prev && *prev == k)
-                continue; // run-length dedupe of sorted runs
-            prev = &k;
-            if (k == kEmptySlot) {
-                if (!hasEmptyKey_) {
-                    hasEmptyKey_ = true;
-                    ++size_;
-                }
-            } else if (rawInsert(k)) {
-                ++size_;
-            }
-        }
-    }
-
-    /** Number of keys of @p keys present in the set (duplicates in the
-     *  input each count — mirrors a per-element contains() loop). */
-    std::size_t
-    containsBulk(std::span<const Key> keys) const
-    {
-        std::size_t hits = 0;
-        const Key *prev = nullptr;
-        bool prev_hit = false;
-        for (const Key &k : keys) {
-            if (prev && *prev == k) {
-                hits += prev_hit ? 1 : 0; // reuse the last probe's answer
-                continue;
-            }
-            prev = &k;
-            prev_hit = contains(k);
-            hits += prev_hit ? 1 : 0;
-        }
-        return hits;
     }
 
     /** In-place union: *this |= other. */

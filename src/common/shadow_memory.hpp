@@ -26,40 +26,11 @@
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 
 namespace bfly {
-
-/**
- * Coalesce a sorted address run into maximal contiguous ranges: calls
- * @p fn(base, len) once per run of consecutive addresses. Duplicates
- * collapse into their run. This is the bridge from a batched kernel's
- * sort-by-address output to the page-span bulk operations below — one
- * setRange/rangeEquals per dense run instead of one probe per address.
- *
- * @pre @p sorted is in ascending order.
- */
-template <typename Fn>
-void
-forEachCoalescedRun(std::span<const Addr> sorted, Fn &&fn)
-{
-    std::size_t i = 0;
-    const std::size_t n = sorted.size();
-    while (i < n) {
-        const Addr base = sorted[i];
-        Addr end = base; // inclusive end of the run so far
-        ++i;
-        while (i < n && (sorted[i] == end || sorted[i] == end + 1)) {
-            end = sorted[i];
-            ++i;
-        }
-        fn(base, static_cast<std::size_t>(end - base) + 1);
-    }
-}
 
 /**
  * Lazily-allocated paged map from address to metadata value.
@@ -170,58 +141,6 @@ class ShadowMemory
             addr += run;
             len -= run;
         }
-    }
-
-    /**
-     * Write @p value at every address of a sorted run, coalescing
-     * consecutive addresses into page-span fills. Equivalent to calling
-     * set() per element; dense runs touch each page directory entry
-     * once instead of once per address.
-     */
-    void
-    setSorted(std::span<const Addr> sorted, const T &value)
-    {
-        forEachCoalescedRun(sorted, [&](Addr base, std::size_t len) {
-            if (len == 1)
-                set(base, value); // keep the last-page cache warm
-            else
-                setRange(base, len, value);
-        });
-    }
-
-    /**
-     * How many addresses of a sorted run hold @p value. Equivalent to a
-     * per-element get() loop, but consecutive addresses are probed as
-     * coalesced ranges (page-wise scans, no per-address hash lookups).
-     * Duplicate addresses each count, mirroring the pointwise loop.
-     */
-    std::size_t
-    countEqualSorted(std::span<const Addr> sorted, const T &value) const
-    {
-        std::size_t hits = 0;
-        std::size_t i = 0;
-        const std::size_t n = sorted.size();
-        while (i < n) {
-            const Addr base = sorted[i];
-            std::size_t run = 1;
-            ++i;
-            while (i < n && sorted[i] == base + run) {
-                ++run;
-                ++i;
-            }
-            std::size_t run_hits = 0;
-            forEachInRange(base, run, [&](const T &v) {
-                if (v == value)
-                    ++run_hits;
-            });
-            hits += run_hits;
-            // Duplicates of the run's last address repeat its verdict.
-            while (i < n && sorted[i] == base + run - 1) {
-                hits += get(sorted[i]) == value ? 1 : 0;
-                ++i;
-            }
-        }
-        return hits;
     }
 
     /** Number of lazily-allocated pages (for footprint accounting). */

@@ -39,26 +39,8 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::runBatch(std::size_t count, void (*fn)(void *, std::size_t),
-                     void *ctx)
-{
-    if (count == 0)
-        return;
-    // Count before publishing: the items must never be observable in the
-    // queue while the group's count could still read as drained.
-    defaultGroup_.outstanding_.fetch_add(count, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < count; ++i)
-            tasks_.push_back(Task{fn, ctx, i, &defaultGroup_});
-    }
-    wakeCv_.notify_all();
-    runTasks();
-}
-
-void
-WorkerPool::enqueue(TaskGroup &group, void (*fn)(void *, std::size_t),
-                    void *ctx, std::size_t arg)
+WorkerPool::submitTask(TaskGroup &group, void (*fn)(void *, std::size_t),
+                       void *ctx, std::size_t arg)
 {
     group.outstanding_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -72,20 +54,6 @@ WorkerPool::enqueue(TaskGroup &group, void (*fn)(void *, std::size_t),
 }
 
 void
-WorkerPool::submitTask(void (*fn)(void *, std::size_t), void *ctx,
-                       std::size_t arg)
-{
-    enqueue(defaultGroup_, fn, ctx, arg);
-}
-
-void
-WorkerPool::submitTask(TaskGroup &group, void (*fn)(void *, std::size_t),
-                       void *ctx, std::size_t arg)
-{
-    enqueue(group, fn, ctx, arg);
-}
-
-void
 WorkerPool::finishTask(const Task &task)
 {
     if (task.group->outstanding_.fetch_sub(1, std::memory_order_acq_rel) ==
@@ -96,12 +64,6 @@ WorkerPool::finishTask(const Task &task)
         { std::lock_guard<std::mutex> lock(mutex_); }
         doneCv_.notify_all();
     }
-}
-
-void
-WorkerPool::runTasks()
-{
-    waitGroup(defaultGroup_);
 }
 
 void

@@ -2,30 +2,24 @@
  * @file
  * Persistent worker pool executing queued tasks.
  *
- * The butterfly window schedule runs two parallel passes per epoch. The
- * original implementation paid a full std::thread spawn+join round-trip
- * for every pass, which dominated the measured per-epoch cost and hid
- * the paper's "no synchronization on metadata" property behind substrate
- * overhead. This pool keeps a fixed set of long-lived threads parked on
- * a condition variable; all dispatch goes through one mutex-protected
- * task queue. Per-item work in this codebase is a whole block pass
- * (thousands of events), so a queue lock per item is noise — and one
- * mechanism serves both callers:
+ * A fixed set of long-lived threads parks on a condition variable; all
+ * dispatch goes through one mutex-protected task queue. Per-item work in
+ * this codebase is a whole block pass or a whole session stage
+ * (thousands of events), so a queue lock per item is noise.
  *
- *  - batch mode (`run`): enqueue fn(i) for i in [0, count), help drain,
- *    return when all items finished — the barrier-per-pass schedule;
- *  - task mode (`submitTask` + `runTasks`): tasks may submit further
- *    tasks from inside their bodies; this is how the pipelined window
- *    schedule's dependency graph releases a successor the moment its
- *    last prerequisite completes.
- *
- * Completion is an atomic count of submitted-but-unfinished tasks,
- * incremented before a task is visible in the queue and decremented
- * after its body returns; a graph's submissions happen inside task
- * bodies, so the count reaching zero means the whole frontier drained.
- * The last decrement wakes the submitter through a second condition
- * variable. Only one run()/runTasks() may be in flight at a time (the
- * schedules are single-driver); submitTask is safe from any thread.
+ * There is one completion protocol: tasks are submitted into a
+ * TaskGroup and the submitter waits for that group to drain
+ * (`submitTask` + `waitGroup`). Tasks may submit further tasks into
+ * their own group from inside their bodies; this is how the pipelined
+ * window schedule's dependency graph releases a successor the moment
+ * its last prerequisite completes, and how a session's independent
+ * stages overlap. Each group counts its submitted-but-unfinished tasks:
+ * the count is incremented before a task is visible in the queue and
+ * decremented after its body returns, so it reaching zero means the
+ * group's whole frontier drained. The last decrement wakes waiters
+ * through a second condition variable. Groups are independent, so any
+ * number of drivers (the monitoring service's concurrent sessions) may
+ * share one pool.
  *
  * An earlier revision dispatched batches through a lock-free ticket
  * counter. A worker descheduled inside that protocol could wake after
@@ -42,7 +36,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -100,57 +93,17 @@ class WorkerPool
     std::size_t size() const { return threads_.size(); }
 
     /**
-     * Run @p fn(i) for every i in [0, count); blocks until all items
-     * completed. The callable is borrowed for the duration of the call
-     * only — no allocation, no copy.
-     */
-    template <typename Fn>
-    void
-    run(std::size_t count, Fn &&fn)
-    {
-        // Wrap in a local lambda so plain functions (whose address is a
-        // function pointer, not convertible to void*) also work.
-        auto thunk = [&fn](std::size_t i) { fn(i); };
-        runBatch(
-            count,
-            [](void *ctx, std::size_t i) {
-                (*static_cast<decltype(thunk) *>(ctx))(i);
-            },
-            std::addressof(thunk));
-    }
-
-    /** Type-erased batch entry point; see run(). */
-    void runBatch(std::size_t count, void (*fn)(void *, std::size_t),
-                  void *ctx);
-
-    /**
-     * Enqueue one task for the pool's threads into the pool's default
-     * group. Safe to call from any thread, including from inside a
-     * running task (a dependency graph submits a successor the moment
-     * its last prerequisite completes). Every submitted task must be
-     * balanced by a runTasks() in flight or to come; tasks never outlive
-     * the pool.
-     */
-    void submitTask(void (*fn)(void *, std::size_t), void *ctx,
-                    std::size_t arg);
-
-    /**
-     * Enqueue one task into @p group. Unlike the default-group overload,
-     * any number of drivers may submit into distinct groups and wait on
-     * them concurrently — this is how the monitoring service shards many
-     * sessions' pipelined window schedules onto one shared pool.
+     * Enqueue one task into @p group. Safe to call from any thread,
+     * including from inside a running task (a dependency graph submits
+     * a successor the moment its last prerequisite completes). Any
+     * number of drivers may submit into distinct groups and wait on
+     * them concurrently — this is how the monitoring service shards
+     * many sessions' pipelined window schedules onto one shared pool.
+     * Every submitted task must be balanced by a waitGroup() on its
+     * group; tasks never outlive the pool.
      */
     void submitTask(TaskGroup &group, void (*fn)(void *, std::size_t),
                     void *ctx, std::size_t arg);
-
-    /**
-     * Help execute queued tasks and block until every default-group task
-     * submitted so far — plus any their bodies transitively submit — has
-     * completed. Call from the thread that seeded the root tasks; must
-     * not be called concurrently with itself or with run(). (Group
-     * waiters use waitGroup, which has no such restriction.)
-     */
-    void runTasks();
 
     /**
      * Help execute queued tasks (from any group — work conservation)
@@ -175,8 +128,6 @@ class WorkerPool
 
     /** Run one task body and publish its completion to its group. */
     void finishTask(const Task &task);
-    void enqueue(TaskGroup &group, void (*fn)(void *, std::size_t),
-                 void *ctx, std::size_t arg);
 
     std::vector<std::thread> threads_;
 
@@ -186,10 +137,6 @@ class WorkerPool
     bool stop_ = false;
 
     std::deque<Task> tasks_; ///< guarded by mutex_
-    /** Completion domain of the legacy submitTask/runTasks/run API.
-     *  Each group's count is incremented before its task is queued and
-     *  decremented after the body returns. */
-    TaskGroup defaultGroup_;
 };
 
 } // namespace bfly

@@ -15,9 +15,7 @@ namespace bfly::fuzz {
 
 namespace {
 
-const char *const kModeNames[] = {"sequential", "parallel",
-                                  "pipelined-layout", "pipelined-stream",
-                                  "batched"};
+const char *const kModeNames[] = {"sequential", "pipelined-stream"};
 const char *const kInvariantNames[] = {"mode-equivalence",
                                        "oracle-subsumption",
                                        "fp-monotonicity",
@@ -105,35 +103,18 @@ struct CaseContext
 void
 drive(const CaseContext &ctx, RunMode mode, AnalysisDriver &driver)
 {
-    const std::size_t nthreads = std::max<std::size_t>(
-        1, ctx.trace.numThreads());
     switch (mode) {
       case RunMode::Sequential:
-        WindowSchedule(false).run(ctx.layout, driver);
+        WindowSchedule().run(ctx.layout, driver);
         break;
-      case RunMode::Parallel: {
-        WorkerPool pool(nthreads);
-        WindowSchedule(true, &pool).run(ctx.layout, driver);
-        break;
-      }
-      case RunMode::PipelinedLayout: {
-        WorkerPool pool(nthreads);
-        WindowSchedule(true, &pool).runPipelined(ctx.layout, driver);
-        break;
-      }
       case RunMode::PipelinedStream: {
-        EpochStream stream(ctx.trace,
-                           EpochStream::Config{ctx.c.globalH, 4, nullptr});
-        WorkerPool pool(nthreads);
-        WindowSchedule(true, &pool).runPipelined(stream, driver);
+        EpochStream::Config cfg;
+        cfg.globalH = ctx.c.globalH;
+        EpochStream stream(ctx.trace, cfg);
+        WorkerPool pool(std::max<std::size_t>(1, ctx.trace.numThreads()));
+        WindowSchedule(false, &pool).runPipelined(stream, driver);
         break;
       }
-      case RunMode::Batched:
-        // Same barrier schedule as Sequential; only the lifeguard's
-        // pass-1 kernel changes (scalar shim for drivers without one).
-        driver.setBatchMode(true);
-        WindowSchedule(false).run(ctx.layout, driver);
-        break;
     }
 }
 

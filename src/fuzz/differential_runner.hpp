@@ -1,16 +1,16 @@
 /**
  * @file
  * Differential conformance runner: executes one fuzz case through every
- * lifeguard in every scheduling mode and machine-checks the paper's
+ * lifeguard in both scheduling modes and machine-checks the paper's
  * correctness claims as properties.
  *
  * Invariants checked per case:
  *
  *  - mode equivalence (Theorem-free, but the repo's own guarantee): the
- *    sequential barrier schedule, the parallel barrier schedule, the
- *    pipelined task graph over a materialized layout, and the pipelined
- *    task graph over a streaming EpochStream must produce bit-identical
- *    reports (error records, SOS, and — for the generic reaching-defs
+ *    sequential barrier walk over a materialized layout (the reference)
+ *    and the pipelined task graph over a streaming EpochStream (the
+ *    monitoring service's path) must produce bit-identical reports
+ *    (error records, SOS, and — for the generic reaching-defs
  *    analysis — every per-epoch/per-block dataflow set);
  *
  *  - oracle subsumption (Theorems 6.1/6.2): the butterfly lifeguard
@@ -55,27 +55,24 @@
 
 namespace bfly::fuzz {
 
-/** Scheduling modes: {sequential, parallel, pipelined} × {full-trace,
- *  EpochStream}, plus the batched-kernel execution strategy. Streaming
- *  exists only for the pipelined task graph (the barrier schedule
- *  requires a materialized layout by construction), so the scheduling
- *  matrix has four populated cells; Batched reruns the sequential
- *  barrier schedule with the lifeguard's columnar pass-1 kernels, which
- *  must be report-identical to the scalar ones. */
+/** Scheduling modes: the two schedules callers actually use. */
 enum class RunMode : std::uint8_t {
-    Sequential,      ///< barrier schedule, scheduler thread only
-    Parallel,        ///< barrier schedule, per-block worker fan-out
-    PipelinedLayout, ///< dependency task graph over the full trace
+    Sequential,      ///< barrier walk on the calling thread (reference)
     PipelinedStream, ///< dependency task graph over an EpochStream
-    Batched,         ///< barrier schedule, columnar (SoA) pass-1 kernels
 };
-inline constexpr RunMode kAllModes[] = {
-    RunMode::Sequential, RunMode::Parallel, RunMode::PipelinedLayout,
-    RunMode::PipelinedStream, RunMode::Batched};
+inline constexpr RunMode kAllModes[] = {RunMode::Sequential,
+                                        RunMode::PipelinedStream};
 /** FaultPlan::modeMask value covering every mode (1 bit per RunMode). */
 inline constexpr std::uint8_t kAllModesMask =
     (1u << std::size(kAllModes)) - 1;
 const char *runModeName(RunMode mode);
+
+/** FaultPlan::modeMask bit of @p mode. */
+constexpr std::uint8_t
+modeBit(RunMode mode)
+{
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(mode));
+}
 
 /** Which property a violation breaches. */
 enum class Invariant : std::uint8_t {
@@ -93,15 +90,16 @@ struct FaultPlan
     Lifeguard target = Lifeguard::AddrCheck;
     /** Records of this kind are dropped from the corrupted reports. */
     ErrorKind dropKind = ErrorKind::UnallocatedAccess;
-    /** Bit per RunMode (1 << mode). kAllModesMask simulates a true
-     *  false negative; a subset simulates a scheduling-dependent bug. */
+    /** Bit per RunMode (1 << mode); modeBit() builds one. kAllModesMask
+     *  simulates a true false negative; a subset simulates a
+     *  scheduling-dependent bug. */
     std::uint8_t modeMask = 0;
 
     bool
     corrupts(Lifeguard lg, RunMode mode) const
     {
         return enabled && lg == target &&
-               (modeMask & (1u << static_cast<unsigned>(mode))) != 0;
+               (modeMask & modeBit(mode)) != 0;
     }
 };
 

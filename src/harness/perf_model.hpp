@@ -120,7 +120,7 @@ struct PerfReport
      *  inter-thread dependences; this mode prices only its instruction
      *  overheads, as a floor. */
     ModeTiming dbiSoftware;
-    StatSet cacheStats;
+    CacheStats cacheStats; ///< of the parallel unmonitored replay
 };
 
 /**

@@ -1,7 +1,5 @@
 #include "harness/session.hpp"
 
-#include <algorithm>
-
 #include "butterfly/window.hpp"
 #include "common/logging.hpp"
 #include "common/worker_pool.hpp"
@@ -26,7 +24,6 @@ struct SessionMetrics
     telemetry::MetricId oracleErrors;
     telemetry::MetricId falsePositives;
     telemetry::MetricId falseNegatives;
-    telemetry::MetricId peakResidentEpochs;
 
     static const SessionMetrics &
     get()
@@ -43,8 +40,6 @@ struct SessionMetrics
             s.oracleErrors = r.gauge("bfly.session.oracle_errors");
             s.falsePositives = r.gauge("bfly.session.false_positives");
             s.falseNegatives = r.gauge("bfly.session.false_negatives");
-            s.peakResidentEpochs =
-                r.gauge("bfly.session.peak_resident_epochs");
             return s;
         }();
         return m;
@@ -162,13 +157,9 @@ runSession(const SessionConfig &config)
     pin.logBufferBytes = config.logBufferBytes;
     AppPerformance app(pin, config.elide ? elidedOrder : order);
 
-    // One pool per session serves the stage graph and, in the parallel
-    // and pipelined modes, the passes.
+    // One pool per session runs the stage graph.
     TaskGroup stages;
-    const bool passesOnPool = config.parallelPasses || config.pipelineMode;
-    WorkerPool pool(passesOnPool
-                        ? std::max(kStageWorkers, monitored.numThreads())
-                        : kStageWorkers);
+    WorkerPool pool(kStageWorkers);
     auto appStage = [&] {
         telemetry::TraceSpan span("session.perf_app");
         app.run(&pool);
@@ -192,26 +183,11 @@ runSession(const SessionConfig &config)
             monitored, config.epochSize * monitored.numThreads());
     }();
 
-    // 4. Functional butterfly ADDRCHECK run.
+    // 4. Functional butterfly ADDRCHECK run, on this thread.
     ButterflyAddrCheck butterfly(layout, acfg);
-    butterfly.setBatchMode(config.batchMode);
-    WindowSchedule schedule(config.parallelPasses, &pool);
-    std::size_t peak_resident = 0;
     {
         telemetry::TraceSpan span("session.butterfly");
-        if (config.pipelineMode) {
-            // Streaming pipelined path: same epoch boundaries as the
-            // materialized layout, but only O(window) epochs of events
-            // resident while the task graph runs.
-            EpochStream::Config scfg;
-            scfg.globalH = config.epochSize * monitored.numThreads();
-            EpochStream stream(monitored, scfg);
-            const PipelineStats stats =
-                schedule.runPipelined(stream, butterfly);
-            peak_resident = stats.peakResidentEpochs;
-        } else {
-            schedule.run(layout, butterfly);
-        }
+        WindowSchedule().run(layout, butterfly);
     }
     pool.waitGroup(stages);
 
@@ -231,7 +207,6 @@ runSession(const SessionConfig &config)
     result.instructions = trace.instructionCount();
     result.memoryAccesses = trace.memoryAccessCount();
     result.epochs = layout.numEpochs();
-    result.peakResidentEpochs = peak_resident;
     result.butterflyErrorCount = butterfly.errors().size();
     result.oracleErrorCount = oracle.errors().size();
     result.accuracy = compareToOracle(butterfly.errors(), oracle.errors(),
@@ -260,7 +235,6 @@ runSession(const SessionConfig &config)
         reg.set(m.oracleErrors, result.oracleErrorCount);
         reg.set(m.falsePositives, result.accuracy.falsePositives);
         reg.set(m.falseNegatives, result.accuracy.falseNegatives);
-        reg.set(m.peakResidentEpochs, result.peakResidentEpochs);
     }
     return result;
 }

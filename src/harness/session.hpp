@@ -32,25 +32,6 @@ struct SessionConfig
     std::uint64_t interleaveSeed = 42;
     LifeguardCosts costs;
     std::size_t logBufferBytes = 8 * 1024;
-    /** Run the lifeguard passes on real threads (results must match). */
-    bool parallelPasses = false;
-    /**
-     * Opt-in: drive the butterfly analysis with the pipelined
-     * dependency-graph schedule over a streaming epoch slicer instead of
-     * the barrier-per-pass loop. Default off. Analysis results are
-     * guaranteed identical to the barrier schedule (see DESIGN.md
-     * "Pipelined scheduler"); only scheduling and resident memory change,
-     * and SessionResult::peakResidentEpochs reports the high-water mark.
-     */
-    bool pipelineMode = false;
-    /**
-     * Opt-in: select the batched (columnar SoA) pass-1 kernels in the
-     * lifeguard. Default off. Reports, summaries and counters are
-     * guaranteed bit-identical to the scalar kernels (see DESIGN.md
-     * "Columnar epoch batches"); only the per-block execution strategy
-     * changes. Composes freely with parallelPasses/pipelineMode.
-     */
-    bool batchMode = false;
     /**
      * Opt-in: run the static elision pre-pass (src/staticpass/) before
      * monitoring. Events from sites the classifier proves AlwaysPrivate
@@ -70,9 +51,6 @@ struct SessionResult
     std::size_t instructions = 0;
     std::size_t memoryAccesses = 0;
     std::size_t epochs = 0;
-    /** Pipeline mode only: most epochs simultaneously resident in the
-     *  streaming slicer's ring (bounded by its window; 0 otherwise). */
-    std::size_t peakResidentEpochs = 0;
 
     // Static elision (elide mode only; zero/default otherwise).
     staticpass::ClassifyStats siteClasses;

@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "telemetry/metrics.hpp"
-#include "trace/block_batch.hpp"
 
 namespace bfly {
 
@@ -40,40 +39,6 @@ struct AddrCheckTelemetry
         return m;
     }
 };
-
-/** One (event, metadata-key) expansion in the batched pass-1 kernel.
- *  Ops live in a flat vector in scalar expansion order, so an op's
- *  vector index doubles as its emission ordinal. */
-struct KeyOp
-{
-    Addr key;           ///< metadata key this op touches
-    Addr base;          ///< address reported if the op is flagged
-    std::uint32_t evt;  ///< event offset within the block
-    std::uint16_t size; ///< bytes reported if flagged
-    std::uint8_t op;    ///< 0 access, 1 alloc, 2 free
-};
-
-/** Reusable per-worker buffers for the batched kernel. */
-struct AddrBatchScratch
-{
-    BlockBatch batch;
-    std::vector<KeyOp> ops;            ///< expansion (= emission) order
-    std::vector<std::uint32_t> counts; ///< groupByKey bucket scratch
-    std::vector<std::uint32_t> order;  ///< op indices grouped by key
-    std::vector<Addr> accessKeys;
-    std::vector<Addr> allocKeys;
-    std::vector<Addr> freeKeys;
-    std::vector<Addr> genKeys;
-    std::vector<Addr> killKeys;
-    std::vector<std::pair<std::uint32_t, ErrorRecord>> flagged;
-};
-
-AddrBatchScratch &
-addrBatchScratch()
-{
-    thread_local AddrBatchScratch s;
-    return s;
-}
 
 } // namespace
 
@@ -237,161 +202,8 @@ ButterflyAddrCheck::buildWingTable(EpochId l)
 }
 
 void
-ButterflyAddrCheck::pass1Batched(const BlockView &block)
-{
-    const EpochId l = block.epoch;
-    const ThreadId t = block.thread;
-    BlockSummary &s = slot(l, t);
-    s = BlockSummary{};
-    s.epoch = l;
-
-    AddrBatchScratch &scratch = addrBatchScratch();
-    BlockBatch &b = scratch.batch;
-    b.assign(block);
-
-    // Expand the columns into (key, op) pairs in exactly the scalar
-    // walk's expansion order; an op's index is its emission ordinal, so
-    // flagged records can be put back into scalar order before
-    // committing (ErrorLog keeps the *first* record per event, so
-    // order is observable).
-    std::vector<KeyOp> &ops = scratch.ops;
-    ops.clear();
-    auto expand = [&](std::size_t evt, Addr base, std::uint16_t size,
-                      std::uint8_t op) {
-        if (base == kNoAddr || !config_.monitored(base))
-            return;
-        keyRange(base, size, config_.granularity).forEach([&](Addr k) {
-            ops.push_back(KeyOp{k, base, static_cast<std::uint32_t>(evt),
-                                size, op});
-        });
-    };
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        switch (b.kinds[i]) {
-          case EventKind::Alloc:
-            expand(i, b.addrs[i], b.sizes[i], 1);
-            break;
-          case EventKind::Free:
-            expand(i, b.addrs[i], b.sizes[i], 2);
-            break;
-          case EventKind::Read:
-          case EventKind::Write:
-          case EventKind::Use:
-            expand(i, b.addrs[i], b.sizes[i], 0);
-            break;
-          case EventKind::Assign:
-            expand(i, b.addrs[i], b.sizes[i], 0);
-            if (b.nsrc[i] >= 1)
-                expand(i, b.src0[i], b.sizes[i], 0);
-            if (b.nsrc[i] >= 2)
-                expand(i, b.src1[i], b.sizes[i], 0);
-            break;
-          default:
-            break;
-        }
-    }
-
-    // Partition by key (stable: scalar order within a key), then
-    // resolve each key's ops as one run: a single LSOS probe seeds the
-    // allocation state, and the run replays the alloc/free transitions
-    // in program order. Valid because the LSOS inputs (older summaries
-    // + SOS) are frozen while pass 1 of this epoch runs, so probe order
-    // is free.
-    groupByKey(
-        ops.size(), [&](std::size_t i) { return ops[i].key; },
-        scratch.counts, scratch.order);
-
-    scratch.accessKeys.clear();
-    scratch.allocKeys.clear();
-    scratch.freeKeys.clear();
-    scratch.genKeys.clear();
-    scratch.killKeys.clear();
-    scratch.flagged.clear();
-
-    std::size_t i = 0;
-    const std::size_t m = ops.size();
-    while (i < m) {
-        const Addr key = ops[scratch.order[i]].key;
-        bool state = lsosBaseContains(key, l, t); // once per distinct key
-        bool saw_access = false;
-        bool saw_alloc = false;
-        bool saw_free = false;
-        std::uint8_t last_change = 0;
-        for (; i < m && ops[scratch.order[i]].key == key; ++i) {
-            const std::uint32_t emit = scratch.order[i];
-            const KeyOp &op = ops[emit];
-            const std::uint64_t index = block.first + op.evt;
-            switch (op.op) {
-              case 0: // access
-                saw_access = true;
-                if (!state)
-                    scratch.flagged.emplace_back(
-                        emit,
-                        ErrorRecord{t, index, op.base,
-                                    ErrorKind::UnallocatedAccess, op.size});
-                break;
-              case 1: // alloc
-                saw_alloc = true;
-                last_change = 1;
-                if (state)
-                    scratch.flagged.emplace_back(
-                        emit,
-                        ErrorRecord{t, index, op.base,
-                                    ErrorKind::DoubleAlloc, op.size});
-                state = true;
-                break;
-              default: // free
-                saw_free = true;
-                last_change = 2;
-                if (!state)
-                    scratch.flagged.emplace_back(
-                        emit,
-                        ErrorRecord{t, index, op.base,
-                                    ErrorKind::UnallocatedFree, op.size});
-                state = false;
-                break;
-            }
-        }
-        if (saw_access)
-            scratch.accessKeys.push_back(key);
-        if (saw_alloc)
-            scratch.allocKeys.push_back(key);
-        if (saw_free)
-            scratch.freeKeys.push_back(key);
-        if (last_change == 1)
-            scratch.genKeys.push_back(key); // net allocated at block end
-        else if (last_change == 2)
-            scratch.killKeys.push_back(key); // net freed at block end
-    }
-
-    // The per-run key lists are sorted and unique by construction:
-    // one bulk insert per summary set.
-    s.access.insertBulk(scratch.accessKeys);
-    s.allocAny.insertBulk(scratch.allocKeys);
-    s.freeAny.insertBulk(scratch.freeKeys);
-    s.genEnd.insertBulk(scratch.genKeys);
-    s.killEnd.insertBulk(scratch.killKeys);
-
-    // Restore scalar emission order (emit ordinals are unique).
-    std::sort(scratch.flagged.begin(), scratch.flagged.end(),
-              [](const auto &a, const auto &b2) {
-                  return a.first < b2.first;
-              });
-    std::vector<ErrorRecord> local_errors;
-    local_errors.reserve(scratch.flagged.size());
-    for (const auto &p : scratch.flagged)
-        local_errors.push_back(p.second);
-
-    finishPass1(l, t, s, local_errors, m);
-}
-
-void
 ButterflyAddrCheck::pass1(const BlockView &block)
 {
-    if (batched_) {
-        pass1Batched(block);
-        return;
-    }
-
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
     BlockSummary &s = slot(l, t);

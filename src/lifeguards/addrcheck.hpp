@@ -21,7 +21,7 @@
  * the test suite against both SC and TSO executions.
  *
  * Thread safety: pass1/pass2 may be invoked concurrently for different
- * blocks of the same pass (WindowSchedule's parallel mode). Per-block
+ * blocks (the pipelined schedule's task graph). Per-block
  * state is disjoint; shared state (error log, counters) is committed
  * once per block under a mutex. An epoch's last pass-1 block, found by
  * an atomic count, builds its wing table. finalizeEpoch is single-writer
@@ -80,17 +80,6 @@ class ButterflyAddrCheck : public AnalysisDriver
     void pass1(const BlockView &block) override;
     void pass2(const BlockView &block) override;
     void finalizeEpoch(EpochId l) override;
-
-    /**
-     * Batched pass 1: transpose the block to columnar form, expand it
-     * into (key, op) pairs, sort by key, and build the summary sets by
-     * run — one LSOS probe per distinct key and run-length bulk inserts
-     * into the FlatSets, instead of one hash probe per event. Produces
-     * bit-identical results to the scalar walk (error records in the
-     * same order, identical summaries and counters); pass 2 and
-     * finalizeEpoch are unchanged either way.
-     */
-    void setBatchMode(bool enabled) override { batched_ = enabled; }
 
     /**
      * ADDRCHECK's pass 2 and finalize consume only pass-1 summaries —
@@ -195,20 +184,16 @@ class ButterflyAddrCheck : public AnalysisDriver
                      const std::vector<ErrorRecord> &local_errors,
                      std::uint64_t checks, std::uint64_t isolation);
 
-    /** Record the finished pass-1 summary's size and commit errors —
-     *  the shared tail of the scalar and batched kernels. */
+    /** Record the finished pass-1 summary's size, commit the block's
+     *  errors, and build the epoch's wing table after its last block. */
     void finishPass1(EpochId l, ThreadId t, const BlockSummary &s,
                      const std::vector<ErrorRecord> &local_errors,
                      std::uint64_t checks);
-
-    /** The batched (columnar sort-by-key) pass-1 kernel. */
-    void pass1Batched(const BlockView &block);
 
     /** Build epoch @p l's wing table from its pass-1 summaries. */
     void buildWingTable(EpochId l);
 
     AddrCheckConfig config_;
-    bool batched_ = false; ///< batched pass-1 kernels selected
 
     /** Ring of per-epoch, per-thread summaries. */
     std::vector<std::array<BlockSummary, kWindow>> summaries_; ///< [t]

@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "telemetry/metrics.hpp"
-#include "trace/block_batch.hpp"
 
 namespace bfly {
 
@@ -35,22 +34,6 @@ struct TaintCheckTelemetry
     }
 };
 
-/** Reusable per-worker buffers for the batched pass-1 kernel. */
-struct TaintBatchScratch
-{
-    BlockBatch batch;
-    std::vector<Addr> dsts;            ///< rule destination, per rule
-    std::vector<std::uint32_t> counts; ///< groupByKey bucket scratch
-    std::vector<std::uint32_t> order;  ///< rule indices grouped by dst
-};
-
-TaintBatchScratch &
-taintBatchScratch()
-{
-    thread_local TaintBatchScratch s;
-    return s;
-}
-
 } // namespace
 
 ButterflyTaintCheck::ButterflyTaintCheck(std::size_t num_threads,
@@ -73,93 +56,8 @@ ButterflyTaintCheck::slotIfValid(EpochId l, ThreadId t) const
 }
 
 void
-ButterflyTaintCheck::pass1Batched(const BlockView &block)
-{
-    BlockState &bs = slot(block.epoch, block.thread);
-    bs = BlockState{};
-    bs.epoch = block.epoch;
-
-    TaintBatchScratch &scratch = taintBatchScratch();
-    BlockBatch &b = scratch.batch;
-    b.assign(block);
-    scratch.dsts.clear();
-
-    // Linear sweep over the columns: identical rule vector (same rules,
-    // same order) as the scalar build; the per-key grouping is deferred
-    // to one stable partition below.
-    auto add_rule = [&](const Rule &r) {
-        scratch.dsts.push_back(r.dst);
-        bs.rules.push_back(r);
-    };
-    auto keys_over = [&](Addr base, std::uint16_t size, auto &&fn) {
-        if (base == kNoAddr)
-            return;
-        keyRange(base, size, config_.granularity).forEach(fn);
-    };
-
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        const InstrOffset off = static_cast<InstrOffset>(i);
-        switch (b.kinds[i]) {
-          case EventKind::TaintSrc:
-            keys_over(b.addrs[i], b.sizes[i], [&](Addr k) {
-                add_rule(Rule{off, k, Rhs::Taint, {}, 0});
-            });
-            break;
-          case EventKind::Untaint:
-          case EventKind::Write:
-            keys_over(b.addrs[i], b.sizes[i], [&](Addr k) {
-                add_rule(Rule{off, k, Rhs::Untaint, {}, 0});
-            });
-            break;
-          case EventKind::Assign: {
-            Rule proto{off, 0, Rhs::Copy, {}, 0};
-            if (b.nsrc[i] >= 1)
-                proto.srcs[proto.nsrc++] = config_.keyOf(b.src0[i]);
-            if (b.nsrc[i] >= 2)
-                proto.srcs[proto.nsrc++] = config_.keyOf(b.src1[i]);
-            keys_over(b.addrs[i], b.sizes[i], [&](Addr k) {
-                Rule r = proto;
-                r.dst = k;
-                add_rule(r);
-            });
-            break;
-          }
-          default:
-            break;
-        }
-    }
-
-    // Group rule indices per destination key — one map insert per
-    // distinct key instead of one hash probe per rule. The stable
-    // partition keeps each key's run ascending in program order — a
-    // correctness requirement, because pass 2's per-check resolution
-    // budget makes rule traversal order observable.
-    groupByKey(
-        scratch.dsts.size(),
-        [&](std::size_t i) { return scratch.dsts[i]; }, scratch.counts,
-        scratch.order);
-    std::size_t i = 0;
-    const std::size_t m = scratch.order.size();
-    while (i < m) {
-        const Addr key = scratch.dsts[scratch.order[i]];
-        std::size_t j = i;
-        while (j < m && scratch.dsts[scratch.order[j]] == key)
-            ++j;
-        std::vector<std::size_t> &v = bs.rulesByKey[key];
-        v.reserve(j - i);
-        for (; i < j; ++i)
-            v.push_back(scratch.order[i]);
-    }
-}
-
-void
 ButterflyTaintCheck::pass1(const BlockView &block)
 {
-    if (batched_) {
-        pass1Batched(block);
-        return;
-    }
-
     BlockState &bs = slot(block.epoch, block.thread);
     bs = BlockState{};
     bs.epoch = block.epoch;

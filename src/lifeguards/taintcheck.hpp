@@ -76,17 +76,6 @@ class ButterflyTaintCheck : public AnalysisDriver
     void pass2(const BlockView &block) override;
     void finalizeEpoch(EpochId l) override;
 
-    /**
-     * Batched pass 1: transpose the block to columnar form, build the
-     * rule vector in one linear sweep over the columns, and construct
-     * rulesByKey by sorting (dst, index) pairs and bulk-inserting each
-     * key's run — one map insert per distinct destination instead of
-     * one hash probe per rule. Per-key index order stays ascending
-     * (pass 2's resolution budget makes traversal order observable),
-     * so results are bit-identical to the scalar build.
-     */
-    void setBatchMode(bool enabled) override { batched_ = enabled; }
-
     const ErrorLog &errors() const { return errors_; }
 
     /** Addresses (keys) currently believed tainted (the SOS). */
@@ -202,12 +191,8 @@ class ButterflyTaintCheck : public AnalysisDriver
                      const std::unordered_map<Addr, InstrOffset>
                          &local_taint_offset) const;
 
-    /** The batched (columnar, sort-grouped) pass-1 kernel. */
-    void pass1Batched(const BlockView &block);
-
     TaintCheckConfig config_;
     TaintTermination termination_;
-    bool batched_ = false; ///< batched pass-1 kernel selected
 
     std::vector<std::array<BlockState, kWindow>> blocks_; ///< [t]
 

@@ -52,7 +52,7 @@ RemoteReport::identical(const RemoteReport &other) const
 
 RemoteReport
 analyzeStreaming(const SessionSpec &spec, const Trace &trace,
-                 WorkerPool &pool, bool batch,
+                 WorkerPool &pool,
                  const EpochStream::ReslicePolicy &reslice,
                  std::vector<std::uint32_t> *realized_spans)
 {
@@ -67,11 +67,10 @@ analyzeStreaming(const SessionSpec &spec, const Trace &trace,
     RemoteReport report = runLifeguard(
         spec, trace.numThreads(), stream.numEpochs(),
         [&](AnalysisDriver &driver) {
-            driver.setBatchMode(batch);
             if (stream.numEpochs() == 0)
                 return std::size_t{0}; // empty session, nothing to run
             const PipelineStats stats =
-                WindowSchedule(true, &pool).runPipelined(stream, driver);
+                WindowSchedule(false, &pool).runPipelined(stream, driver);
             return stats.peakResidentEpochs;
         });
     report.events = trace.instructionCount();
@@ -80,13 +79,12 @@ analyzeStreaming(const SessionSpec &spec, const Trace &trace,
 
 RemoteReport
 analyzeReference(const SessionSpec &spec, const Trace &trace,
-                 const EpochLayout &layout, bool batch)
+                 const EpochLayout &layout)
 {
     RemoteReport report = runLifeguard(
         spec, layout.numThreads(), layout.numEpochs(),
         [&](AnalysisDriver &driver) {
-            driver.setBatchMode(batch);
-            WindowSchedule(false).run(layout, driver);
+            WindowSchedule().run(layout, driver);
             return std::size_t{0};
         });
     report.events = trace.instructionCount();

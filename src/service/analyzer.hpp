@@ -44,10 +44,7 @@ struct RemoteReport
  * Server path: pipelined dependency-graph schedule over a bounded
  * EpochStream sliced at the trace's embedded heartbeat markers, with
  * graph tasks dispatched on @p pool (shared across sessions — each run
- * waits on its own TaskGroup). @p batch selects the lifeguard's batched
- * (columnar) pass-1 kernels; reports are bit-identical either way, so
- * the flag is a server-side deployment knob (MuxConfig::batchMode), not
- * part of the wire protocol.
+ * waits on its own TaskGroup).
  *
  * @p reslice optionally coalesces the marker-delimited source epochs
  * into coarser analyzed epochs (adaptive epoch sizing; see
@@ -57,18 +54,17 @@ struct RemoteReport
  * with EpochLayout::coalescedFromHeartbeats.
  */
 RemoteReport analyzeStreaming(const SessionSpec &spec, const Trace &trace,
-                              WorkerPool &pool, bool batch = false,
+                              WorkerPool &pool,
                               const EpochStream::ReslicePolicy &reslice = {},
                               std::vector<std::uint32_t> *realized_spans =
                                   nullptr);
 
 /**
  * Reference path: sequential barrier schedule over a materialized
- * layout. @p layout must describe @p trace. @p batch as above.
+ * layout. @p layout must describe @p trace.
  */
 RemoteReport analyzeReference(const SessionSpec &spec, const Trace &trace,
-                              const EpochLayout &layout,
-                              bool batch = false);
+                              const EpochLayout &layout);
 
 } // namespace bfly::service
 

@@ -501,8 +501,8 @@ SessionMux::analyze(const std::shared_ptr<Session> &session)
     // never steal each other's completion signal.
     std::vector<std::uint32_t> spans;
     RemoteReport report =
-        analyzeStreaming(session->spec, trace, pool_, config_.batchMode,
-                         reslice, reslice ? &spans : nullptr);
+        analyzeStreaming(session->spec, trace, pool_, reslice,
+                         reslice ? &spans : nullptr);
 
     std::uint64_t h_changes = 0;
     std::uint64_t coalesced = 0;

@@ -87,11 +87,6 @@ struct MuxConfig
     /** Test hook: delay (ms) before the pump decodes each chunk, making
      *  queue-full shedding deterministic in back-pressure tests. */
     int debugPumpDelayMs = 0;
-    /** Server deployment knob: run session analyses with the lifeguards'
-     *  batched (columnar) pass-1 kernels. Reports are bit-identical to
-     *  the scalar kernels, so this is not part of the wire protocol —
-     *  clients cannot observe it. */
-    bool batchMode = false;
     /** Adaptive epoch sizing + graduated admission: per-session and
      *  per-shard EpochControllers replace the single queue-watermark
      *  cliff with the grow-h → Partial → Busy → Shed ladder, and the

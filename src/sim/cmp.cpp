@@ -61,25 +61,19 @@ Cmp::access(unsigned core, Addr addr, bool is_write)
     return latency;
 }
 
-StatSet
+CacheStats
 Cmp::stats() const
 {
-    StatSet s;
-    std::uint64_t l1_hits = 0, l1_misses = 0;
+    CacheStats s;
+    s.coherenceInvalidations = coherenceMisses_;
     for (const Cache &c : l1_) {
-        l1_hits += c.hits();
-        l1_misses += c.misses();
+        s.l1Hits += c.hits();
+        s.l1Misses += c.misses();
     }
-    std::uint64_t l2_hits = 0, l2_misses = 0;
     for (const Cache &c : l2_) {
-        l2_hits += c.hits();
-        l2_misses += c.misses();
+        s.l2Hits += c.hits();
+        s.l2Misses += c.misses();
     }
-    s.set("l1.hits", l1_hits);
-    s.set("l1.misses", l1_misses);
-    s.set("l2.hits", l2_hits);
-    s.set("l2.misses", l2_misses);
-    s.set("coherence.invalidations", coherenceMisses_);
     return s;
 }
 

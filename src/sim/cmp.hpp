@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "sim/cache.hpp"
 
 namespace bfly {
@@ -36,6 +35,18 @@ struct CmpConfig
     static CmpConfig forCores(unsigned cores);
 };
 
+/** Aggregate hit/miss/invalidation counters of one CMP, for reporting. */
+struct CacheStats
+{
+    std::uint64_t coherenceInvalidations = 0;
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l1Misses = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t l2Misses = 0;
+
+    bool operator==(const CacheStats &) const = default;
+};
+
 /** The memory system: per-core L1s, shared banked L2, memory. */
 class Cmp
 {
@@ -50,8 +61,8 @@ class Cmp
 
     const CmpConfig &config() const { return config_; }
 
-    /** Aggregate hit/miss/invalidation counters for reporting. */
-    StatSet stats() const;
+    /** Counters summed over every L1 and every L2 bank. */
+    CacheStats stats() const;
 
   private:
     CmpConfig config_;

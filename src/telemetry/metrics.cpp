@@ -353,11 +353,4 @@ ScopedRegistry::~ScopedRegistry()
     t_currentRegistry = prev_;
 }
 
-Interner &
-statNames()
-{
-    static Interner *i = new Interner;
-    return *i;
-}
-
 } // namespace bfly::telemetry

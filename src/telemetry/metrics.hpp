@@ -44,7 +44,7 @@ enum class MetricKind : std::uint8_t { Counter = 0, Gauge = 1, Histogram = 2 };
 
 /**
  * Thread-safe string interner: stable uint32 ids for names. Used by the
- * metrics registry, the span tracer and the StatSet compatibility shim.
+ * metrics registry and the span tracer.
  */
 class Interner
 {
@@ -231,9 +231,6 @@ MetricsRegistry &registry();
 
 /** The process-global default registry. */
 MetricsRegistry &globalRegistry();
-
-/** Process-wide interner used by the StatSet compatibility shim. */
-Interner &statNames();
 
 } // namespace bfly::telemetry
 

@@ -15,6 +15,7 @@
 #include "butterfly/reaching_defs.hpp"
 #include "butterfly/reaching_exprs.hpp"
 #include "common/rng.hpp"
+#include "lifeguards/report.hpp"
 #include "memmodel/valid_orderings.hpp"
 #include "trace/epoch_slicer.hpp"
 #include "trace/trace.hpp"
@@ -135,6 +136,40 @@ allocEffects(const Event &e)
       default:
         return ExprEffect{};
     }
+}
+
+/** FNV-1a step over one 64-bit word. */
+inline void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    h ^= v;
+    h *= 0x100000001b3ull;
+}
+
+/** FNV-1a over error records in the given order (tid, index, addr,
+ *  kind, size per record) — pins both the records and their order. */
+inline std::uint64_t
+recordsFnv(const std::vector<ErrorRecord> &records)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const ErrorRecord &r : records) {
+        fnvMix(h, r.tid);
+        fnvMix(h, r.index);
+        fnvMix(h, r.addr);
+        fnvMix(h, static_cast<std::uint64_t>(r.kind));
+        fnvMix(h, r.size);
+    }
+    return h;
+}
+
+/** FNV-1a over a key list in the given order. */
+inline std::uint64_t
+keysFnv(const std::vector<Addr> &keys)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (Addr k : keys)
+        fnvMix(h, k);
+    return h;
 }
 
 } // namespace bfly::test

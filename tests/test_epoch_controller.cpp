@@ -360,31 +360,28 @@ TEST(EpochStreamReslice, AnalyzeStreamingMatchesCoalescedReference)
     spec.heapLimit = 0x1000000 + 0x100000;
     spec.windowEpochs = 4;
 
-    for (const bool batch : {false, true}) {
-        WorkerPool pool(2);
-        auto group = std::make_shared<std::size_t>(0);
-        EpochStream::ReslicePolicy cycle =
-            [group](EpochId, std::span<const std::size_t>) {
-                static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
-                return kCycle[(*group)++ % 4];
-            };
-        std::vector<std::uint32_t> spans;
-        const RemoteReport remote =
-            analyzeStreaming(spec, trace, pool, batch, cycle, &spans);
+    WorkerPool pool(2);
+    auto group = std::make_shared<std::size_t>(0);
+    EpochStream::ReslicePolicy cycle =
+        [group](EpochId, std::span<const std::size_t>) {
+            static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
+            return kCycle[(*group)++ % 4];
+        };
+    std::vector<std::uint32_t> spans;
+    const RemoteReport remote =
+        analyzeStreaming(spec, trace, pool, cycle, &spans);
 
-        ASSERT_FALSE(spans.empty());
-        std::uint64_t changes = 0;
-        for (std::size_t i = 1; i < spans.size(); ++i)
-            if (spans[i] != spans[i - 1])
-                ++changes;
-        EXPECT_GE(changes, 3u) << "cycle policy must force h-changes";
+    ASSERT_FALSE(spans.empty());
+    std::uint64_t changes = 0;
+    for (std::size_t i = 1; i < spans.size(); ++i)
+        if (spans[i] != spans[i - 1])
+            ++changes;
+    EXPECT_GE(changes, 3u) << "cycle policy must force h-changes";
 
-        const RemoteReport reference = analyzeReference(
-            spec, trace,
-            EpochLayout::coalescedFromHeartbeats(trace, spans));
-        EXPECT_TRUE(remote.identical(reference)) << "batch=" << batch;
-        EXPECT_EQ(remote.epochs, spans.size());
-    }
+    const RemoteReport reference = analyzeReference(
+        spec, trace, EpochLayout::coalescedFromHeartbeats(trace, spans));
+    EXPECT_TRUE(remote.identical(reference));
+    EXPECT_EQ(remote.epochs, spans.size());
 }
 
 } // namespace

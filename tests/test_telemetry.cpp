@@ -569,10 +569,10 @@ TEST_F(TelemetryTest, SessionMetricsMatchSessionResult)
     EXPECT_TRUE(JsonValidator(trace_os.str()).valid());
 }
 
-TEST_F(TelemetryTest, StageSpansLandBesideParallelPassSpans)
+TEST_F(TelemetryTest, StageSpansLandBesidePassSpans)
 {
     // The oracle and the perf model's replays run on pool threads while
-    // the butterfly passes fan out over the same pool: every span must
+    // the session thread runs the butterfly passes: every span must
     // arrive exactly once, with nothing dropped.
     SessionConfig cfg;
     cfg.factory = makeRandomMix;
@@ -581,7 +581,6 @@ TEST_F(TelemetryTest, StageSpansLandBesideParallelPassSpans)
     cfg.workload.phaseEvents = 900;
     cfg.workload.warmupNops = 1000;
     cfg.epochSize = 512;
-    cfg.parallelPasses = true;
 
     const SessionResult r = runSession(cfg);
 
@@ -639,34 +638,6 @@ TEST_F(TelemetryTest, LogBufferPublishesStallsAndHeartbeats)
     }
     EXPECT_EQ(stalls, 1u);
     EXPECT_EQ(beats, 1u);
-}
-
-// ---------------------------------------------------------------------
-// StatSet compatibility shim (now backed by interned IDs)
-// ---------------------------------------------------------------------
-
-TEST_F(TelemetryTest, StatSetShimPreservesSemantics)
-{
-    StatSet a;
-    a.add("x", 2);
-    a.add("x", 3);
-    a.set("y", 7);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 7u);
-    EXPECT_EQ(a.get("missing"), 0u);
-
-    StatSet b;
-    b.add("x", 10);
-    b.add("z", 1);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 15u);
-    EXPECT_EQ(a.get("z"), 1u);
-
-    const auto all = a.all();
-    ASSERT_EQ(all.size(), 3u);
-    EXPECT_EQ(all.at("x"), 15u);
-    EXPECT_EQ(all.at("y"), 7u);
-    EXPECT_EQ(all.at("z"), 1u);
 }
 
 } // namespace
