@@ -174,6 +174,9 @@ struct Summary
     std::size_t violations = 0;
     std::size_t elidedEvents = 0;  ///< --elision: events elided
     std::size_t summaryEvents = 0; ///< --elision: summaries emitted
+    /** TAINTCHECK checks that fell back to "assume tainted" when their
+     *  search ran out of budget (sequential mode only). */
+    std::size_t budgetExhausted = 0;
     double elapsedSec = 0;
     std::string failingRepro; ///< path of the minimized repro, if any
     std::string firstViolation;
@@ -190,6 +193,7 @@ struct Summary
            << "  \"violations\": " << violations << ",\n"
            << "  \"elided_events\": " << elidedEvents << ",\n"
            << "  \"summary_events\": " << summaryEvents << ",\n"
+           << "  \"budget_exhausted\": " << budgetExhausted << ",\n"
            << "  \"elapsed_sec\": " << elapsedSec << ",\n"
            << "  \"failing_repro\": \"" << failingRepro << "\",\n"
            << "  \"first_violation\": \"" << firstViolation << "\"\n"
@@ -272,6 +276,7 @@ replayCorpus(const Options &opt)
         summary.violations += outcome.violations.size();
         summary.elidedEvents += outcome.elidedEvents;
         summary.summaryEvents += outcome.summaryEvents;
+        summary.budgetExhausted += outcome.budgetExhausted;
         if (!outcome.clean()) {
             std::cerr << "fuzz_cli: REPLAY FAILURE " << path << ": "
                       << outcome.violations.front().toString() << "\n";
@@ -385,6 +390,7 @@ main(int argc, char **argv)
         summary.violations += outcome.violations.size();
         summary.elidedEvents += outcome.elidedEvents;
         summary.summaryEvents += outcome.summaryEvents;
+        summary.budgetExhausted += outcome.budgetExhausted;
 
         if (!outcome.clean()) {
             summary.firstViolation =

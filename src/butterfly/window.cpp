@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -339,13 +340,13 @@ class GraphRunner
     std::atomic<std::size_t> tasksRun_{0};
 };
 
-} // namespace
-
+/** One pass over every block of epoch @p l of @p source. */
+template <typename Source>
 void
-WindowSchedule::runPass(const EpochLayout &layout, EpochId l, bool second,
-                        AnalysisDriver &driver) const
+runPass(const Source &source, EpochId l, bool second,
+        AnalysisDriver &driver)
 {
-    const std::size_t nthreads = layout.numThreads();
+    const std::size_t nthreads = source.numThreads();
     const bool traced = telemetry::enabled();
     const WindowTelemetry *w = traced ? &WindowTelemetry::get() : nullptr;
 
@@ -361,23 +362,38 @@ WindowSchedule::runPass(const EpochLayout &layout, EpochId l, bool second,
             traced ? (second ? w->blockPass2Span : w->blockPass1Span) : 0,
             traced ? w->epochArg : telemetry::kNoMetric, l);
         if (second)
-            driver.pass2(layout.block(l, t));
+            driver.pass2(source.block(l, t));
         else
-            driver.pass1(layout.block(l, t));
+            driver.pass1(source.block(l, t));
     }
 }
 
+/**
+ * The sequential walk both run() overloads share. Step l acquires epoch
+ * l (streams only), runs its pass 1, then pass 2 of epoch l-1, retires
+ * l-1 (streams only) and folds it into the SOS; a last step settles the
+ * final epoch, whose wings end at the trace boundary.
+ */
+template <typename Source>
 void
-WindowSchedule::run(const EpochLayout &layout, AnalysisDriver &driver) const
+walk(Source &source, AnalysisDriver &driver)
 {
-    const std::size_t nepochs = layout.numEpochs();
+    constexpr bool streamed = std::is_same_v<Source, EpochStream>;
+    const std::size_t nepochs = source.numEpochs();
     const bool traced = telemetry::enabled();
     const WindowTelemetry *w = traced ? &WindowTelemetry::get() : nullptr;
+    const std::uint32_t arg = traced ? w->epochArg : telemetry::kNoMetric;
 
-    auto finalize = [&](EpochId l) {
-        telemetry::TraceSpan span(traced ? w->finalizeSpan : 0,
-                                  traced ? w->epochArg : telemetry::kNoMetric,
-                                  l);
+    auto settle = [&](EpochId l) {
+        {
+            telemetry::TraceSpan span(traced ? w->pass2Span : 0, arg, l);
+            runPass(source, l, true, driver);
+        }
+        if constexpr (streamed) {
+            telemetry::TraceSpan span(traced ? w->retireSpan : 0, arg, l);
+            source.retire(l);
+        }
+        telemetry::TraceSpan span(traced ? w->finalizeSpan : 0, arg, l);
         driver.finalizeEpoch(l);
         if (traced)
             telemetry::registry().add(w->epochsDone);
@@ -385,37 +401,35 @@ WindowSchedule::run(const EpochLayout &layout, AnalysisDriver &driver) const
 
     for (EpochId l = 0; l < nepochs; ++l) {
         // One window step: pass 1 of epoch l, pass 2 + SOS of epoch l-1.
-        telemetry::TraceSpan step(traced ? w->epochSpan : 0,
-                                  traced ? w->epochArg : telemetry::kNoMetric,
-                                  l);
-        // Step 1: pass 1 over the newly-arrived epoch l.
+        telemetry::TraceSpan step(traced ? w->epochSpan : 0, arg, l);
+        if constexpr (streamed) {
+            telemetry::TraceSpan span(traced ? w->admitSpan : 0, arg, l);
+            source.acquire(l);
+        }
         {
-            telemetry::TraceSpan span(traced ? w->pass1Span : 0,
-                                      traced ? w->epochArg
-                                             : telemetry::kNoMetric,
-                                      l);
-            runPass(layout, l, false, driver);
+            telemetry::TraceSpan span(traced ? w->pass1Span : 0, arg, l);
+            runPass(source, l, false, driver);
         }
         // Steps 2-4: epoch l-1's wings (epochs l-2..l) are now summarized.
-        if (l >= 1) {
-            {
-                telemetry::TraceSpan span(traced ? w->pass2Span : 0,
-                                          traced ? w->epochArg
-                                                 : telemetry::kNoMetric,
-                                          l - 1);
-                runPass(layout, l - 1, true, driver);
-            }
-            finalize(l - 1);
-        }
+        if (l >= 1)
+            settle(l - 1);
     }
-    if (nepochs >= 1) {
-        // The final epoch's wings end at the trace boundary.
-        telemetry::TraceSpan span(traced ? w->pass2Span : 0,
-                                  traced ? w->epochArg : telemetry::kNoMetric,
-                                  nepochs - 1);
-        runPass(layout, nepochs - 1, true, driver);
-        finalize(nepochs - 1);
-    }
+    if (nepochs >= 1)
+        settle(nepochs - 1);
+}
+
+} // namespace
+
+void
+WindowSchedule::run(const EpochLayout &layout, AnalysisDriver &driver) const
+{
+    walk(layout, driver);
+}
+
+void
+WindowSchedule::run(EpochStream &stream, AnalysisDriver &driver) const
+{
+    walk(stream, driver);
 }
 
 PipelineStats

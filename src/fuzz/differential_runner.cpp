@@ -6,6 +6,7 @@
 
 #include "butterfly/window.hpp"
 #include "common/worker_pool.hpp"
+#include "lifeguards/taintcheck.hpp"
 #include "staticpass/classify.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_span.hpp"
@@ -118,12 +119,19 @@ drive(const CaseContext &ctx, RunMode mode, AnalysisDriver &driver)
     }
 }
 
+/** @p lg's report over the case in @p mode. For TAINTCHECK, also adds
+ *  its budget-exhausted checks to @p budget_exhausted if given. */
 LifeguardReport
-runLifeguard(const CaseContext &ctx, const LifeguardEntry &lg, RunMode mode)
+runLifeguard(const CaseContext &ctx, const LifeguardEntry &lg, RunMode mode,
+             std::size_t *budget_exhausted = nullptr)
 {
     const std::unique_ptr<AnalysisDriver> driver =
         lg.makeDriver(ctx.params(lg.id));
     drive(ctx, mode, *driver);
+    if (budget_exhausted)
+        if (const auto *taint =
+                dynamic_cast<const ButterflyTaintCheck *>(driver.get()))
+            *budget_exhausted += taint->budgetExhausted();
     return lg.report(*driver, ctx.layout.numEpochs());
 }
 
@@ -203,7 +211,8 @@ DifferentialRunner::run(const FuzzCase &c) const
                                static_cast<std::uint64_t>(lg));
         const LifeguardEntry &entry = lifeguardEntry(lg);
         LifeguardReport &seq = sequential[static_cast<std::size_t>(lg)];
-        seq = runLifeguard(ctx, entry, RunMode::Sequential);
+        seq = runLifeguard(ctx, entry, RunMode::Sequential,
+                           &outcome.budgetExhausted);
         if (config_.fault.corrupts(lg, RunMode::Sequential))
             dropKind(seq, config_.fault.dropKind);
 

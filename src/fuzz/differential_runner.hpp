@@ -126,6 +126,9 @@ struct CaseOutcome
     std::size_t falsePositives = 0;  ///< ADDRCHECK at the case's H
     std::size_t elidedEvents = 0;    ///< events dropped by the plan
     std::size_t summaryEvents = 0;   ///< SiteSummary events emitted
+    /** TAINTCHECK checks that hit kMaxResolvedPerCheck and fell back to
+     *  "assume tainted" (sequential mode). */
+    std::size_t budgetExhausted = 0;
 
     bool clean() const { return violations.empty(); }
 };

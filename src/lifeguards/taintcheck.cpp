@@ -16,6 +16,7 @@ struct TaintCheckTelemetry
     telemetry::MetricId epochsFinalized;
     telemetry::MetricId sosSize;        ///< gauge: tainted keys in SOS
     telemetry::MetricId epochGenKill;   ///< histogram: |GEN_l| + |KILL_l|
+    telemetry::MetricId budgetExhausted; ///< checks cut off by the budget
 
     static const TaintCheckTelemetry &
     get()
@@ -28,6 +29,8 @@ struct TaintCheckTelemetry
             s.sosSize = r.gauge("bfly.taintcheck.sos_size");
             s.epochGenKill =
                 r.histogram("bfly.taintcheck.epoch_genkill_size");
+            s.budgetExhausted =
+                r.counter("bfly.taintcheck.budget_exhausted");
             return s;
         }();
         return m;
@@ -228,8 +231,10 @@ ButterflyTaintCheck::wingsTaint(Addr key, CheckCtx &ctx)
 bool
 ButterflyTaintCheck::resolveKey(Addr key, CheckCtx &ctx)
 {
-    if (ctx.resolved - ctx.budgetMark >= kMaxResolvedPerCheck)
+    if (ctx.resolved - ctx.budgetMark >= kMaxResolvedPerCheck) {
+        ++ctx.exhausted;
         return true; // conservative: assume tainted rather than miss
+    }
     ++ctx.resolved;
     const bool relaxed = termination_ == TaintTermination::Relaxed;
 
@@ -374,6 +379,7 @@ ButterflyTaintCheck::pass2(const BlockView &block)
     // commit them once at the end of the block.
     std::vector<ErrorRecord> block_errors;
     std::uint64_t block_resolved = 0;
+    std::uint64_t block_exhausted = 0;
 
     auto keys_over = [&](Addr base, std::uint16_t size, auto &&fn) {
         if (base == kNoAddr)
@@ -459,14 +465,19 @@ ButterflyTaintCheck::pass2(const BlockView &block)
                                      local_taint_offset);
         }
         block_resolved += ctx.resolved;
+        block_exhausted += ctx.exhausted;
     }
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
         checksResolved_ += block_resolved;
+        budgetExhausted_ += block_exhausted;
         for (const ErrorRecord &rec : block_errors)
             errors_.report(rec);
     }
+    if (telemetry::enabled())
+        telemetry::registry().add(TaintCheckTelemetry::get().budgetExhausted,
+                                  block_exhausted);
 
     // LASTCHECK = OR of the two phases' last-write resolutions.
     bs.lastCheck = last_check_phase[0];

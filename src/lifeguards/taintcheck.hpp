@@ -84,6 +84,11 @@ class ButterflyTaintCheck : public AnalysisDriver
     /** Number of Check resolutions performed (cost-model feed). */
     std::uint64_t checksResolved() const { return checksResolved_; }
 
+    /** Checks that ran out of kMaxResolvedPerCheck and fell back to
+     *  "assume tainted". Also published per pass-2 block as the counter
+     *  bfly.taintcheck.budget_exhausted. */
+    std::uint64_t budgetExhausted() const { return budgetExhausted_; }
+
   private:
     static constexpr std::size_t kWindow = 4;
     static constexpr unsigned kMaxDepth = 128;
@@ -171,6 +176,9 @@ class ButterflyTaintCheck : public AnalysisDriver
         std::uint64_t resolved = 0;
         /** ctx.resolved at the start of the current check (budget base). */
         std::uint64_t budgetMark = 0;
+        /** Checks whose search hit the budget. The fallback answers
+         *  "tainted", which ends the check, so it fires once per check. */
+        std::uint64_t exhausted = 0;
     };
 
     /** Could @p key be tainted under some permitted interleaving? */
@@ -199,11 +207,13 @@ class ButterflyTaintCheck : public AnalysisDriver
     AddrSet sosPrev_; ///< SOS_l   while pass 2 of epoch l runs
     AddrSet sosCur_;  ///< SOS_{l+1} (already advanced by finalize(l-1))
 
-    /** Guards errors_ and checksResolved_: pass-2 blocks run in parallel
-     *  and buffer their reports locally, committing once per block. */
+    /** Guards errors_, checksResolved_ and budgetExhausted_: pass-2
+     *  blocks run in parallel and buffer their reports locally,
+     *  committing once per block. */
     std::mutex mutex_;
     ErrorLog errors_;
     std::uint64_t checksResolved_ = 0;
+    std::uint64_t budgetExhausted_ = 0;
 };
 
 } // namespace bfly

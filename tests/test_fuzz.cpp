@@ -16,6 +16,11 @@
 #include "src/fuzz/minimizer.hpp"
 #include "src/fuzz/trace_fuzzer.hpp"
 #include "src/service/analyzer.hpp"
+#include "butterfly/window.hpp"
+#include "common/worker_pool.hpp"
+#include "lifeguards/taintcheck.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 using namespace bfly;
 using namespace bfly::fuzz;
@@ -573,5 +578,56 @@ TEST(CorpusReplay, ReferenceReportsMatchPinnedFingerprints)
                 << name << " " << lifeguardName(lg);
         }
     }
+}
+
+TEST(CorpusReplay, TaintCheckCountsBudgetExhaustedChecksInBothModes)
+{
+    // kMaxResolvedPerCheck turns an exponential wing search into an
+    // "assume tainted" answer. How often that happens must be visible —
+    // through the driver, the per-block registry counter and the fuzz
+    // outcome — and, like the report, independent of the schedule.
+    const DifferentialRunner runner;
+    const LifeguardEntry &entry = lifeguardEntry(Lifeguard::TaintCheck);
+    WorkerPool pool(2);
+    std::size_t exhausting = 0, within_budget = 0;
+    for (const std::string &path : listCorpus(BFLY_CORPUS_DIR)) {
+        const FuzzCase c = loadRepro(path);
+        const Trace trace = c.materialize();
+        const LifeguardParams params =
+            c.lifeguardParams(Lifeguard::TaintCheck, trace.numThreads());
+        auto budgetOf = [&](auto &&schedule) {
+            const auto driver = entry.makeDriver(params);
+            schedule(*driver);
+            return dynamic_cast<const ButterflyTaintCheck &>(*driver)
+                .budgetExhausted();
+        };
+
+        const EpochLayout layout =
+            EpochLayout::byGlobalSeq(trace, c.globalH);
+        telemetry::MetricsRegistry registry;
+        telemetry::setEnabled(true);
+        const std::uint64_t walked = [&] {
+            telemetry::ScopedRegistry scoped(&registry);
+            return budgetOf(
+                [&](AnalysisDriver &d) { WindowSchedule().run(layout, d); });
+        }();
+        telemetry::setEnabled(false);
+        EXPECT_EQ(
+            registry.snapshot().value("bfly.taintcheck.budget_exhausted"),
+            walked)
+            << path;
+
+        const std::uint64_t graphed = budgetOf([&](AnalysisDriver &d) {
+            EpochStream::Config cfg;
+            cfg.globalH = c.globalH;
+            EpochStream stream(trace, cfg);
+            WindowSchedule(false, &pool).runPipelined(stream, d);
+        });
+        EXPECT_EQ(graphed, walked) << path;
+        EXPECT_EQ(runner.run(c).budgetExhausted, walked) << path;
+        (walked > 0 ? exhausting : within_budget) += 1;
+    }
+    EXPECT_GT(exhausting, 0u) << "no repro exhausts the budget";
+    EXPECT_GT(within_budget, 0u);
 }
 #endif

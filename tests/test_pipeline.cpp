@@ -8,6 +8,8 @@
  */
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -28,6 +30,7 @@
 #include "memmodel/interleaver.hpp"
 #include "sim/lba.hpp"
 #include "trace/log_buffer.hpp"
+#include "trace/log_codec.hpp"
 #include "workloads/bugs.hpp"
 #include "workloads/workload.hpp"
 
@@ -348,6 +351,211 @@ TEST(SharedPool, ConcurrentGraphsMatchTheirWalks)
         EXPECT_TRUE(got[i] == want[i])
             << cases[i].c.scenario << " case " << cases[i].c.caseId << " "
             << lifeguardName(kAllLifeguards[i % std::size(kAllLifeguards)]);
+}
+
+// --------------------------------------------------------------------
+// The stream walk, the service's schedule for small sessions: the
+// layout walk's results for every lifeguard, whatever the ring width or
+// coalescing, with in-order admission and retirement and at most two
+// resident epochs.
+// --------------------------------------------------------------------
+
+/** A @p window-epoch stream cut at heartbeat markers and coalesced by
+ *  a 1-2-4-8 width cycle, as the adaptive service cuts one. */
+EpochStream::Config
+coalescingConfig(std::size_t window)
+{
+    EpochStream::Config cfg;
+    cfg.fromHeartbeats = true;
+    cfg.windowEpochs = window;
+    auto group = std::make_shared<std::size_t>(0);
+    cfg.reslice = [group](EpochId, std::span<const std::size_t>) {
+        static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
+        return kCycle[(*group)++ % 4];
+    };
+    return cfg;
+}
+
+/** @p entry's report by the sequential walk over @p stream. */
+LifeguardReport
+streamWalkReport(const LifeguardEntry &entry, const WalkedCase &wc,
+                 EpochStream &stream)
+{
+    const auto driver = entry.makeDriver(
+        wc.c.lifeguardParams(entry.id, wc.layout.numThreads()));
+    WindowSchedule().run(stream, *driver);
+    EXPECT_LE(stream.peakResidentEpochs(), 2u);
+    EXPECT_EQ(stream.residentEpochs(), 0u);
+    return entry.report(*driver, stream.numEpochs());
+}
+
+class StreamWalk : public ::testing::TestWithParam<Lifeguard>
+{
+};
+
+TEST_P(StreamWalk, MatchesLayoutWalkForAnyWindowAndCoalescing)
+{
+    const LifeguardEntry &entry = lifeguardEntry(GetParam());
+    const std::uint64_t seed = 0x5a1 + static_cast<std::uint64_t>(entry.id);
+    std::vector<std::uint64_t> digests;
+    for (const WalkedCase &wc : fuzzedCases(seed, 10)) {
+        const LifeguardReport want = walkReport(entry, wc);
+        digests.push_back(want.digest());
+        const Trace marked = withHeartbeatMarkers(wc.trace, wc.layout);
+        for (const std::size_t window : {4u, 7u}) {
+            EpochStream::Config cfg;
+            cfg.globalH = wc.c.globalH;
+            cfg.windowEpochs = window;
+            EpochStream stream(wc.trace, cfg);
+            EXPECT_TRUE(streamWalkReport(entry, wc, stream) == want)
+                << wc.c.scenario << " case " << wc.c.caseId << ", window "
+                << window;
+
+            // A coalescing stream over the marked copy, as the adaptive
+            // service cuts it, against the layout it realized.
+            EpochStream coalescing(marked, coalescingConfig(window));
+            const LifeguardReport got =
+                streamWalkReport(entry, wc, coalescing);
+            const EpochLayout layout = EpochLayout::coalescedFromHeartbeats(
+                marked, coalescing.realizedSpans());
+            const auto driver = entry.makeDriver(
+                wc.c.lifeguardParams(entry.id, layout.numThreads()));
+            WindowSchedule().run(layout, *driver);
+            EXPECT_TRUE(got == entry.report(*driver, layout.numEpochs()))
+                << wc.c.scenario << " case " << wc.c.caseId
+                << ", coalescing window " << window;
+        }
+    }
+    std::sort(digests.begin(), digests.end());
+    EXPECT_GT(std::unique(digests.begin(), digests.end()) - digests.begin(),
+              1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, StreamWalk, ::testing::ValuesIn(kAllLifeguards),
+    [](const ::testing::TestParamInfo<Lifeguard> &info) {
+        std::string name = lifeguardName(info.param);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+/**
+ * Forwards to a real driver and checks, at every hook, what the stream
+ * walk promises: pass 1 of epoch l runs with l-1 and l resident, pass 2
+ * of l with l and l+1 resident, and l is retired before its SOS update;
+ * every block handed over is the stream's resident copy (block() aborts
+ * on a retired epoch). Records the hook order.
+ */
+class ResidencyProbe : public AnalysisDriver
+{
+  public:
+    struct Call
+    {
+        char hook; ///< '1' pass 1, '2' pass 2, 'F' finalize
+        EpochId epoch;
+        ThreadId thread;
+        bool operator==(const Call &) const = default;
+    };
+
+    ResidencyProbe(AnalysisDriver &inner, const EpochStream &stream)
+        : inner_(inner), stream_(stream)
+    {}
+
+    void
+    pass1(const BlockView &block) override
+    {
+        expectResident(block, block.epoch >= 1 ? 2 : 1);
+        calls.push_back({'1', block.epoch, block.thread});
+        inner_.pass1(block);
+    }
+
+    void
+    pass2(const BlockView &block) override
+    {
+        expectResident(block,
+                       block.epoch + 1 < stream_.numEpochs() ? 2 : 1);
+        calls.push_back({'2', block.epoch, block.thread});
+        inner_.pass2(block);
+    }
+
+    void
+    finalizeEpoch(EpochId l) override
+    {
+        EXPECT_EQ(stream_.residentEpochs(),
+                  l + 1 < stream_.numEpochs() ? 1u : 0u)
+            << "epoch " << l << " not retired after its pass 2";
+        calls.push_back({'F', l, 0});
+        inner_.finalizeEpoch(l);
+    }
+
+    void
+    beginPass(EpochId l, bool second) override
+    {
+        inner_.beginPass(l, second);
+    }
+    bool finalizeAfterPass2() const override
+    {
+        return inner_.finalizeAfterPass2();
+    }
+    bool pass2ReadsOwnNextPass1() const override
+    {
+        return inner_.pass2ReadsOwnNextPass1();
+    }
+
+    std::vector<Call> calls;
+
+  private:
+    void
+    expectResident(const BlockView &block, std::size_t resident)
+    {
+        EXPECT_EQ(stream_.residentEpochs(), resident)
+            << "epoch " << block.epoch;
+        EXPECT_EQ(block.events.data(),
+                  stream_.block(block.epoch, block.thread).events.data());
+    }
+
+    AnalysisDriver &inner_;
+    const EpochStream &stream_;
+};
+
+TEST(StreamWalkResidency, AcquiresBeforePass1AndRetiresAfterPass2)
+{
+    for (const WalkedCase &wc : fuzzedCases(0x7e7, 4)) {
+        for (Lifeguard lg : kAllLifeguards) {
+            const LifeguardEntry &entry = lifeguardEntry(lg);
+            const auto driver = entry.makeDriver(
+                wc.c.lifeguardParams(lg, wc.layout.numThreads()));
+            EpochStream::Config cfg;
+            cfg.globalH = wc.c.globalH;
+            EpochStream stream(wc.trace, cfg);
+            ResidencyProbe probe(*driver, stream);
+            WindowSchedule().run(stream, probe);
+
+            // The paper's step order: pass 1 of l, then pass 2 and the
+            // SOS update of l-1; the last epoch settles at the end.
+            const std::size_t L = stream.numEpochs();
+            const std::size_t T = stream.numThreads();
+            std::vector<ResidencyProbe::Call> want;
+            auto settle = [&](EpochId l) {
+                for (ThreadId t = 0; t < T; ++t)
+                    want.push_back({'2', l, t});
+                want.push_back({'F', l, 0});
+            };
+            for (EpochId l = 0; l < L; ++l) {
+                for (ThreadId t = 0; t < T; ++t)
+                    want.push_back({'1', l, t});
+                if (l >= 1)
+                    settle(l - 1);
+            }
+            if (L >= 1)
+                settle(L - 1);
+            EXPECT_TRUE(probe.calls == want)
+                << lifeguardName(lg) << " " << wc.c.scenario;
+            EXPECT_EQ(stream.peakResidentEpochs(),
+                      std::min<std::size_t>(L, 2));
+            EXPECT_EQ(stream.residentEpochs(), 0u);
+        }
+    }
 }
 
 // --------------------------------------------------------------------
