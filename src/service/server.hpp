@@ -4,8 +4,8 @@
  *
  * The server is a set of N independent *reactors*. Each reactor thread
  * owns a poll loop, a wake pipe, its connection map and a private
- * SessionMux shard — which does all heavy work (decode, pipelined
- * analysis) on the shared WorkerPool. Completions cross back through
+ * SessionMux shard — which does all heavy work (decode, analysis) on
+ * the shared WorkerPool. Completions cross back through
  * the shard's queue and the reactor's self-pipe, and the owning loop
  * streams ErrorReport/Sos/Summary frames to the client. Because every
  * socket and session lives on exactly one reactor, the hot path has no
