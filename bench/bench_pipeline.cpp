@@ -270,6 +270,8 @@ ButterflyTimingInput
 skewedInput(std::size_t T, std::size_t L, std::size_t heavy,
             std::size_t light)
 {
+    // Every record costs 2 application cycles; appCost views this.
+    static const std::vector<Cycles> app(std::max(heavy, light), 2);
     ButterflyTimingInput in;
     in.costs.assign(T, std::vector<EpochCosts>(L));
     in.sosUpdateCost.assign(L, 200);
@@ -278,7 +280,7 @@ skewedInput(std::size_t T, std::size_t L, std::size_t heavy,
         for (std::size_t l = 0; l < L; ++l) {
             const std::size_t n = (t == l % T) ? heavy : light;
             EpochCosts &c = in.costs[t][l];
-            c.appCost.assign(n, 2);
+            c.appCost = std::span(app).first(n);
             c.pass1Cost.assign(n, 12);
             c.pass2Cost = static_cast<Cycles>(n) * 10;
         }

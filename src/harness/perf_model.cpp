@@ -437,13 +437,14 @@ priceButterfly(const AppPerformance &app, const PerfInputs &in)
                 filter.flush(); // butterfly flushes at epoch boundaries
                 const BlockView block = layout.block(l, t);
                 EpochCosts &ec = bt.costs[t][l];
-                ec.appCost.reserve(block.size());
+                // The replay indexes the block's events from
+                // block.first on, in the order the block holds them.
+                ec.appCost = std::span<const Cycles>(
+                    par_costs[t].get() + block.first, block.size());
                 ec.pass1Cost.reserve(block.size());
                 std::uint64_t recorded = 0;
                 Cycles pass1_total = 0;
                 for (InstrOffset i = 0; i < block.size(); ++i) {
-                    const std::size_t idx = layout.globalIndex(l, t, i);
-                    ec.appCost.push_back(par_costs[t][idx]);
                     const Cycles c = lifeguardEventCost(
                         block.events[i], in.addrcheck, in.costs, filter,
                         true, scratch, &recorded);

@@ -1,10 +1,22 @@
 #include "service/analyzer.hpp"
 
 #include "butterfly/window.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bfly::service {
 
 namespace {
+
+/** Events the session's stream copied for blocks that straddle a
+ *  heartbeat marker (interned once; valid in every session registry). */
+telemetry::MetricId
+copiedEventsMetric()
+{
+    static const telemetry::MetricId id =
+        telemetry::registry().counter("bfly.service.session.copied_events");
+    return id;
+}
 
 /**
  * Construct the requested lifeguard, run @p drive over it, and collect
@@ -71,6 +83,9 @@ analyzeStreaming(const SessionSpec &spec, const Trace &trace,
             return stream.peakResidentEpochs();
         });
     report.events = trace.instructionCount();
+    if (telemetry::enabled())
+        telemetry::registry().add(copiedEventsMetric(),
+                                  stream.copiedEvents());
     return report;
 }
 

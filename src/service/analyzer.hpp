@@ -55,6 +55,11 @@ struct RemoteReport
  * receives the per-epoch merge widths actually chosen so the caller can
  * advertise them (EpochHint) and rebuild the bit-identical reference
  * with EpochLayout::coalescedFromHeartbeats.
+ *
+ * The stream views @p trace's events in place; only coalesced blocks,
+ * which straddle markers, are copied. With telemetry on, the count of
+ * copied events is added to bfly.service.session.copied_events in the
+ * caller's current registry (the session's, on the server).
  */
 RemoteReport analyzeStreaming(const SessionSpec &spec, const Trace &trace,
                               WorkerPool &pool,

@@ -176,11 +176,12 @@ class SessionMux
      * Budget charge for the state a session's shape buys before it sends
      * a single event, held from open() until the session ends: per
      * thread, the decoder, the decoded vector and the lifeguard's
-     * summary slots, plus one EpochStream block vector per ring slot.
-     * Sized from the server's VmHWM growth over empty 8 192-thread
-     * sessions: ADDRCHECK, the largest, grew 2 318 B per thread at a
-     * 4-epoch ring and 4 257 B at 64 epochs, i.e. 2 189 B plus 32 B per
-     * ring slot; TAINTCHECK 1 312 B and 3 264 B. decodeSessionOpen's
+     * summary slots, plus one EpochStream block per ring slot. Sized
+     * from the server's VmHWM growth over empty 8 192-thread sessions
+     * when a ring slot held a 24 B vector per thread (now a 16 B span):
+     * ADDRCHECK, the largest, grew 2 318 B per thread at a 4-epoch ring
+     * and 4 257 B at 64 epochs, i.e. 2 189 B plus 32 B per ring slot;
+     * TAINTCHECK 1 312 B and 3 264 B. decodeSessionOpen's
      * limits (65 536 threads, 1 024 epochs) keep the product below 2^32.
      */
     static constexpr std::size_t

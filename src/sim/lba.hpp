@@ -27,6 +27,7 @@
 #define BUTTERFLY_SIM_LBA_HPP
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -81,8 +82,10 @@ TimingResult simulateSpsc(const std::vector<Cycles> &prod_cost,
 /** Per-(thread, epoch) cost inputs for the butterfly timing model. */
 struct EpochCosts
 {
-    /** Application cycles per record in this block (production). */
-    std::vector<Cycles> appCost;
+    /** Application cycles per record in this block (production): a view
+     *  of the caller's per-thread array, which must outlive the
+     *  simulation. */
+    std::span<const Cycles> appCost;
     /** Lifeguard pass-1 cycles per record (consumption). */
     std::vector<Cycles> pass1Cost;
     /** Aggregate lifeguard pass-2 cycles for this block. */

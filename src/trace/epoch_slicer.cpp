@@ -10,69 +10,100 @@ namespace bfly {
 namespace {
 
 /**
- * The byGlobalSeq boundary table, computed without materializing the
- * filtered event streams: starts[t][l] is the index (heartbeats
- * excluded) of block (l,t)'s first event. Shared by
- * EpochLayout::byGlobalSeq and EpochStream so the streamed epoch
- * structure is identical to the materialized one by construction.
+ * A trace's epoch boundaries in per-thread event indices with heartbeats
+ * excluded, and where the trace's heartbeat markers fall among them.
  */
-std::size_t
-globalSeqStarts(const Trace &trace, std::size_t global_h,
-                std::vector<std::vector<std::size_t>> &starts)
+struct Boundaries
+{
+    std::size_t numEpochs = 0;
+    /** starts[t][l]: index of block (l,t)'s first event; the last entry
+     *  is the thread's event count. */
+    std::vector<std::vector<std::size_t>> starts;
+    /** markers[t]: for each marker of thread t, the number of events
+     *  before it. Empty for a trace without markers. */
+    std::vector<std::vector<std::size_t>> markers;
+};
+
+/**
+ * The byGlobalSeq boundary table: block (l,t) holds the events whose
+ * gseq falls in epoch l's bucket. Shared by EpochLayout::byGlobalSeq and
+ * EpochStream so the streamed epoch structure is identical to the
+ * layout's by construction.
+ */
+Boundaries
+globalSeqBoundaries(const Trace &trace, std::size_t global_h)
 {
     ensure(global_h > 0, "global epoch size must be positive");
-    starts.assign(trace.threads.size(), {});
-    std::size_t max_epochs = 0;
-
+    Boundaries b;
+    b.starts.resize(trace.threads.size());
+    b.markers.resize(trace.threads.size());
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
         // Epoch of event i = its gseq bucket, clamped non-decreasing so
         // the block stays contiguous when relaxed visibility reordered
         // gseq slightly out of program order.
-        starts[t].push_back(0);
+        std::vector<std::size_t> &starts = b.starts[t];
+        starts.push_back(0);
         EpochId current = 0;
         std::size_t i = 0;
         for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
+            if (e.kind == EventKind::Heartbeat) {
+                b.markers[t].push_back(i);
                 continue;
+            }
             const std::uint64_t g = e.gseq > 0 ? e.gseq - 1 : 0;
             const EpochId epoch = std::max<EpochId>(current, g / global_h);
             while (current < epoch) {
-                starts[t].push_back(i);
+                starts.push_back(i);
                 ++current;
             }
             ++i;
         }
-        starts[t].push_back(i);
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
+        starts.push_back(i);
+        b.numEpochs = std::max(b.numEpochs, starts.size() - 1);
     }
-    return max_epochs;
+    return b;
 }
 
 /**
- * The fromHeartbeats boundary table: block (l,t) spans the non-heartbeat
- * events between marker l-1 and marker l. Shared by EpochStream's
- * heartbeat mode so the streamed structure matches
- * EpochLayout::fromHeartbeats by construction.
+ * The fromHeartbeats boundary table: block (l,t) spans the events
+ * between marker l-1 and marker l. Shared by EpochStream's heartbeat
+ * mode so the streamed structure matches EpochLayout::fromHeartbeats by
+ * construction.
  */
-std::size_t
-heartbeatStarts(const Trace &trace,
-                std::vector<std::vector<std::size_t>> &starts)
+Boundaries
+heartbeatBoundaries(const Trace &trace)
 {
-    starts.assign(trace.threads.size(), {});
-    std::size_t max_epochs = 0;
+    Boundaries b;
+    b.starts.resize(trace.threads.size());
+    b.markers.resize(trace.threads.size());
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        starts[t].push_back(0);
+        std::vector<std::size_t> &starts = b.starts[t];
+        starts.push_back(0);
         std::size_t i = 0;
         for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
-                starts[t].push_back(i);
-            else
+            if (e.kind == EventKind::Heartbeat) {
+                starts.push_back(i);
+                b.markers[t].push_back(i);
+            } else {
                 ++i;
+            }
         }
-        starts[t].push_back(i);
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
+        // Close the final (possibly heartbeat-less) block.
+        starts.push_back(i);
+        b.numEpochs = std::max(b.numEpochs, starts.size() - 1);
     }
-    return max_epochs;
+    return b;
+}
+
+/** Pad every thread to @p num_epochs blocks with empty ones. */
+void
+padStarts(std::vector<std::vector<std::size_t>> &starts,
+          std::size_t num_epochs)
+{
+    for (auto &s : starts) {
+        const std::size_t end = s.back();
+        s.resize(num_epochs + 1, end);
+    }
 }
 
 /**
@@ -109,118 +140,118 @@ coalesceStarts(std::vector<std::vector<std::size_t>> &starts,
     }
 }
 
+/** Where a block lies among its thread's events, markers included. */
+struct RawExtent
+{
+    std::size_t offset = 0; ///< index of the block's first event
+    bool straddles = false; ///< a marker falls between two of its events
+};
+
+/**
+ * Locate the block of events [begin, end) (heartbeats excluded) of a
+ * thread whose markers sit at @p markers: every marker at or before
+ * begin precedes the block's first event, so the block starts that many
+ * events later in the thread's stored vector. (In a heartbeat slicing,
+ * block l starts begin + l events in.)
+ */
+RawExtent
+locate(std::span<const std::size_t> markers, std::size_t begin,
+       std::size_t end)
+{
+    const auto after = std::upper_bound(markers.begin(), markers.end(), begin);
+    return {begin + static_cast<std::size_t>(after - markers.begin()),
+            after != markers.end() && *after < end};
+}
+
+/** Append the @p n events from raw[offset] on to @p out, markers
+ *  dropped. */
+void
+copyFiltered(std::span<const Event> raw, std::size_t offset, std::size_t n,
+             std::vector<Event> &out)
+{
+    for (std::size_t k = offset; n > 0; ++k) {
+        if (raw[k].kind != EventKind::Heartbeat) {
+            out.push_back(raw[k]);
+            --n;
+        }
+    }
+}
+
 } // namespace
 
 EpochLayout::EpochLayout(const Trace &trace, std::size_t num_epochs,
                          std::vector<std::vector<std::size_t>> starts,
-                         std::vector<std::vector<Event>> filtered)
+                         const std::vector<std::vector<std::size_t>> &markers)
     : numEpochs_(num_epochs), starts_(std::move(starts)),
-      filtered_(std::move(filtered))
+      extents_(starts_.size()), copies_(starts_.size())
 {
-    tids_.reserve(trace.threads.size());
-    for (const ThreadTrace &t : trace.threads)
-        tids_.push_back(t.tid);
-
-    // Pad every thread to the same epoch count with empty blocks.
-    for (auto &s : starts_) {
-        while (s.size() < numEpochs_ + 1)
-            s.push_back(s.back());
+    padStarts(starts_, numEpochs_);
+    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
+        tids_.push_back(trace.threads[t].tid);
+        raw_.emplace_back(trace.threads[t].events);
+        extents_[t].reserve(numEpochs_);
+        for (EpochId l = 0; l < numEpochs_; ++l) {
+            const std::size_t begin = starts_[t][l];
+            const std::size_t end = starts_[t][l + 1];
+            const RawExtent at = locate(markers[t], begin, end);
+            if (at.straddles) {
+                extents_[t].push_back({copies_[t].size(), true});
+                copyFiltered(raw_[t], at.offset, end - begin, copies_[t]);
+            } else {
+                extents_[t].push_back({at.offset, false});
+            }
+        }
     }
 }
 
 EpochLayout
 EpochLayout::fromHeartbeats(const Trace &trace)
 {
-    std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    std::size_t max_epochs = 0;
-
-    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        starts[t].push_back(0);
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
-                starts[t].push_back(filtered[t].size());
-            else
-                filtered[t].push_back(e);
-        }
-        // Close the final (possibly heartbeat-less) block.
-        starts[t].push_back(filtered[t].size());
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
-    }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    Boundaries b = heartbeatBoundaries(trace);
+    return EpochLayout(trace, b.numEpochs, std::move(b.starts), b.markers);
 }
 
 EpochLayout
 EpochLayout::coalescedFromHeartbeats(const Trace &trace,
                                      std::span<const std::uint32_t> spans)
 {
-    std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    std::size_t max_epochs = 0;
-
-    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        starts[t].push_back(0);
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
-                starts[t].push_back(filtered[t].size());
-            else
-                filtered[t].push_back(e);
-        }
-        starts[t].push_back(filtered[t].size());
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
-    }
-    // The coalescing transform needs the padded table (the private
-    // constructor would normally pad after the fact).
-    for (auto &s : starts) {
-        while (s.size() < max_epochs + 1)
-            s.push_back(s.back());
-    }
-    coalesceStarts(starts, max_epochs, spans);
-    return EpochLayout(trace, spans.size(), std::move(starts),
-                       std::move(filtered));
+    Boundaries b = heartbeatBoundaries(trace);
+    // The coalescing transform needs the padded table.
+    padStarts(b.starts, b.numEpochs);
+    coalesceStarts(b.starts, b.numEpochs, spans);
+    return EpochLayout(trace, spans.size(), std::move(b.starts), b.markers);
 }
 
 EpochLayout
 EpochLayout::uniform(const Trace &trace, std::size_t h)
 {
     ensure(h > 0, "uniform epoch size must be positive");
-    std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    std::size_t max_epochs = 0;
-
+    Boundaries b;
+    b.starts.resize(trace.threads.size());
+    b.markers.resize(trace.threads.size());
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
+        std::size_t n = 0;
         for (const Event &e : trace.threads[t].events) {
-            if (e.kind != EventKind::Heartbeat)
-                filtered[t].push_back(e);
+            if (e.kind == EventKind::Heartbeat)
+                b.markers[t].push_back(n);
+            else
+                ++n;
         }
-        const std::size_t n = filtered[t].size();
         for (std::size_t pos = 0; ; pos += h) {
-            starts[t].push_back(std::min(pos, n));
+            b.starts[t].push_back(std::min(pos, n));
             if (pos >= n)
                 break;
         }
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
+        b.numEpochs = std::max(b.numEpochs, b.starts[t].size() - 1);
     }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    return EpochLayout(trace, b.numEpochs, std::move(b.starts), b.markers);
 }
 
 EpochLayout
 EpochLayout::byGlobalSeq(const Trace &trace, std::size_t global_h)
 {
-    std::vector<std::vector<std::size_t>> starts;
-    const std::size_t max_epochs = globalSeqStarts(trace, global_h, starts);
-
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind != EventKind::Heartbeat)
-                filtered[t].push_back(e);
-        }
-    }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    Boundaries b = globalSeqBoundaries(trace, global_h);
+    return EpochLayout(trace, b.numEpochs, std::move(b.starts), b.markers);
 }
 
 EpochLayout
@@ -241,16 +272,12 @@ EpochLayout::byGlobalSeqSkewed(const Trace &trace, std::size_t global_h,
         return rng.below(max_skew + 1);
     };
 
-    std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    std::size_t max_epochs = 0;
-
+    Boundaries b;
+    b.starts.resize(trace.threads.size());
+    b.markers.resize(trace.threads.size());
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind != EventKind::Heartbeat)
-                filtered[t].push_back(e);
-        }
-        starts[t].push_back(0);
+        std::vector<std::size_t> &starts = b.starts[t];
+        starts.push_back(0);
         EpochId current = 0;
         // Boundary of epoch k at thread t: heartbeat k's nominal time
         // k*global_h plus its delivery delay.
@@ -258,19 +285,23 @@ EpochLayout::byGlobalSeqSkewed(const Trace &trace, std::size_t global_h,
             return static_cast<std::uint64_t>(k) * global_h +
                    skew_of(t, k);
         };
-        for (std::size_t i = 0; i < filtered[t].size(); ++i) {
-            const std::uint64_t g =
-                filtered[t][i].gseq > 0 ? filtered[t][i].gseq - 1 : 0;
+        std::size_t i = 0;
+        for (const Event &e : trace.threads[t].events) {
+            if (e.kind == EventKind::Heartbeat) {
+                b.markers[t].push_back(i);
+                continue;
+            }
+            const std::uint64_t g = e.gseq > 0 ? e.gseq - 1 : 0;
             while (g >= boundary(current + 1)) {
-                starts[t].push_back(i);
+                starts.push_back(i);
                 ++current;
             }
+            ++i;
         }
-        starts[t].push_back(filtered[t].size());
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
+        starts.push_back(i);
+        b.numEpochs = std::max(b.numEpochs, starts.size() - 1);
     }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    return EpochLayout(trace, b.numEpochs, std::move(b.starts), b.markers);
 }
 
 BlockView
@@ -278,13 +309,12 @@ EpochLayout::block(EpochId l, ThreadId t) const
 {
     ensure(t < starts_.size(), "thread id out of range");
     ensure(l < numEpochs_, "epoch id out of range");
-    const auto &s = starts_[t];
-    const std::size_t begin = s[l];
-    const std::size_t end = s[l + 1];
-    return BlockView{
-        l, tids_[t],
-        std::span<const Event>(filtered_[t].data() + begin, end - begin),
-        begin};
+    const std::size_t begin = starts_[t][l];
+    const std::size_t size = starts_[t][l + 1] - begin;
+    const Extent &at = extents_[t][l];
+    const std::span<const Event> store =
+        at.copied ? std::span<const Event>(copies_[t]) : raw_[t];
+    return BlockView{l, tids_[t], store.subspan(at.offset, size), begin};
 }
 
 std::vector<BlockView>
@@ -298,21 +328,20 @@ EpochLayout::epoch(EpochId l) const
 }
 
 EpochStream::EpochStream(const Trace &trace, Config config)
-    : trace_(trace), backPressure_(config.backPressure)
+    : backPressure_(config.backPressure)
 {
     ensure(config.windowEpochs >= 4,
            "EpochStream window must hold at least 4 epochs (body, both "
            "wings, and the epoch being admitted)");
-    numEpochs_ = config.fromHeartbeats
-                     ? heartbeatStarts(trace, starts_)
-                     : globalSeqStarts(trace, config.globalH, starts_);
-
+    Boundaries b = config.fromHeartbeats
+                       ? heartbeatBoundaries(trace)
+                       : globalSeqBoundaries(trace, config.globalH);
+    numEpochs_ = b.numEpochs;
+    starts_ = std::move(b.starts);
+    markers_ = std::move(b.markers);
     // Pad every thread's boundary table to the same epoch count, exactly
     // as the EpochLayout constructor does.
-    for (auto &s : starts_) {
-        while (s.size() < numEpochs_ + 1)
-            s.push_back(s.back());
-    }
+    padStarts(starts_, numEpochs_);
     sourceEpochs_ = numEpochs_;
 
     if (config.reslice && numEpochs_ > 0) {
@@ -339,18 +368,15 @@ EpochStream::EpochStream(const Trace &trace, Config config)
         numEpochs_ = spans_.size();
     }
 
-    tids_.reserve(trace.threads.size());
-    for (const ThreadTrace &t : trace.threads)
+    for (const ThreadTrace &t : trace.threads) {
         tids_.push_back(t.tid);
+        raw_.emplace_back(t.events);
+    }
 
     const std::size_t T = trace.threads.size();
     cells_.resize(config.windowEpochs);
-    for (Cell &c : cells_) {
+    for (Cell &c : cells_)
         c.events.resize(T);
-        c.first.resize(T, 0);
-    }
-    rawPos_.assign(T, 0);
-    filteredPos_.assign(T, 0);
 }
 
 void
@@ -377,22 +403,31 @@ EpochStream::acquire(EpochId l)
         backPressure_->heartbeat();
     }
 
+    // A block that straddles a marker is copied into the cell's buffer,
+    // sized first so that the spans into it stay valid; every other
+    // block is a span of the trace's events.
+    std::size_t straddling = 0;
+    for (std::size_t t = 0; t < T; ++t)
+        if (locate(markers_[t], starts_[t][l], starts_[t][l + 1]).straddles)
+            straddling += starts_[t][l + 1] - starts_[t][l];
+    cell.copies.reserve(straddling);
     for (std::size_t t = 0; t < T; ++t) {
-        std::vector<Event> &out = cell.events[t];
-        out.clear();
-        cell.first[t] = starts_[t][l];
-        const std::size_t end = starts_[t][l + 1];
-        const auto &raw = trace_.threads[t].events;
-        while (filteredPos_[t] < end) {
-            const Event &e = raw[rawPos_[t]++];
-            if (e.kind == EventKind::Heartbeat)
-                continue;
-            out.push_back(e);
-            ++filteredPos_[t];
-            if (backPressure_)
-                backPressure_->consume();
+        const std::size_t begin = starts_[t][l];
+        const std::size_t n = starts_[t][l + 1] - begin;
+        const RawExtent at = locate(markers_[t], begin, begin + n);
+        if (at.straddles) {
+            const std::size_t from = cell.copies.size();
+            copyFiltered(raw_[t], at.offset, n, cell.copies);
+            cell.events[t] =
+                std::span<const Event>(cell.copies).subspan(from, n);
+        } else {
+            cell.events[t] = raw_[t].subspan(at.offset, n);
         }
+        if (backPressure_)
+            for (std::size_t k = 0; k < n; ++k)
+                backPressure_->consume();
     }
+    copiedEvents_ += straddling;
     cell.epoch = l;
     ++nextAcquire_;
 
@@ -411,10 +446,7 @@ EpochStream::block(EpochId l, ThreadId t) const
     ensure(t < starts_.size(), "thread id out of range");
     const Cell &cell = cellOf(l);
     ensure(cell.epoch == l, "block() requires a resident epoch");
-    return BlockView{l, tids_[t],
-                     std::span<const Event>(cell.events[t].data(),
-                                            cell.events[t].size()),
-                     cell.first[t]};
+    return BlockView{l, tids_[t], cell.events[t], starts_[t][l]};
 }
 
 void
@@ -424,10 +456,11 @@ EpochStream::retire(EpochId l)
     Cell &cell = cellOf(l);
     ensure(cell.epoch == l, "retire() of a non-resident epoch");
     cell.epoch = kNoEpoch;
-    // Keep the vectors' capacity: the ring reuses their storage for the
-    // epoch that lands in this cell windowEpochs later.
-    for (auto &v : cell.events)
-        v.clear();
+    // Keep the buffer's capacity: the ring reuses it for the epoch that
+    // lands in this cell windowEpochs later.
+    std::fill(cell.events.begin(), cell.events.end(),
+              std::span<const Event>());
+    cell.copies.clear();
     ++nextRetire_;
     resident_.fetch_sub(1, std::memory_order_acq_rel);
 }

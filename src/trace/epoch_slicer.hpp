@@ -12,11 +12,23 @@
  *  - uniform mode: cut every h instructions, used when a trace was produced
  *    without embedded markers.
  *
- * Two consumers exist for the epoch structure: EpochLayout materializes
- * the whole trace up front (oracles, the perf model, the barrier
- * schedule), while EpochStream slices the same boundaries incrementally
- * into a bounded ring so the pipelined schedule keeps only O(window)
- * epochs of events resident no matter how long the trace is.
+ * Two consumers exist for the epoch structure: EpochLayout holds the
+ * boundaries of every epoch up front (oracles, the perf model, the
+ * sequential walk), while EpochStream admits and retires the same
+ * boundaries one epoch at a time, so a schedule over it keeps only
+ * O(window) epochs resident no matter how long the trace is.
+ *
+ * Neither copies the events. A block is a span of the trace's own
+ * storage, trace.threads[t].events, whenever no heartbeat marker falls
+ * between two of its events — every block of a marker-free trace, and
+ * every block of an uncoalesced heartbeat slicing. Only a block that
+ * straddles a marker (coalesced slicings, or a marked trace cut by
+ * another rule) is copied, with its markers dropped.
+ *
+ * Both borrow the trace: its events must outlive the layout or stream.
+ * Moving the Trace (or its threads) keeps them valid, since a moved
+ * vector keeps its storage; copying the trace and destroying the
+ * original does not. The factories reject a temporary Trace.
  */
 
 #ifndef BUTTERFLY_TRACE_EPOCH_SLICER_HPP
@@ -44,8 +56,8 @@ struct BlockView
      * Per-thread index (heartbeats excluded) of events[0] in the
      * thread's full filtered stream: instruction i of this block has the
      * stable identity first + i, matching EpochLayout::globalIndex.
-     * Carried in the view so lifeguards work identically over
-     * materialized layouts and streamed (ring-resident) blocks.
+     * Carried in the view so lifeguards work identically over layouts
+     * and streams, whatever storage the span points into.
      */
     std::size_t first = 0;
 
@@ -56,15 +68,22 @@ struct BlockView
 /**
  * The epoch structure of a trace: for each thread, where each epoch's block
  * begins and ends. All threads are padded to the same epoch count.
+ *
+ * A layout borrows its trace (see the file comment): each block is a span
+ * of the trace's events, except a block that straddles a heartbeat
+ * marker, which the layout copies. Copying or moving a layout keeps it
+ * valid; it holds no pointer into itself.
  */
 class EpochLayout
 {
   public:
     /** Slice at embedded Heartbeat markers. */
     static EpochLayout fromHeartbeats(const Trace &trace);
+    static EpochLayout fromHeartbeats(const Trace &&) = delete;
 
     /** Slice every @p h non-heartbeat instructions per thread. */
     static EpochLayout uniform(const Trace &trace, std::size_t h);
+    static EpochLayout uniform(const Trace &&, std::size_t) = delete;
 
     /**
      * Slice by *global* execution progress: an event whose gseq falls in
@@ -83,6 +102,7 @@ class EpochLayout
      */
     static EpochLayout byGlobalSeq(const Trace &trace,
                                    std::size_t global_h);
+    static EpochLayout byGlobalSeq(const Trace &&, std::size_t) = delete;
 
     /**
      * Like byGlobalSeq, but each thread receives each heartbeat with an
@@ -100,6 +120,9 @@ class EpochLayout
                                          std::size_t global_h,
                                          std::size_t max_skew,
                                          std::uint64_t seed);
+    static EpochLayout byGlobalSeqSkewed(const Trace &&, std::size_t,
+                                         std::size_t,
+                                         std::uint64_t) = delete;
 
     /**
      * The heartbeat slicing of @p trace coarsened by @p spans: analyzed
@@ -111,11 +134,15 @@ class EpochLayout
      * bit-identical by construction. Merging markers only coarsens the
      * epoch structure (equivalent to the platform skipping heartbeats),
      * which is the butterfly's conservative direction — a merged
-     * slicing can never introduce false negatives.
+     * slicing can never introduce false negatives. A merged block
+     * straddles the markers it merged over, so it is copied.
      */
     static EpochLayout
     coalescedFromHeartbeats(const Trace &trace,
                             std::span<const std::uint32_t> spans);
+    static EpochLayout
+    coalescedFromHeartbeats(const Trace &&,
+                            std::span<const std::uint32_t>) = delete;
 
     std::size_t numEpochs() const { return numEpochs_; }
     std::size_t numThreads() const { return starts_.size(); }
@@ -138,38 +165,55 @@ class EpochLayout
     }
 
   private:
+    /** Where block (l, t)'s events live. */
+    struct Extent
+    {
+        /** Index of its first event in the trace's events, or in
+         *  copies_[t] when the block straddles a marker. */
+        std::size_t offset = 0;
+        bool copied = false;
+    };
+
     EpochLayout(const Trace &trace, std::size_t num_epochs,
                 std::vector<std::vector<std::size_t>> starts,
-                std::vector<std::vector<Event>> filtered);
+                const std::vector<std::vector<std::size_t>> &markers);
 
     std::size_t numEpochs_ = 0;
-    /** starts_[t][l] = index of block (l,t)'s first event in filtered_[t]. */
+    /** starts_[t][l] = index (heartbeats excluded) of block (l,t)'s
+     *  first event in thread t's events. */
     std::vector<std::vector<std::size_t>> starts_;
-    /** Per-thread events with heartbeats stripped. */
-    std::vector<std::vector<Event>> filtered_;
+    std::vector<std::vector<Extent>> extents_; ///< [t][l]
+    /** Each thread's events as the trace stores them, markers included. */
+    std::vector<std::span<const Event>> raw_;
+    /** Per thread, the blocks that straddle a marker, markers dropped. */
+    std::vector<std::vector<Event>> copies_;
     std::vector<ThreadId> tids_;
 };
 
 /**
- * Streaming counterpart of EpochLayout::byGlobalSeq: identical epoch
- * boundaries (one cheap boundary pre-pass over the trace, O(epochs)
- * index memory), but event payloads are copied into a bounded ring only
- * when an epoch is acquired and freed when it is retired — resident
- * event memory is O(windowEpochs), independent of trace length.
+ * Streaming counterpart of EpochLayout::byGlobalSeq and fromHeartbeats:
+ * identical epoch boundaries (one cheap boundary pre-pass over the
+ * trace, O(epochs) index memory), handed out one admitted epoch at a
+ * time through a bounded ring of windowEpochs cells. A resident block
+ * is a span of the trace's events, like a layout's; only a block that
+ * straddles a heartbeat marker (reslice coalescing) is copied into its
+ * cell at admission, and copiedEvents() counts those copies. At most
+ * windowEpochs epochs are resident, independent of trace length.
  *
- * The pipelined window schedule acquires epochs in order as its task
- * graph admits them and retires each epoch once every task reading its
- * events has completed. An optional LogBuffer models the back-pressure
- * the bounded window exerts on the logging platform: each event of an
- * epoch is produced into the buffer before admission and consumed at
- * admission, so epochs larger than the buffer surface producer stalls
- * exactly where the LBA hardware would stall the application core.
+ * The window schedules acquire epochs in order and retire each epoch
+ * once every task reading its events has completed. An optional
+ * LogBuffer models the back-pressure the bounded window exerts on the
+ * logging platform: each event of an epoch is produced into the buffer
+ * before admission and consumed at admission, so epochs larger than
+ * the buffer surface producer stalls exactly where the LBA hardware
+ * would stall the application core.
  *
  * acquire() calls must be in epoch order (the task graph's admission
  * chain is totally ordered); retire() calls must also be in order.
  * block() is safe to call concurrently with acquire()/retire() of
  * *other* epochs — the ring cells are disjoint and the schedule orders
- * cell reuse behind retirement.
+ * cell reuse behind retirement. The stream borrows its trace, as a
+ * layout does.
  */
 class EpochStream
 {
@@ -219,6 +263,7 @@ class EpochStream
     };
 
     EpochStream(const Trace &trace, Config config);
+    EpochStream(const Trace &&, Config) = delete;
 
     std::size_t numEpochs() const { return numEpochs_; }
 
@@ -237,8 +282,8 @@ class EpochStream
     std::size_t numThreads() const { return starts_.size(); }
     std::size_t windowEpochs() const { return cells_.size(); }
 
-    /** Slice epoch l's events into the ring. @pre l is the next
-     *  unacquired epoch and fewer than windowEpochs epochs are resident. */
+    /** Admit epoch l into the ring. @pre l is the next unacquired epoch
+     *  and fewer than windowEpochs epochs are resident. */
     void acquire(EpochId l);
 
     /** The block (l, t) of a currently resident epoch. */
@@ -246,6 +291,13 @@ class EpochStream
 
     /** Release epoch l's ring cell. @pre l is the oldest resident epoch. */
     void retire(EpochId l);
+
+    /**
+     * Events acquire() has copied so far, for blocks that straddle a
+     * heartbeat marker (0 unless reslice coalesced epochs, or a marked
+     * trace is cut by gseq). Read it once the schedule has finished.
+     */
+    std::uint64_t copiedEvents() const { return copiedEvents_; }
 
     std::size_t residentEpochs() const
     {
@@ -262,31 +314,37 @@ class EpochStream
     std::uint64_t producerStalls() const;
 
   private:
-    /** Ring cell holding one resident epoch's per-thread events. */
+    /** Ring cell holding one resident epoch's per-thread blocks. */
     struct Cell
     {
         EpochId epoch = kNoEpoch;
-        std::vector<std::vector<Event>> events; ///< [t]
-        std::vector<std::size_t> first;         ///< [t] filtered offset
+        std::vector<std::span<const Event>> events; ///< [t]
+        /** The epoch's blocks that straddle a marker, one after another;
+         *  their events[t] span this buffer. */
+        std::vector<Event> copies;
     };
 
     Cell &cellOf(EpochId l) { return cells_[l % cells_.size()]; }
     const Cell &cellOf(EpochId l) const { return cells_[l % cells_.size()]; }
 
-    const Trace &trace_;
     std::size_t numEpochs_ = 0;
     std::size_t sourceEpochs_ = 0;
     std::vector<std::uint32_t> spans_;
-    /** Same boundary table as EpochLayout::byGlobalSeq. */
+    /** Same boundary table as EpochLayout::byGlobalSeq or
+     *  fromHeartbeats (coalesced when reslice ran). */
     std::vector<std::vector<std::size_t>> starts_;
+    /** [t]: each heartbeat marker's position among the thread's events,
+     *  heartbeats excluded. */
+    std::vector<std::vector<std::size_t>> markers_;
+    /** Each thread's events as the trace stores them, markers included. */
+    std::vector<std::span<const Event>> raw_;
     std::vector<ThreadId> tids_;
     std::vector<Cell> cells_;
 
-    // Per-thread streaming cursors (advanced only by in-order acquire).
-    std::vector<std::size_t> rawPos_;     ///< index into raw events
-    std::vector<std::size_t> filteredPos_; ///< non-heartbeat events passed
     EpochId nextAcquire_ = 0;
     EpochId nextRetire_ = 0;
+    /** Written by acquire() only, which the schedule runs in order. */
+    std::uint64_t copiedEvents_ = 0;
 
     std::atomic<std::size_t> resident_{0};
     std::atomic<std::size_t> peakResident_{0};

@@ -40,8 +40,9 @@ struct Run
 Run
 runAddrLeak(Trace trace, const AddrLeakConfig &cfg = heapConfig())
 {
-    Run run{std::move(trace), EpochLayout::fromHeartbeats(Trace{}), {}};
-    run.layout = EpochLayout::fromHeartbeats(run.trace);
+    // The layout views the trace's events, which the move keeps.
+    EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    Run run{std::move(trace), std::move(layout), {}};
     run.check = std::make_unique<ButterflyAddrLeak>(run.layout, cfg);
     WindowSchedule().run(run.layout, *run.check);
     return run;

@@ -31,8 +31,9 @@ struct Run
 Run
 runLockSet(Trace trace, const LockSetConfig &cfg = {})
 {
-    Run run{std::move(trace), EpochLayout::fromHeartbeats(Trace{}), {}};
-    run.layout = EpochLayout::fromHeartbeats(run.trace);
+    // The layout views the trace's events, which the move keeps.
+    EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    Run run{std::move(trace), std::move(layout), {}};
     run.check = std::make_unique<ButterflyLockSet>(run.layout, cfg);
     WindowSchedule().run(run.layout, *run.check);
     return run;

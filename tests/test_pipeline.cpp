@@ -693,6 +693,8 @@ TEST(EpochStream, BackPressureRecordsProducerStalls)
 ButterflyTimingInput
 skewedTiming(std::size_t T, std::size_t L)
 {
+    // Every record costs 1 application cycle; appCost views this.
+    static const std::vector<Cycles> app(512, 1);
     ButterflyTimingInput in;
     in.costs.assign(T, std::vector<EpochCosts>(L));
     in.sosUpdateCost.assign(L, 50);
@@ -700,7 +702,7 @@ skewedTiming(std::size_t T, std::size_t L)
     for (std::size_t t = 0; t < T; ++t) {
         for (std::size_t l = 0; l < L; ++l) {
             const std::size_t n = (t == l % T) ? 512 : 64;
-            in.costs[t][l].appCost.assign(n, 1);
+            in.costs[t][l].appCost = std::span(app).first(n);
             in.costs[t][l].pass1Cost.assign(n, 10);
             in.costs[t][l].pass2Cost = static_cast<Cycles>(n) * 8;
         }

@@ -26,10 +26,10 @@ struct RunResult
 std::unique_ptr<RunResult>
 runDefs(Trace trace)
 {
+    // The layout views the trace's events, which the move keeps.
+    EpochLayout layout = EpochLayout::fromHeartbeats(trace);
     auto result = std::make_unique<RunResult>(RunResult{
-        std::move(trace), EpochLayout::fromHeartbeats(Trace{}),
-        ReachingDefinitions(0)});
-    result->layout = EpochLayout::fromHeartbeats(result->trace);
+        std::move(trace), std::move(layout), ReachingDefinitions(0)});
     result->analysis =
         ReachingDefinitions(result->layout.numThreads());
     WindowSchedule().run(result->layout, result->analysis);

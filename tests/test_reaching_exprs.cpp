@@ -27,10 +27,11 @@ struct RunResult
 std::unique_ptr<RunResult>
 runExprs(Trace trace)
 {
+    // The layout views the trace's events, which the move keeps.
+    EpochLayout layout = EpochLayout::fromHeartbeats(trace);
     auto result = std::make_unique<RunResult>(RunResult{
-        std::move(trace), EpochLayout::fromHeartbeats(Trace{}),
+        std::move(trace), std::move(layout),
         ReachingExpressions(0, test::allocEffects)});
-    result->layout = EpochLayout::fromHeartbeats(result->trace);
     result->analysis = ReachingExpressions(result->layout.numThreads(),
                                            test::allocEffects);
     WindowSchedule().run(result->layout, result->analysis);

@@ -1152,6 +1152,38 @@ TEST(MonitorService, SessionTelemetryIsIsolatedPerSession)
     server.stop();
 }
 
+TEST(MonitorService, SessionCountsTheEventsItsStreamCopies)
+{
+    // A session's epoch stream views the decoded trace; only an adaptive
+    // session's coalesced blocks, which straddle the markers they merge,
+    // are copied, and the session registry counts those events.
+    telemetry::setEnabled(true);
+    const Addr heap = 0x380000;
+    const Trace marked = makeMarkedTrace(2, 24, 20, heap);
+    const SessionSpec spec = addrcheckSpec(marked, heap);
+    for (const bool adaptive : {false, true}) {
+        ServerConfig scfg;
+        scfg.unixPath = tempSocketPath(adaptive ? "copy-ad" : "copy");
+        scfg.workers = 2;
+        scfg.mux.adaptive = adaptive;
+        scfg.mux.adaptiveForceCycle = adaptive; // widths 1→2→4→8
+        MonitorServer server(scfg);
+        ASSERT_TRUE(server.start());
+        MonitorClient client;
+        ASSERT_TRUE(client.connectUnix(scfg.unixPath));
+        const RunResult remote = client.run(spec, marked);
+        ASSERT_TRUE(remote.ok) << remote.error;
+        const std::uint64_t copied = server.lastSessionMetrics().value(
+            "bfly.service.session.copied_events");
+        if (adaptive)
+            EXPECT_GT(copied, 0u);
+        else
+            EXPECT_EQ(copied, 0u);
+        server.stop();
+    }
+    telemetry::setEnabled(false);
+}
+
 TEST(MonitorService, SlowClientGetsTruncatedReportWithPartialStatus)
 {
     ServerConfig scfg;

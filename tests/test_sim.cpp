@@ -189,9 +189,10 @@ TEST(SimulateButterfly, SlowestThreadGatesTheBarrier)
     ButterflyTimingInput in;
     in.costs.assign(2, std::vector<EpochCosts>(1));
     in.barrierCost = 0;
-    in.costs[0][0].appCost = {1, 1};
+    const std::vector<Cycles> app = {1, 1};
+    in.costs[0][0].appCost = app;
     in.costs[0][0].pass1Cost = {5, 5};
-    in.costs[1][0].appCost = {1};
+    in.costs[1][0].appCost = std::span(app).first(1);
     in.costs[1][0].pass1Cost = {100};
     const TimingResult r = simulateButterfly(in);
     EXPECT_GE(r.totalCycles, 101u);
@@ -203,7 +204,8 @@ TEST(SimulateButterfly, Pass2CostDelaysCompletion)
     ButterflyTimingInput base;
     base.costs.assign(1, std::vector<EpochCosts>(2));
     base.barrierCost = 0;
-    base.costs[0][0].appCost = {1};
+    const std::vector<Cycles> app = {1};
+    base.costs[0][0].appCost = app;
     base.costs[0][0].pass1Cost = {1};
     ButterflyTimingInput heavy = base;
     heavy.costs[0][0].pass2Cost = 1000;
@@ -217,7 +219,8 @@ TEST(SimulateButterfly, BufferBackPressureStallsApp)
     ButterflyTimingInput in;
     in.costs.assign(1, std::vector<EpochCosts>(1));
     in.bufferCapacity = 2;
-    in.costs[0][0].appCost.assign(50, 1);
+    const std::vector<Cycles> app(50, 1);
+    in.costs[0][0].appCost = app;
     in.costs[0][0].pass1Cost.assign(50, 20);
     const TimingResult r = simulateButterfly(in);
     EXPECT_GT(r.appStallCycles, 0u);

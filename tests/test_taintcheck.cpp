@@ -42,8 +42,9 @@ Run
 runTaint(Trace trace,
          TaintTermination term = TaintTermination::SequentialConsistency)
 {
-    Run run{std::move(trace), EpochLayout::fromHeartbeats(Trace{}), {}};
-    run.layout = EpochLayout::fromHeartbeats(run.trace);
+    // The layout views the trace's events, which the move keeps.
+    EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    Run run{std::move(trace), std::move(layout), {}};
     run.check =
         std::make_unique<ButterflyTaintCheck>(run.layout, cfg8(), term);
     WindowSchedule().run(run.layout, *run.check);

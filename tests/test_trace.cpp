@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
+#include <tuple>
 
 #include "memmodel/interleaver.hpp"
 #include "tests/helpers.hpp"
 #include "trace/log_buffer.hpp"
+#include "trace/log_codec.hpp"
 #include "workloads/workload.hpp"
 
 namespace bfly {
@@ -532,6 +536,335 @@ TEST(EpochStream, HeartbeatModeMatchesLayoutOnSkewedMarkers)
     }
     while (stream.residentEpochs() > 0)
         stream.retire(L - stream.residentEpochs());
+}
+
+// ------------------------------------------------- zero-copy block views
+
+bool
+sameEvent(const Event &a, const Event &b)
+{
+    const auto fields = [](const Event &e) {
+        return std::tie(e.kind, e.nsrc, e.size, e.site, e.addr, e.src0,
+                        e.src1, e.gseq);
+    };
+    return fields(a) == fields(b);
+}
+
+/**
+ * Checks every block a slicing hands out against the trace it borrows.
+ * The checker builds its own filtered copy of each thread, with the
+ * stored index of each event, so it knows where a block must lie.
+ */
+class BlockChecker
+{
+  public:
+    explicit BlockChecker(const Trace &trace)
+        : trace_(trace), filtered_(trace.numThreads()),
+          stored_(trace.numThreads()), next_(trace.numThreads(), 0)
+    {
+        for (std::size_t t = 0; t < trace.numThreads(); ++t) {
+            const std::vector<Event> &raw = trace.threads[t].events;
+            for (std::size_t k = 0; k < raw.size(); ++k) {
+                if (raw[k].kind == EventKind::Heartbeat)
+                    continue;
+                filtered_[t].push_back(raw[k]);
+                stored_[t].push_back(k);
+            }
+        }
+    }
+
+    /**
+     * Block (l, t), handed out in epoch order per thread: it continues
+     * the thread's partition at `first`, reads the filtered events, and
+     * is a span of the trace's storage, at the stored position of its
+     * first event, unless a marker falls between two of its events —
+     * then it is a copy without the marker.
+     */
+    void
+    check(const BlockView &b, ThreadId t)
+    {
+        ASSERT_EQ(b.first, next_[t]) << "thread " << t;
+        next_[t] += b.size();
+        ASSERT_LE(next_[t], filtered_[t].size());
+        for (std::size_t i = 0; i < b.size(); ++i)
+            ASSERT_TRUE(sameEvent(b.events[i], filtered_[t][b.first + i]))
+                << "thread " << t << " event " << b.first + i;
+        if (b.empty())
+            return;
+        const std::size_t begin = stored_[t][b.first];
+        const bool straddles =
+            stored_[t][b.first + b.size() - 1] - begin + 1 != b.size();
+        const std::vector<Event> &raw = trace_.threads[t].events;
+        const bool in_trace =
+            std::less_equal<const Event *>{}(raw.data(), b.events.data()) &&
+            std::less<const Event *>{}(b.events.data(),
+                                       raw.data() + raw.size());
+        if (straddles) {
+            EXPECT_FALSE(in_trace) << "thread " << t << " at " << b.first;
+            straddling_ += b.size();
+        } else {
+            EXPECT_EQ(b.events.data(), raw.data() + begin)
+                << "thread " << t << " at " << b.first;
+        }
+    }
+
+    /** Every event was handed out exactly once. */
+    void
+    expectCovered() const
+    {
+        for (std::size_t t = 0; t < filtered_.size(); ++t)
+            EXPECT_EQ(next_[t], filtered_[t].size()) << "thread " << t;
+    }
+
+    /** Events in blocks that straddle a marker. */
+    std::uint64_t straddling() const { return straddling_; }
+
+  private:
+    const Trace &trace_;
+    std::vector<std::vector<Event>> filtered_;
+    std::vector<std::vector<std::size_t>> stored_;
+    std::vector<std::size_t> next_;
+    std::uint64_t straddling_ = 0;
+};
+
+/** Check every block of @p layout; returns the straddling event count. */
+std::uint64_t
+checkLayout(const Trace &trace, const EpochLayout &layout)
+{
+    BlockChecker checker(trace);
+    for (EpochId l = 0; l < layout.numEpochs(); ++l)
+        for (ThreadId t = 0; t < layout.numThreads(); ++t)
+            checker.check(layout.block(l, t), t);
+    checker.expectCovered();
+    return checker.straddling();
+}
+
+/** Stream every epoch through @p cfg's ring, checking each block while
+ *  it is resident; expects copiedEvents() to count the straddlers. */
+std::uint64_t
+checkStream(const Trace &trace, const EpochStream::Config &cfg)
+{
+    EpochStream stream(trace, cfg);
+    BlockChecker checker(trace);
+    const std::size_t W = stream.windowEpochs();
+    for (EpochId l = 0; l < stream.numEpochs(); ++l) {
+        if (l >= W)
+            stream.retire(l - W);
+        stream.acquire(l);
+        for (ThreadId t = 0; t < stream.numThreads(); ++t)
+            checker.check(stream.block(l, t), t);
+    }
+    for (EpochId l = stream.numEpochs() > W ? stream.numEpochs() - W : 0;
+         l < stream.numEpochs(); ++l)
+        stream.retire(l);
+    checker.expectCovered();
+    EXPECT_EQ(stream.copiedEvents(), checker.straddling());
+    return stream.copiedEvents();
+}
+
+/** An interleaved three-thread trace: gseqs, no markers. */
+Trace
+interleavedTrace(std::uint64_t seed)
+{
+    WorkloadConfig wcfg;
+    wcfg.numThreads = 3;
+    wcfg.instrPerThread = 1500;
+    wcfg.seed = seed;
+    const Workload w = makeRandomMix(wcfg);
+    Rng rng(seed + 1);
+    Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
+    for (const ThreadTrace &t : trace.threads)
+        EXPECT_EQ(t.instructionCount(), t.events.size()) << "marked";
+    return trace;
+}
+
+/** Threads with uneven, duplicated, leading and trailing markers. */
+Trace
+raggedMarkedTrace()
+{
+    return test::traceOf({
+        {Event::read(1), Event::heartbeat(), Event::heartbeat(),
+         Event::read(2), Event::read(3), Event::heartbeat(),
+         Event::read(4)},
+        {Event::heartbeat(), Event::read(5), Event::read(6),
+         Event::heartbeat(), Event::read(7), Event::heartbeat()},
+        {Event::read(8), Event::read(9)},
+    });
+}
+
+TEST(BlockViews, SlicingsOfAnUnmarkedTraceViewItsStorage)
+{
+    for (std::uint64_t seed : {3u, 11u}) {
+        const Trace trace = interleavedTrace(seed);
+        const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 300);
+        ASSERT_GT(layout.numEpochs(), 8u);
+        EXPECT_EQ(checkLayout(trace, layout), 0u);
+        EXPECT_EQ(checkLayout(trace, EpochLayout::uniform(trace, 97)), 0u);
+        EXPECT_EQ(checkLayout(trace, EpochLayout::byGlobalSeqSkewed(
+                                         trace, 300, 120, seed)),
+                  0u);
+        EpochStream::Config cfg;
+        cfg.globalH = 300;
+        EXPECT_EQ(checkStream(trace, cfg), 0u);
+    }
+}
+
+TEST(BlockViews, HeartbeatSlicingsOfAMarkedTraceViewItsStorage)
+{
+    const Trace trace = interleavedTrace(5);
+    const Trace marked =
+        withHeartbeatMarkers(trace, EpochLayout::byGlobalSeq(trace, 300));
+    for (const Trace *t : {&marked, &trace}) {
+        // Block l of thread t starts starts[t][l] + l events in.
+        EXPECT_EQ(checkLayout(*t, EpochLayout::fromHeartbeats(*t)), 0u);
+        EpochStream::Config cfg;
+        cfg.fromHeartbeats = true;
+        EXPECT_EQ(checkStream(*t, cfg), 0u);
+    }
+    const Trace ragged = raggedMarkedTrace();
+    EXPECT_EQ(checkLayout(ragged, EpochLayout::fromHeartbeats(ragged)), 0u);
+    EpochStream::Config cfg;
+    cfg.fromHeartbeats = true;
+    EXPECT_EQ(checkStream(ragged, cfg), 0u);
+}
+
+TEST(BlockViews, BlocksThatStraddleMarkersAreCopiedWithoutThem)
+{
+    const Trace trace = interleavedTrace(7);
+    const Trace marked =
+        withHeartbeatMarkers(trace, EpochLayout::byGlobalSeq(trace, 200));
+    const std::size_t source = EpochLayout::fromHeartbeats(marked).numEpochs();
+    ASSERT_GT(source, 8u);
+
+    // A forced width cycle, as the adaptive server's force-cycle hook
+    // runs it: span-1 epochs stay views, merged ones are copies.
+    EpochStream::Config cfg;
+    cfg.fromHeartbeats = true;
+    std::size_t group = 0;
+    cfg.reslice = [&group](EpochId, std::span<const std::size_t>) {
+        static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
+        return kCycle[group++ % 4];
+    };
+    EXPECT_GT(checkStream(marked, cfg), 0u);
+
+    group = 0;
+    const EpochStream spans_of(marked, cfg);
+    const EpochLayout coalesced = EpochLayout::coalescedFromHeartbeats(
+        marked, spans_of.realizedSpans());
+    EXPECT_GT(checkLayout(marked, coalesced), 0u);
+    for (EpochId l = 0; l < coalesced.numEpochs(); ++l)
+        for (ThreadId t = 0; t < coalesced.numThreads(); ++t)
+            for (const Event &e : coalesced.block(l, t).events)
+                EXPECT_NE(e.kind, EventKind::Heartbeat);
+
+    // Cutting a marked trace by another rule straddles markers too.
+    const Trace ragged = raggedMarkedTrace();
+    EXPECT_GT(checkLayout(ragged, EpochLayout::uniform(ragged, 2)), 0u);
+    EXPECT_GT(checkLayout(marked, EpochLayout::byGlobalSeq(marked, 450)),
+              0u);
+}
+
+// The layouts and streams borrow their trace: none binds a temporary.
+template <typename T>
+concept SlicesFromHeartbeats =
+    requires(T &&t) { EpochLayout::fromHeartbeats(std::forward<T>(t)); };
+template <typename T>
+concept SlicesUniform =
+    requires(T &&t) { EpochLayout::uniform(std::forward<T>(t), 4); };
+template <typename T>
+concept SlicesByGlobalSeq =
+    requires(T &&t) { EpochLayout::byGlobalSeq(std::forward<T>(t), 4); };
+template <typename T>
+concept SlicesByGlobalSeqSkewed = requires(T &&t) {
+    EpochLayout::byGlobalSeqSkewed(std::forward<T>(t), 4, 1, 0);
+};
+template <typename T>
+concept SlicesCoalesced = requires(T &&t, std::span<const std::uint32_t> s) {
+    EpochLayout::coalescedFromHeartbeats(std::forward<T>(t), s);
+};
+template <typename T>
+concept Streams =
+    requires(T &&t) { EpochStream(std::forward<T>(t), EpochStream::Config{}); };
+
+static_assert(SlicesFromHeartbeats<const Trace &> &&
+              !SlicesFromHeartbeats<Trace> &&
+              !SlicesFromHeartbeats<const Trace>);
+static_assert(SlicesUniform<const Trace &> && !SlicesUniform<Trace> &&
+              !SlicesUniform<const Trace>);
+static_assert(SlicesByGlobalSeq<const Trace &> &&
+              !SlicesByGlobalSeq<Trace> && !SlicesByGlobalSeq<const Trace>);
+static_assert(SlicesByGlobalSeqSkewed<const Trace &> &&
+              !SlicesByGlobalSeqSkewed<Trace> &&
+              !SlicesByGlobalSeqSkewed<const Trace>);
+static_assert(SlicesCoalesced<const Trace &> && !SlicesCoalesced<Trace> &&
+              !SlicesCoalesced<const Trace>);
+static_assert(Streams<const Trace &> && !Streams<Trace> &&
+              !Streams<const Trace>);
+
+/** Every block's events, copied out, so a later read can be compared. */
+std::vector<std::vector<Event>>
+blockContents(const EpochLayout &layout)
+{
+    std::vector<std::vector<Event>> out;
+    for (EpochId l = 0; l < layout.numEpochs(); ++l)
+        for (ThreadId t = 0; t < layout.numThreads(); ++t) {
+            const BlockView b = layout.block(l, t);
+            out.emplace_back(b.events.begin(), b.events.end());
+        }
+    return out;
+}
+
+void
+expectSameContents(const std::vector<std::vector<Event>> &a,
+                   const std::vector<std::vector<Event>> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        ASSERT_EQ(a[k].size(), b[k].size()) << "block " << k;
+        for (std::size_t i = 0; i < a[k].size(); ++i)
+            EXPECT_TRUE(sameEvent(a[k][i], b[k][i])) << "block " << k;
+    }
+}
+
+TEST(BlockViews, LayoutOutlivesAMoveOfItsTrace)
+{
+    // The WalkedCase pattern: slice, then move the trace and the layout
+    // into one struct, which a growing vector moves again.
+    struct Owned
+    {
+        Trace trace;
+        EpochLayout layout;
+    };
+    std::vector<Owned> owned;
+    std::vector<std::vector<std::vector<Event>>> want;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Trace trace = interleavedTrace(seed);
+        EpochLayout layout = EpochLayout::byGlobalSeq(trace, 250);
+        want.push_back(blockContents(layout));
+        owned.push_back({std::move(trace), std::move(layout)});
+    }
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+        expectSameContents(blockContents(owned[k].layout), want[k]);
+        EXPECT_EQ(checkLayout(owned[k].trace, owned[k].layout), 0u);
+    }
+}
+
+TEST(BlockViews, LayoutCopiesOwnTheirCopiedBlocks)
+{
+    // A copied layout reads its own copies of the straddling blocks, not
+    // the original's, and both still view the trace for the others.
+    const Trace marked = raggedMarkedTrace();
+    const std::uint32_t spans[] = {2, 2};
+    std::optional<EpochLayout> original =
+        EpochLayout::coalescedFromHeartbeats(marked, spans);
+    const auto want = blockContents(*original);
+    const EpochLayout copy = *original;
+    EpochLayout assigned = EpochLayout::fromHeartbeats(marked);
+    assigned = *original;
+    original.reset();
+    expectSameContents(blockContents(copy), want);
+    expectSameContents(blockContents(assigned), want);
+    EXPECT_GT(checkLayout(marked, copy), 0u);
 }
 
 TEST(LogBuffer, CapacityFromBytes)
