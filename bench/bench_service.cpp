@@ -1,7 +1,7 @@
 /**
  * @file
- * Monitoring-service throughput: sessions x chunk-size sweep plus a
- * reactor-shard scaling group over a loopback Unix-domain socket.
+ * Monitoring-service throughput: sessions x chunk-size sweep plus an
+ * adaptive epoch-sizing group over a loopback Unix-domain socket.
  *
  * Each configuration starts one MonitorServer, then N client threads
  * each replay the same heartbeat-marked synthetic trace through full
@@ -145,7 +145,6 @@ struct SweepResult
     std::string mode = "static"; ///< static | fine | coarse | adaptive
     std::size_t sessions = 0;
     std::size_t chunkBytes = 0;
-    std::size_t shards = 1;
     std::size_t traces = 0;
     std::uint64_t events = 0;
     std::uint64_t busyRetries = 0;
@@ -167,16 +166,13 @@ SweepResult
 benchConfig(std::size_t sessions, std::size_t chunk_bytes,
             std::size_t traces_per_session, const Trace &marked,
             const SessionSpec &spec, const RemoteReport &reference,
-            std::size_t shards = 1,
             std::size_t adaptive_target_events = 0)
 {
     ServerConfig scfg;
     scfg.unixPath = "/tmp/bfly-bench-" + std::to_string(::getpid()) +
                     "-" + std::to_string(sessions) + "-" +
-                    std::to_string(chunk_bytes) + "-" +
-                    std::to_string(shards) +
+                    std::to_string(chunk_bytes) +
                     (adaptive_target_events ? "-a" : "") + ".sock";
-    scfg.shards = shards;
     if (adaptive_target_events > 0) {
         scfg.mux.adaptive = true;
         scfg.mux.controller.targetEventsPerEpoch = adaptive_target_events;
@@ -190,7 +186,6 @@ benchConfig(std::size_t sessions, std::size_t chunk_bytes,
     SweepResult r;
     r.sessions = sessions;
     r.chunkBytes = chunk_bytes;
-    r.shards = shards;
     std::atomic<std::uint64_t> busy{0}, mismatches{0}, failures{0};
     std::atomic<std::uint64_t> latencyUs{0}, sheds{0}, hChanges{0};
 
@@ -338,40 +333,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Shard-scaling group: same load, varying reactor count. On a
-    // multi-core runner 2 shards should beat 1; on a single hardware
-    // thread the useful assertion is "not slower" — the ratio lands in
-    // the JSON so CI can hold the floor it calibrated for its runner.
-    const std::size_t shard_sessions = quick ? 4 : 8;
-    const std::vector<std::size_t> shard_counts =
-        quick ? std::vector<std::size_t>{1, 2}
-              : std::vector<std::size_t>{1, 2, 4};
-    double shard1EventsPerSec = 0, shard2EventsPerSec = 0;
-    for (std::size_t shards : shard_counts) {
-        const SweepResult r =
-            benchConfig(shard_sessions, 64 * 1024, traces_per_session,
-                        marked, spec, reference, shards);
-        results.push_back(r);
-        std::printf("%-22s %10.3f %12.0f %12.3f %8llu%s\n",
-                    ("s" + std::to_string(shard_sessions) + "_sh" +
-                     std::to_string(shards))
-                        .c_str(),
-                    r.wallSecs, r.eventsPerSec(), r.meanLatencyMs,
-                    static_cast<unsigned long long>(r.busyRetries),
-                    r.mismatches + r.failures ? "  CONFORMANCE FAIL"
-                                              : "");
-        if (r.mismatches + r.failures)
-            clean = false;
-        if (shards == 1)
-            shard1EventsPerSec = r.eventsPerSec();
-        else if (shards == 2)
-            shard2EventsPerSec = r.eventsPerSec();
-    }
-    const double shardRatio =
-        shard1EventsPerSec > 0 ? shard2EventsPerSec / shard1EventsPerSec
-                               : 0.0;
-    std::printf("shard scaling 2-vs-1: %.3fx\n", shardRatio);
-
     // Adaptive epoch-sizing group: a bursty trace (runs of tiny epochs
     // with occasional fat ones) served three ways — the platform's own
     // fine markers, the same events with 8x coarser markers (the static
@@ -418,11 +379,11 @@ main(int argc, char **argv)
         // run failing conformance still fails the row.
         SweepResult r =
             benchConfig(adaptiveSessions, 64 * 1024, adaptiveTraces,
-                        *row.trace, bspec, *row.ref, 1, row.target);
+                        *row.trace, bspec, *row.ref, row.target);
         {
             const SweepResult again = benchConfig(
                 adaptiveSessions, 64 * 1024, adaptiveTraces,
-                *row.trace, bspec, *row.ref, 1, row.target);
+                *row.trace, bspec, *row.ref, row.target);
             const std::uint64_t mm = r.mismatches + again.mismatches;
             const std::uint64_t ff = r.failures + again.failures;
             if (again.eventsPerSec() > r.eventsPerSec())
@@ -470,12 +431,11 @@ main(int argc, char **argv)
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"bench_service\",\n  \"quick\": %s,\n"
-                 "  \"shard_ratio_2v1\": %.3f,\n"
                  "  \"adaptive_ratio\": %.3f,\n"
                  "  \"adaptive_sheds\": %llu,\n"
                  "  \"static_sheds\": %llu,\n"
                  "  \"sweep\": [\n",
-                 quick ? "true" : "false", shardRatio, adaptiveRatio,
+                 quick ? "true" : "false", adaptiveRatio,
                  static_cast<unsigned long long>(adaptiveSheds),
                  static_cast<unsigned long long>(staticSheds));
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -483,13 +443,13 @@ main(int argc, char **argv)
         std::fprintf(
             f,
             "    {\"mode\": \"%s\", \"sessions\": %zu, "
-            "\"chunk_bytes\": %zu, \"shards\": %zu, "
+            "\"chunk_bytes\": %zu, "
             "\"traces\": %zu, \"events\": %llu, \"wall_seconds\": %.6f, "
             "\"events_per_sec\": %.0f, \"mean_latency_ms\": %.3f, "
             "\"busy_retries\": %llu, \"mismatches\": %llu, "
             "\"failures\": %llu, \"sheds\": %llu, "
             "\"h_changes\": %llu}%s\n",
-            r.mode.c_str(), r.sessions, r.chunkBytes, r.shards, r.traces,
+            r.mode.c_str(), r.sessions, r.chunkBytes, r.traces,
             static_cast<unsigned long long>(r.events), r.wallSecs,
             r.eventsPerSec(), r.meanLatencyMs,
             static_cast<unsigned long long>(r.busyRetries),

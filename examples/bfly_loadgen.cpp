@@ -32,7 +32,7 @@
  * socket, SessionOpen + a dangling LogChunk, then an abrupt close with
  * no TraceEnd), connect/disconnect churn, a budget hog (a session that
  * parks megabytes of decoded events with no TraceEnd, pressuring the
- * shard byte budget while peers run conformance cases), or a TraceEnd
+ * server's byte budget while peers run conformance cases), or a TraceEnd
  * flood (one valid chunk, then dozens of out-of-sequence TraceEnd
  * frames the server must Ignore). The server must shed the abusive
  * sessions without perturbing any concurrent conformance run. Chaos
@@ -92,8 +92,7 @@ struct Options
     bool quiet = false;
     bool chaos = false;
     std::uint64_t budgetSec = 30;
-    std::size_t shards = 1;  ///< in-process server only
-    bool adaptive = false;   ///< in-process server only
+    bool adaptive = false; ///< in-process server only
 };
 
 struct Tally
@@ -118,17 +117,6 @@ struct Tally
     /** Sessions refused with RejectCode::Overload — the shed rung doing
      *  its job under chaos pressure, not a conformance failure. */
     std::atomic<std::uint64_t> sheds{0};
-    /** Highest shard count any SessionAccept reported (0 = none seen). */
-    std::atomic<std::uint64_t> serverShards{0};
-
-    void
-    noteServerShards(std::uint64_t n)
-    {
-        std::uint64_t cur = serverShards.load(std::memory_order_relaxed);
-        while (n > cur && !serverShards.compare_exchange_weak(
-                              cur, n, std::memory_order_relaxed))
-            ;
-    }
 };
 
 void
@@ -139,7 +127,6 @@ usage(std::ostream &out)
         << "  --tcp PORT       connect to loopback TCP\n"
         << "                   (neither: in-process server is started)\n"
         << "  --sessions N     concurrent client connections (default 4)\n"
-        << "  --shards N       reactor shards for the in-process server\n"
         << "  --traces M       total fuzzer traces to replay (default 50)\n"
         << "  --seed S|from-run-id  fuzzer seed (from-run-id derives\n"
         << "                   it from $GITHUB_RUN_ID, else the clock)\n"
@@ -266,7 +253,6 @@ runConformanceCase(const Options &opt, fuzz::TraceFuzzer &fuzzer,
     tally.busyRetries.fetch_add(remote.busyRetries);
     tally.events.fetch_add(trace.instructionCount());
     tally.logBytes.fetch_add(remote.logBytesSent);
-    tally.noteServerShards(remote.serverShards);
 
     if (!remote.ok) {
         if (remote.overloaded) {
@@ -458,7 +444,7 @@ connectChurn(const Options &opt, std::mt19937_64 &rng, Tally &tally)
 /**
  * Budget hog: a session that streams a few MiB of decoded events with
  * no heartbeat markers and no TraceEnd, so nothing can retire and the
- * bytes sit accounted against the shard budget. It holds that pressure
+ * bytes sit accounted against the server's budget. It holds that pressure
  * for a beat — long enough for concurrent workers' conformance runs to
  * cross the admission edge (Busy{GlobalBudget} rewinds, the adaptive
  * ladder's escalation) — then closes; the abort path must reclaim
@@ -641,13 +627,6 @@ main(int argc, char **argv)
             opt.tcpPort = static_cast<std::uint16_t>(std::atoi(value()));
         } else if (arg == "--sessions")
             opt.sessions = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--shards") {
-            opt.shards = std::strtoull(value(), nullptr, 10);
-            if (opt.shards == 0) {
-                std::cerr << "bfly_loadgen: --shards must be > 0\n";
-                return 2;
-            }
-        }
         else if (arg == "--traces")
             opt.traces = std::strtoull(value(), nullptr, 10);
         else if (arg == "--seed") {
@@ -713,7 +692,6 @@ main(int argc, char **argv)
         ServerConfig scfg;
         scfg.unixPath =
             "/tmp/bfly-loadgen-" + std::to_string(::getpid()) + ".sock";
-        scfg.shards = opt.shards;
         if (opt.adaptive) {
             // Force-cycle the epoch width every group so every session
             // crosses several h-changes; the conformance check then
@@ -724,9 +702,9 @@ main(int argc, char **argv)
         if (opt.chaos) {
             // Shrink the budget so the hog action genuinely pressures
             // admission (one hog parks ~2 MiB decoded against 8 MiB
-            // total, sliced across shards), and widen the per-session
-            // queue so the hog's burst is admitted rather than cut at
-            // the queue watermark before it ever reaches the budget.
+            // total), and widen the per-session queue so the hog's
+            // burst is admitted rather than cut at the queue watermark
+            // before it ever reaches the budget.
             scfg.mux.globalBudgetBytes = 8 * 1024 * 1024;
             scfg.mux.sessionQueueBytes = 1024 * 1024;
         }
@@ -817,7 +795,6 @@ main(int argc, char **argv)
 
     std::ostringstream json;
     json << "{\"sessions\": " << opt.sessions
-         << ", \"shards\": " << tally.serverShards.load()
          << ", \"seed\": " << opt.seed
          << ", \"traces\": " << tally.traces.load()
          << ", \"mismatches\": " << tally.mismatches.load()

@@ -3,18 +3,22 @@
  * bfly_serve: run the multi-tenant butterfly monitoring daemon.
  *
  *   bfly_serve --unix /tmp/bfly.sock [--tcp PORT] [--workers N]
- *              [--shards N] [--reuseport] [--queue-kb K]
- *              [--budget-mb M] [--session-mb M] [--idle-ms T]
- *              [--adaptive] [--target-events N] [--quiet]
+ *              [--queue-kb K] [--budget-mb M] [--session-mb M]
+ *              [--idle-ms T] [--adaptive] [--target-events N] [--quiet]
  *
  * Listens until SIGINT/SIGTERM, then prints a one-line stats summary.
+ * A numeric flag whose value is not a whole decimal number in range
+ * exits 2 with the usage text.
  * Clients speak the wire protocol in src/service/wire.hpp; the stock
  * client is bfly_loadgen (or the MonitorClient library).
  */
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -44,17 +48,30 @@ usage()
               << "  --unix PATH     Unix-domain socket to listen on\n"
               << "  --tcp PORT      loopback TCP port (0 = ephemeral)\n"
               << "  --workers N     worker pool size (0 = hw threads)\n"
-              << "  --shards N      reactor event loops (default 1)\n"
-              << "  --reuseport     per-shard SO_REUSEPORT TCP listeners\n"
-              << "  --queue-kb K    per-session ingest queue (KiB)\n"
-              << "  --budget-mb M   server-wide byte budget (MiB)\n"
-              << "  --session-mb M  hard per-session cap (MiB)\n"
+              << "  --queue-kb K    per-session ingest queue (KiB, > 0)\n"
+              << "  --budget-mb M   server-wide byte budget (MiB, > 0)\n"
+              << "  --session-mb M  hard per-session cap (MiB, > 0)\n"
               << "  --idle-ms T     idle-session disconnect (0 = off)\n"
               << "  --adaptive      online epoch sizing + graduated\n"
               << "                  degradation ladder (see DESIGN.md)\n"
               << "  --target-events N  adaptive: coalesce epochs until\n"
               << "                  ~N events each (default 512)\n"
               << "  --quiet         suppress the startup banner\n";
+}
+
+/** Parse all of @p text as a decimal in [min, max], scaled by
+ *  @p unit; false on anything else (sign, junk, overflow). */
+bool
+parseNumber(const char *text, std::uint64_t min, std::uint64_t max,
+            std::uint64_t unit, std::uint64_t &out)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t n = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, n);
+    if (ec != std::errc() || ptr != end || n < min || n > max / unit)
+        return false;
+    out = n * unit;
+    return true;
 }
 
 } // namespace
@@ -74,38 +91,40 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // The value of a numeric flag, or exit 2 naming the bad one.
+        auto number = [&](std::uint64_t min, std::uint64_t max,
+                          std::uint64_t unit = 1) {
+            const char *text = value();
+            std::uint64_t n = 0;
+            if (!parseNumber(text, min, max, unit, n)) {
+                std::cerr << "bfly_serve: bad value for " << arg << ": '"
+                          << text << "'\n";
+                usage();
+                std::exit(2);
+            }
+            return n;
+        };
         if (arg == "--unix")
             config.unixPath = value();
         else if (arg == "--tcp") {
             config.tcp = true;
             config.tcpPort =
-                static_cast<std::uint16_t>(std::atoi(value()));
+                static_cast<std::uint16_t>(number(0, UINT16_MAX));
         } else if (arg == "--workers")
-            config.workers = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--shards") {
-            config.shards = std::strtoull(value(), nullptr, 10);
-            if (config.shards == 0) {
-                std::cerr << "bfly_serve: --shards must be > 0\n";
-                return 2;
-            }
-        } else if (arg == "--reuseport")
-            config.tcpReusePort = true;
+            config.workers = number(0, SIZE_MAX);
         else if (arg == "--queue-kb")
-            config.mux.sessionQueueBytes =
-                std::strtoull(value(), nullptr, 10) * 1024;
+            config.mux.sessionQueueBytes = number(1, SIZE_MAX, 1024);
         else if (arg == "--budget-mb")
             config.mux.globalBudgetBytes =
-                std::strtoull(value(), nullptr, 10) * 1024 * 1024;
+                number(1, SIZE_MAX, 1024 * 1024);
         else if (arg == "--session-mb")
-            config.mux.maxSessionBytes =
-                std::strtoull(value(), nullptr, 10) * 1024 * 1024;
+            config.mux.maxSessionBytes = number(1, SIZE_MAX, 1024 * 1024);
         else if (arg == "--idle-ms")
-            config.idleTimeoutMs = std::atoi(value());
+            config.idleTimeoutMs = static_cast<int>(number(0, INT_MAX));
         else if (arg == "--adaptive")
             config.mux.adaptive = true;
         else if (arg == "--target-events")
-            config.mux.controller.targetEventsPerEpoch =
-                std::strtoull(value(), nullptr, 10);
+            config.mux.controller.targetEventsPerEpoch = number(0, SIZE_MAX);
         else if (arg == "--quiet")
             quiet = true;
         else {
@@ -137,7 +156,6 @@ main(int argc, char **argv)
             std::cout << " unix=" << config.unixPath;
         if (config.tcp)
             std::cout << " tcp=127.0.0.1:" << server.tcpPort();
-        std::cout << " shards=" << server.shards();
         if (config.mux.adaptive)
             std::cout << " adaptive=1 target_events="
                       << config.mux.controller.targetEventsPerEpoch;
@@ -159,14 +177,5 @@ main(int argc, char **argv)
               << " elision_sessions=" << server.elisionSessions()
               << " summary_events=" << server.summaryEventsSeen()
               << std::endl;
-    for (const ShardStats &s : server.shardStats())
-        std::cout << "bfly_serve: shard=" << s.shard
-                  << " assigned=" << s.sessionsAssigned
-                  << " completed=" << s.completed
-                  << " busy_sent=" << s.busySent
-                  << " steals=" << s.budgetSteals
-                  << " stolen_bytes=" << s.budgetStolenBytes
-                  << " donated_bytes=" << s.budgetDonatedBytes
-                  << std::endl;
     return 0;
 }

@@ -97,8 +97,8 @@ class WorkerPool
      * including from inside a running task (a dependency graph submits
      * a successor the moment its last prerequisite completes). Any
      * number of drivers may submit into distinct groups and wait on
-     * them concurrently — this is how the monitoring service shards
-     * many sessions' pipelined window schedules onto one shared pool.
+     * them concurrently, so several pipelined window schedules can
+     * share one pool.
      * Every submitted task must be balanced by a waitGroup() on its
      * group; tasks never outlive the pool.
      */

@@ -251,7 +251,6 @@ MonitorClient::run(const SessionSpec &spec, const Trace &marked_trace)
                     return result;
                 }
                 result.sessionId = accept.sessionId;
-                result.serverShards = accept.shardCount;
                 break;
               }
               case FrameType::Heartbeat:

@@ -42,12 +42,11 @@ struct RunResult
     SummaryInfo summary;   ///< final frame (valid when ok)
     RemoteReport report;   ///< records/sos/fingerprint as streamed
     std::uint64_t busyRetries = 0; ///< Busy rewinds survived
-    /** The session was refused with RejectCode::Overload — the shard's
+    /** The session was refused with RejectCode::Overload — the server's
      *  degradation ladder is shedding new sessions. Retry-later
      *  semantics, distinct from a conformance failure. */
     bool overloaded = false;
-    std::uint64_t serverShards = 0; ///< reactor count from SessionAccept
-    std::uint64_t sessionId = 0;    ///< id from SessionAccept (0 if none)
+    std::uint64_t sessionId = 0; ///< id from SessionAccept (0 if none)
     /** Realized epoch slicing advertised in EpochHint frames (adaptive
      *  servers only; empty = source slicing). Feeding these to
      *  EpochLayout::coalescedFromHeartbeats rebuilds the exact layout

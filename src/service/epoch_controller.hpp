@@ -17,7 +17,7 @@
  * from the same realized spans). Partial keeps analyzing at the
  * coarsest slicing but ships only the Summary fingerprint. Busy pushes
  * go-back-N back-pressure before the hard watermark would. Shed rejects
- * new sessions at the shard edge with RejectCode::Overload.
+ * new sessions at the server's door with RejectCode::Overload.
  *
  * Transitions are hysteretic and deterministic: escalation needs
  * `escalateAfter` consecutive samples at or above `upThreshold`,
@@ -76,7 +76,7 @@ struct ControllerConfig
 struct ControllerSample
 {
     double queueFraction = 0.0;  ///< session queue bytes / watermark
-    double budgetFraction = 0.0; ///< shard accounted bytes / budget slice
+    double budgetFraction = 0.0; ///< accounted bytes / global budget
     double partialRate = 0.0;    ///< partial summaries / completed sessions
 };
 

@@ -53,46 +53,34 @@ defaultWorkers(std::size_t configured)
 
 } // namespace
 
-std::size_t
-MonitorServer::shardOfSession(std::uint64_t session_id, std::size_t shards)
-{
-    if (shards <= 1)
-        return 0;
-    // splitmix64 finalizer: adjacent ids land on well-spread shards.
-    std::uint64_t x = session_id + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % shards);
-}
-
 MonitorServer::MonitorServer(ServerConfig config)
     : config_(std::move(config)), pool_(defaultWorkers(config_.workers))
 {
-    if (config_.shards == 0)
-        config_.shards = 1;
 }
 
 MonitorServer::~MonitorServer()
 {
     stop();
-    // Reactor teardown: the mux drains its in-flight jobs (which may
-    // still poke the wake pipe) before the pipe fds close.
-    for (auto &r : reactors_) {
-        r->mux.reset();
-        for (int fd : {r->wakeFds[0], r->wakeFds[1], r->tcpFd})
-            if (fd >= 0)
-                ::close(fd);
-    }
-    reactors_.clear();
+    releaseMux();
 }
 
 void
-MonitorServer::wake(Reactor &r)
+MonitorServer::releaseMux()
 {
-    if (r.wakeFds[1] >= 0) {
+    mux_.reset();
+    for (int &fd : wakeFds_) {
+        if (fd >= 0)
+            ::close(fd);
+        fd = -1;
+    }
+}
+
+void
+MonitorServer::wake()
+{
+    if (wakeFds_[1] >= 0) {
         const char byte = 1;
-        [[maybe_unused]] ssize_t n = ::write(r.wakeFds[1], &byte, 1);
+        [[maybe_unused]] ssize_t n = ::write(wakeFds_[1], &byte, 1);
     }
 }
 
@@ -101,10 +89,6 @@ MonitorServer::start()
 {
     if (started_)
         return true;
-
-    const std::size_t nshards = config_.shards;
-    const bool reuseport =
-        config_.tcp && config_.tcpReusePort && nshards > 1;
 
     if (!config_.unixPath.empty()) {
         unixFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -124,7 +108,7 @@ MonitorServer::start()
         setNonBlocking(unixFd_);
     }
 
-    if (config_.tcp && !reuseport) {
+    if (config_.tcp) {
         tcpFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
         if (tcpFd_ < 0)
             return false;
@@ -145,69 +129,18 @@ MonitorServer::start()
         setNonBlocking(tcpFd_);
     }
 
-    // (Re)build the reactors. Destroying old ones first drains any
-    // jobs a previous run left in flight and releases their pipes.
-    for (auto &r : reactors_) {
-        r->mux.reset();
-        for (int fd : {r->wakeFds[0], r->wakeFds[1], r->tcpFd})
-            if (fd >= 0)
-                ::close(fd);
-    }
-    reactors_.clear();
-    budgetPool_.spare.store(0, std::memory_order_relaxed);
-
-    const std::size_t total = config_.mux.globalBudgetBytes;
-    const std::size_t base = total / nshards;
-    for (std::size_t i = 0; i < nshards; ++i) {
-        auto r = std::make_unique<Reactor>();
-        r->index = i;
-        if (::pipe(r->wakeFds) != 0)
-            return false;
-        setNonBlocking(r->wakeFds[0]);
-        setNonBlocking(r->wakeFds[1]);
-
-        const std::size_t slice = base + (i == 0 ? total % nshards : 0);
-        Reactor *rp = r.get();
-        r->mux = std::make_unique<SessionMux>(
-            pool_, config_.mux, [this, rp] { wake(*rp); },
-            nshards > 1 ? slice : 0,
-            nshards > 1 ? &budgetPool_ : nullptr);
-
-        if (reuseport) {
-            r->tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (r->tcpFd < 0)
-                return false;
-            const int one = 1;
-            ::setsockopt(r->tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof(one));
-            ::setsockopt(r->tcpFd, SOL_SOCKET, SO_REUSEPORT, &one,
-                         sizeof(one));
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            // After the first ephemeral bind, siblings join its port.
-            addr.sin_port = htons(boundTcpPort_ > 0 ? boundTcpPort_
-                                                    : config_.tcpPort);
-            if (::bind(r->tcpFd, reinterpret_cast<sockaddr *>(&addr),
-                       sizeof(addr)) != 0 ||
-                ::listen(r->tcpFd, 64) != 0)
-                return false;
-            socklen_t len = sizeof(addr);
-            if (boundTcpPort_ == 0 &&
-                ::getsockname(r->tcpFd,
-                              reinterpret_cast<sockaddr *>(&addr),
-                              &len) == 0)
-                boundTcpPort_ = ntohs(addr.sin_port);
-            setNonBlocking(r->tcpFd);
-        }
-        reactors_.push_back(std::move(r));
-    }
+    // (Re)build the mux and its wake pipe. Releasing an old mux first
+    // drains any jobs a previous run left in flight.
+    releaseMux();
+    if (::pipe(wakeFds_) != 0)
+        return false;
+    setNonBlocking(wakeFds_[0]);
+    setNonBlocking(wakeFds_[1]);
+    mux_ = std::make_unique<SessionMux>(pool_, config_.mux,
+                                        [this] { wake(); });
 
     stop_.store(false, std::memory_order_release);
-    for (auto &r : reactors_) {
-        Reactor *rp = r.get();
-        r->thread = std::thread([this, rp] { reactorLoop(*rp); });
-    }
+    thread_ = std::thread([this] { loop(); });
     started_ = true;
     return true;
 }
@@ -218,26 +151,17 @@ MonitorServer::stop()
     if (!started_)
         return;
     stop_.store(true, std::memory_order_release);
-    for (auto &r : reactors_)
-        wake(*r);
-    for (auto &r : reactors_)
-        r->thread.join();
+    wake();
+    thread_.join();
     started_ = false;
 
-    for (auto &r : reactors_) {
-        for (auto &[fd, conn] : r->connections)
-            ::close(fd);
-        r->connections.clear();
-        r->sessionToFd.clear();
-        std::lock_guard<std::mutex> lock(r->handoffMutex);
-        for (auto &[fd, id] : r->handoff)
-            ::close(fd);
-        r->handoff.clear();
-        // Wake pipe and reuseport listener stay open until the next
-        // start() or destruction: in-flight mux jobs may still wake us,
-        // and the aggregate counters must survive a stop() for the CLI
-        // exit stats.
-    }
+    for (auto &[fd, conn] : connections_)
+        ::close(fd);
+    connections_.clear();
+    sessionToFd_.clear();
+    // The wake pipe and the mux stay until the next start() or
+    // destruction: in-flight mux jobs may still wake us, and the
+    // counters must survive a stop() for the CLI exit stats.
     for (int *fd : {&unixFd_, &tcpFd_}) {
         if (*fd >= 0)
             ::close(*fd);
@@ -248,22 +172,18 @@ MonitorServer::stop()
 }
 
 void
-MonitorServer::reactorLoop(Reactor &r)
+MonitorServer::loop()
 {
     std::vector<pollfd> fds;
     while (!stop_.load(std::memory_order_acquire)) {
         fds.clear();
-        fds.push_back({r.wakeFds[0], POLLIN, 0});
-        if (r.index == 0) {
-            if (unixFd_ >= 0)
-                fds.push_back({unixFd_, POLLIN, 0});
-            if (tcpFd_ >= 0)
-                fds.push_back({tcpFd_, POLLIN, 0});
-        }
-        if (r.tcpFd >= 0)
-            fds.push_back({r.tcpFd, POLLIN, 0});
+        fds.push_back({wakeFds_[0], POLLIN, 0});
+        if (unixFd_ >= 0)
+            fds.push_back({unixFd_, POLLIN, 0});
+        if (tcpFd_ >= 0)
+            fds.push_back({tcpFd_, POLLIN, 0});
         const std::size_t firstConn = fds.size();
-        for (auto &[fd, conn] : r.connections) {
+        for (auto &[fd, conn] : connections_) {
             short events = POLLIN;
             if (conn.out.size() > conn.outPos)
                 events |= POLLOUT;
@@ -281,22 +201,20 @@ MonitorServer::reactorLoop(Reactor &r)
 
         if (fds[0].revents & POLLIN) {
             char buf[256];
-            while (::read(r.wakeFds[0], buf, sizeof(buf)) > 0) {
+            while (::read(wakeFds_[0], buf, sizeof(buf)) > 0) {
             }
         }
-        // Always drain handoffs and completions: the pipe is only a
-        // wake hint.
-        adoptHandoffs(r);
-        drainCompletions(r);
+        // Always drain completions: the pipe is only a wake hint.
+        drainCompletions();
 
         for (std::size_t i = 1; i < firstConn; ++i)
             if (fds[i].revents & POLLIN)
-                acceptAll(r, fds[i].fd);
+                acceptAll(fds[i].fd);
 
         std::vector<int> doomed;
         for (std::size_t i = firstConn; i < fds.size(); ++i) {
-            auto it = r.connections.find(fds[i].fd);
-            if (it == r.connections.end())
+            auto it = connections_.find(fds[i].fd);
+            if (it == connections_.end())
                 continue;
             Connection &conn = it->second;
             if (fds[i].revents & (POLLERR | POLLNVAL)) {
@@ -309,7 +227,7 @@ MonitorServer::reactorLoop(Reactor &r)
             // handleReadable's EOF path parse them (a final EpochHint
             // echo rides ahead of the FIN). Doom on a bare HUP only.
             if (fds[i].revents & POLLIN)
-                handleReadable(r, conn);
+                handleReadable(conn);
             else if (fds[i].revents & POLLHUP) {
                 doomed.push_back(conn.fd);
                 continue;
@@ -323,73 +241,34 @@ MonitorServer::reactorLoop(Reactor &r)
                 doomed.push_back(it->first);
         }
         for (int fd : doomed)
-            closeConnection(r, fd, true);
+            closeConnection(fd, true);
 
         if (config_.idleTimeoutMs > 0)
-            checkIdle(r);
+            checkIdle();
 
-        // Idle tick of the budget rebalance: a shard with nothing to
-        // serve returns its excess slice to the shared pool. The shard
-        // ladder ticks here too, so a Shed rung entered under abuse can
+        // The ladder ticks here, so a Shed rung entered under abuse can
         // recover even after the abusive sessions are gone.
-        r.mux->donateIdleBudget();
-        r.mux->tickShardController();
+        mux_->tickController();
     }
 }
 
 void
-MonitorServer::adoptConnection(Reactor &r, int fd, std::uint64_t assigned_id)
-{
-    setNonBlocking(fd);
-    Connection conn;
-    conn.fd = fd;
-    conn.assignedId = assigned_id;
-    conn.lastActivityMs = nowMs();
-    r.connections.emplace(fd, std::move(conn));
-    r.assigned.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-MonitorServer::adoptHandoffs(Reactor &r)
-{
-    std::vector<std::pair<int, std::uint64_t>> pending;
-    {
-        std::lock_guard<std::mutex> lock(r.handoffMutex);
-        pending.swap(r.handoff);
-    }
-    for (auto &[fd, id] : pending)
-        adoptConnection(r, fd, id);
-}
-
-void
-MonitorServer::acceptAll(Reactor &r, int listen_fd)
+MonitorServer::acceptAll(int listen_fd)
 {
     for (;;) {
         const int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0)
             return;
-        const std::uint64_t id =
-            nextSessionId_.fetch_add(1, std::memory_order_relaxed);
-        // A reuseport listener is already the kernel's placement; the
-        // shared listeners place by session-id hash.
-        const std::size_t target =
-            listen_fd == r.tcpFd ? r.index
-                                 : shardOfSession(id, reactors_.size());
-        if (target == r.index) {
-            adoptConnection(r, fd, id);
-            continue;
-        }
-        Reactor &t = *reactors_[target];
-        {
-            std::lock_guard<std::mutex> lock(t.handoffMutex);
-            t.handoff.emplace_back(fd, id);
-        }
-        wake(t);
+        setNonBlocking(fd);
+        Connection conn;
+        conn.fd = fd;
+        conn.lastActivityMs = nowMs();
+        connections_.emplace(fd, std::move(conn));
     }
 }
 
 void
-MonitorServer::handleReadable(Reactor &r, Connection &conn)
+MonitorServer::handleReadable(Connection &conn)
 {
     std::uint8_t buf[kReadChunk];
     for (;;) {
@@ -423,14 +302,14 @@ MonitorServer::handleReadable(Reactor &r, Connection &conn)
             conn.wantClose = true;
             return;
         }
-        handleFrame(r, conn, frame);
+        handleFrame(conn, frame);
         if (conn.wantClose)
             return;
     }
 }
 
 void
-MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
+MonitorServer::handleFrame(Connection &conn, const Frame &frame)
 {
     auto reject = [&](RejectCode code, const char *message) {
         const auto payload = encodeReject({code, message});
@@ -450,28 +329,27 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
             reject(RejectCode::Protocol, "bad SessionOpen");
             return;
         }
-        if (r.mux->shedNewSessions()) {
-            // Top rung of the graduated ladder: the shard is saturated
+        if (mux_->shedNewSessions()) {
+            // Top rung of the graduated ladder: the server is saturated
             // past what coarser epochs, Partial summaries and Busy
             // back-pressure can absorb, so new tenants are turned away
             // while existing ones drain.
-            r.shed.fetch_add(1, std::memory_order_relaxed);
-            reject(RejectCode::Overload, "shard shedding load");
+            shed_.fetch_add(1, std::memory_order_relaxed);
+            reject(RejectCode::Overload, "server shedding load");
             return;
         }
         RejectInfo refused;
-        conn.sessionId = r.mux->open(spec, refused, conn.assignedId);
+        conn.sessionId = mux_->open(spec, refused);
         if (conn.sessionId == 0) {
             if (refused.code == RejectCode::Overload)
-                r.shed.fetch_add(1, std::memory_order_relaxed);
+                shed_.fetch_add(1, std::memory_order_relaxed);
             reject(refused.code, refused.message.c_str());
             return;
         }
         conn.open = true;
-        r.sessionToFd[conn.sessionId] = conn.fd;
+        sessionToFd_[conn.sessionId] = conn.fd;
         const auto payload = encodeSessionAccept(
-            {conn.sessionId, config_.mux.sessionQueueBytes,
-             static_cast<std::uint64_t>(reactors_.size())});
+            {conn.sessionId, config_.mux.sessionQueueBytes});
         sendFrame(conn, FrameType::SessionAccept, payload);
         return;
       }
@@ -489,13 +367,13 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
         BusyInfo busy;
         RejectInfo why;
         switch (
-            r.mux->submitChunk(conn.sessionId, header, log, busy, why)) {
+            mux_->submitChunk(conn.sessionId, header, log, busy, why)) {
           case Admission::Accepted:
           case Admission::Ignored:
             return;
           case Admission::Busy: {
             ++conn.busyCount;
-            r.busySent.fetch_add(1, std::memory_order_relaxed);
+            busySent_.fetch_add(1, std::memory_order_relaxed);
             const auto payload = encodeBusy(busy);
             sendFrame(conn, FrameType::Busy, payload);
             return;
@@ -504,7 +382,7 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
             const auto payload = encodeReject(why);
             sendFrame(conn, FrameType::Reject, payload);
             conn.wantClose = true;
-            r.failed.fetch_add(1, std::memory_order_relaxed);
+            failed_.fetch_add(1, std::memory_order_relaxed);
             return;
           }
         }
@@ -522,7 +400,10 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
         }
         BusyInfo busy;
         RejectInfo why;
-        switch (r.mux->submitTraceEnd(conn.sessionId, seq, busy, why)) {
+        switch (mux_->submitTraceEnd(conn.sessionId, seq, busy, why)) {
+          case Admission::Accepted:
+            conn.traceEnded = true;
+            return;
           case Admission::Rejected: {
             const auto payload = encodeReject(why);
             sendFrame(conn, FrameType::Reject, payload);
@@ -542,7 +423,7 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
         // is advisory either way, so a stale or garbled echo is not a
         // protocol error. If the connection was lingering for exactly
         // this, the linger is over.
-        r.hintEchoes.fetch_add(1, std::memory_order_relaxed);
+        hintEchoes_.fetch_add(1, std::memory_order_relaxed);
         if (conn.lingerUntilMs != 0)
             conn.wantClose = true;
         return;
@@ -554,33 +435,33 @@ MonitorServer::handleFrame(Reactor &r, Connection &conn, const Frame &frame)
 }
 
 void
-MonitorServer::drainCompletions(Reactor &r)
+MonitorServer::drainCompletions()
 {
-    for (SessionResult &result : r.mux->drainCompleted()) {
+    for (SessionResult &result : mux_->drainCompleted()) {
         {
             std::lock_guard<std::mutex> lock(metricsMutex_);
             lastSessionMetrics_ = result.metrics;
         }
-        auto it = r.sessionToFd.find(result.sessionId);
-        if (it == r.sessionToFd.end())
+        auto it = sessionToFd_.find(result.sessionId);
+        if (it == sessionToFd_.end())
             continue; // connection already gone
-        auto cit = r.connections.find(it->second);
-        r.sessionToFd.erase(it);
-        if (cit == r.connections.end())
+        auto cit = connections_.find(it->second);
+        sessionToFd_.erase(it);
+        if (cit == connections_.end())
             continue;
         Connection &conn = cit->second;
         if (result.failed) {
-            r.failed.fetch_add(1, std::memory_order_relaxed);
+            failed_.fetch_add(1, std::memory_order_relaxed);
             const auto payload = encodeReject(result.reject);
             sendFrame(conn, FrameType::Reject, payload);
             conn.wantClose = true;
         } else {
-            r.completed.fetch_add(1, std::memory_order_relaxed);
+            completed_.fetch_add(1, std::memory_order_relaxed);
             if (result.planFingerprint != 0)
-                r.elisionSessions.fetch_add(1, std::memory_order_relaxed);
-            r.summaryEvents.fetch_add(result.summaryEvents,
-                                      std::memory_order_relaxed);
-            sendReport(r, conn, result);
+                elisionSessions_.fetch_add(1, std::memory_order_relaxed);
+            summaryEvents_.fetch_add(result.summaryEvents,
+                                     std::memory_order_relaxed);
+            sendReport(conn, result);
             if (result.realizedSpans.empty())
                 conn.wantClose = true;
             else
@@ -591,8 +472,7 @@ MonitorServer::drainCompletions(Reactor &r)
 }
 
 void
-MonitorServer::sendReport(Reactor &r, Connection &conn,
-                          const SessionResult &result)
+MonitorServer::sendReport(Connection &conn, const SessionResult &result)
 {
     const RemoteReport &report = result.report;
     // Frames that would overrun the outbound cap are dropped and the
@@ -677,7 +557,7 @@ MonitorServer::sendReport(Reactor &r, Connection &conn,
     const auto payload = encodeSummary(summary);
     sendFrame(conn, FrameType::Summary, payload);
     if (truncated)
-        r.partial.fetch_add(1, std::memory_order_relaxed);
+        partial_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -711,28 +591,30 @@ MonitorServer::flush(Connection &conn)
 }
 
 void
-MonitorServer::closeConnection(Reactor &r, int fd, bool abort_session)
+MonitorServer::closeConnection(int fd, bool abort_session)
 {
-    auto it = r.connections.find(fd);
-    if (it == r.connections.end())
+    auto it = connections_.find(fd);
+    if (it == connections_.end())
         return;
     Connection &conn = it->second;
     if (conn.open && abort_session) {
         // Abort is a no-op for sessions the mux already completed.
-        r.mux->abort(conn.sessionId);
-        r.sessionToFd.erase(conn.sessionId);
+        mux_->abort(conn.sessionId);
+        sessionToFd_.erase(conn.sessionId);
     }
     ::close(fd);
-    r.connections.erase(it);
+    connections_.erase(it);
 }
 
 void
-MonitorServer::checkIdle(Reactor &r)
+MonitorServer::checkIdle()
 {
     const std::int64_t now = nowMs();
     std::vector<int> doomed;
-    for (auto &[fd, conn] : r.connections) {
-        if (conn.wantClose)
+    for (auto &[fd, conn] : connections_) {
+        // After an accepted TraceEnd the server owes the client its
+        // report; the outbound cap and the echo linger bound the rest.
+        if (conn.wantClose || conn.traceEnded)
             continue;
         if (now - conn.lastActivityMs > config_.idleTimeoutMs) {
             const auto payload = encodeReject(
@@ -744,128 +626,73 @@ MonitorServer::checkIdle(Reactor &r)
         }
     }
     for (int fd : doomed)
-        closeConnection(r, fd, true);
+        closeConnection(fd, true);
 }
 
 std::uint64_t
 MonitorServer::sessionsCompleted() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->completed.load(std::memory_order_relaxed);
-    return sum;
+    return completed_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::sessionsFailed() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->failed.load(std::memory_order_relaxed);
-    return sum;
+    return failed_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::busySent() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->busySent.load(std::memory_order_relaxed);
-    return sum;
+    return busySent_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::partialReports() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->partial.load(std::memory_order_relaxed);
-    return sum;
+    return partial_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::sessionsShed() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->shed.load(std::memory_order_relaxed);
-    return sum;
+    return shed_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::hintEchoes() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->hintEchoes.load(std::memory_order_relaxed);
-    return sum;
+    return hintEchoes_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::elisionSessions() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->elisionSessions.load(std::memory_order_relaxed);
-    return sum;
+    return elisionSessions_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MonitorServer::summaryEventsSeen() const
 {
-    std::uint64_t sum = 0;
-    for (const auto &r : reactors_)
-        sum += r->summaryEvents.load(std::memory_order_relaxed);
-    return sum;
+    return summaryEvents_.load(std::memory_order_relaxed);
 }
 
 std::size_t
 MonitorServer::globalBytes() const
 {
-    std::size_t sum = 0;
-    for (const auto &r : reactors_)
-        if (r->mux)
-            sum += r->mux->globalBytes();
-    return sum;
+    return mux_ ? mux_->globalBytes() : 0;
 }
 
 std::size_t
 MonitorServer::activeSessions() const
 {
-    std::size_t sum = 0;
-    for (const auto &r : reactors_)
-        if (r->mux)
-            sum += r->mux->activeSessions();
-    return sum;
+    return mux_ ? mux_->activeSessions() : 0;
 }
 
-std::vector<ShardStats>
-MonitorServer::shardStats() const
+DegradeLevel
+MonitorServer::degradeLevel() const
 {
-    std::vector<ShardStats> out;
-    out.reserve(reactors_.size());
-    for (const auto &r : reactors_) {
-        ShardStats s;
-        s.shard = r->index;
-        s.sessionsAssigned = r->assigned.load(std::memory_order_relaxed);
-        s.completed = r->completed.load(std::memory_order_relaxed);
-        s.failed = r->failed.load(std::memory_order_relaxed);
-        s.busySent = r->busySent.load(std::memory_order_relaxed);
-        s.partialReports = r->partial.load(std::memory_order_relaxed);
-        s.sessionsShed = r->shed.load(std::memory_order_relaxed);
-        s.hintEchoes = r->hintEchoes.load(std::memory_order_relaxed);
-        if (r->mux) {
-            s.globalBytes = r->mux->globalBytes();
-            s.activeSessions = r->mux->activeSessions();
-            s.budgetBytes = r->mux->budgetBytes();
-            s.budgetSteals = r->mux->budgetSteals();
-            s.budgetStolenBytes = r->mux->budgetStolenBytes();
-            s.budgetDonatedBytes = r->mux->budgetDonatedBytes();
-            s.degradeLevel = r->mux->shardLevel();
-        }
-        out.push_back(s);
-    }
-    return out;
+    return mux_ ? mux_->degradeLevel() : DegradeLevel::Normal;
 }
 
 telemetry::RegistrySnapshot

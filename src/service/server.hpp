@@ -2,37 +2,20 @@
  * @file
  * MonitorServer: the multi-tenant butterfly monitoring daemon.
  *
- * The server is a set of N independent *reactors*. Each reactor thread
- * owns a poll loop, a wake pipe, its connection map and a private
- * SessionMux shard — which does all heavy work (decode, analysis) on
- * the shared WorkerPool. Completions cross back through
- * the shard's queue and the reactor's self-pipe, and the owning loop
- * streams ErrorReport/Sos/Summary frames to the client. Because every
- * socket and session lives on exactly one reactor, the hot path has no
- * cross-reactor locks at all; reactors touch each other only through
- * the accept handoff queue and the shared budget pool.
- *
- * Session placement: reactor 0 polls the shared Unix/TCP listeners.
- * Every accepted connection is preassigned a server-global session id
- * and routed to shard hash(id) % N — adopted locally or handed to the
- * target reactor through a mutex-protected handoff queue plus a wake.
- * With tcpReusePort, each reactor additionally owns its own
- * SO_REUSEPORT TCP listener and the kernel spreads accepts directly
- * (ids stay globally unique; placement is then the kernel's choice).
- *
- * Budgets: the configured global byte budget is sliced evenly across
- * the shards. The slices rebalance through a BudgetPool — a pressured
- * shard steals spare bytes before shedding Busy{GlobalBudget}, an idle
- * reactor donates its excess on the loop tick — so a single hot shard
- * can grow toward the whole budget while sum(slices) + spare stays
- * constant (see session_mux.hpp).
+ * One reactor thread owns a poll loop, a wake pipe, every connection
+ * and the SessionMux, which does all heavy work (decode, analysis) on
+ * the shared WorkerPool. Completions cross back through the mux's queue
+ * and the self-pipe, and the loop streams ErrorReport/Sos/Summary
+ * frames to the client. The loop only moves bytes between sockets and
+ * the pool; the pool's workers are where the CPU goes.
  *
  * Failure modes are explicit, never silent:
  *  - over-budget chunk          -> Busy frame (client rewinds, go-back-N)
  *  - oversized / corrupt / bad  -> Reject frame, session dropped
  *  - slow client (outbound cap) -> truncated report, final Summary frame
  *    with status=Partial, then disconnect
- *  - idle client (timeout set)  -> Reject(Timeout), session aborted
+ *  - idle client (timeout set)  -> Reject(Timeout), session aborted; a
+ *    client waiting for its report after TraceEnd is not idle
  */
 
 #ifndef BUTTERFLY_SERVICE_SERVER_HPP
@@ -64,42 +47,15 @@ struct ServerConfig
     std::uint16_t tcpPort = 0;
     /** Worker pool size; 0 = hardware concurrency. */
     std::size_t workers = 0;
-    /** Reactor shards; each owns a poll loop and a SessionMux slice of
-     *  the byte budget. 0 is treated as 1 (the classic single loop). */
-    std::size_t shards = 1;
-    /** With tcp and shards > 1: give every reactor its own SO_REUSEPORT
-     *  listener so the kernel spreads accepts without a handoff hop. */
-    bool tcpReusePort = false;
-    /** Admission control and shedding knobs. globalBudgetBytes is the
-     *  whole-server budget; it is sliced across shards. */
+    /** Admission control and shedding knobs. */
     MuxConfig mux;
     /** Outbound backlog cap per connection: a report that does not fit
      *  is truncated and closed with Summary{status=Partial} — the
      *  slow-client disconnect path. */
     std::size_t maxOutboundBytes = 8 * 1024 * 1024;
-    /** Disconnect sessions idle for longer than this (0 = disabled). */
+    /** Disconnect sessions whose client has sent nothing for longer than
+     *  this before its TraceEnd (0 = disabled). */
     int idleTimeoutMs = 0;
-};
-
-/** One shard's observability snapshot (all counters monotonic except
- *  the byte gauges). */
-struct ShardStats
-{
-    std::size_t shard = 0;
-    std::uint64_t sessionsAssigned = 0; ///< connections adopted
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t busySent = 0;
-    std::uint64_t partialReports = 0;
-    std::size_t globalBytes = 0;     ///< bytes accounted right now
-    std::size_t activeSessions = 0;  ///< open sessions right now
-    std::size_t budgetBytes = 0;     ///< current (rebalanced) slice
-    std::uint64_t budgetSteals = 0;
-    std::size_t budgetStolenBytes = 0;
-    std::size_t budgetDonatedBytes = 0;
-    std::uint64_t sessionsShed = 0;  ///< SessionOpens refused (Overload)
-    std::uint64_t hintEchoes = 0;    ///< EpochHint frames echoed back
-    DegradeLevel degradeLevel = DegradeLevel::Normal;
 };
 
 class MonitorServer
@@ -111,24 +67,16 @@ class MonitorServer
     MonitorServer(const MonitorServer &) = delete;
     MonitorServer &operator=(const MonitorServer &) = delete;
 
-    /** Bind + listen + spawn the reactor loops. False on bind failure. */
+    /** Bind + listen + spawn the reactor loop. False on bind failure. */
     bool start();
 
-    /** Stop accepting, drop connections, join every reactor loop. */
+    /** Stop accepting, drop connections, join the reactor loop. */
     void stop();
 
     /** Bound TCP port (valid after start() when tcp is enabled). */
     std::uint16_t tcpPort() const { return boundTcpPort_; }
 
-    /** Reactor count actually running (>= 1 once started). */
-    std::size_t shards() const { return reactors_.size(); }
-
-    /** Shard a session id maps to on the shared-listener path. Exposed
-     *  so tests can pick ids that collide on / span shards. */
-    static std::size_t shardOfSession(std::uint64_t session_id,
-                                      std::size_t shards);
-
-    // Observability (test + CLI surface); sums over all shards.
+    // Observability (test + CLI surface).
     std::uint64_t sessionsCompleted() const;
     std::uint64_t sessionsFailed() const;
     std::uint64_t busySent() const;
@@ -139,9 +87,9 @@ class MonitorServer
     std::uint64_t summaryEventsSeen() const;
     std::size_t globalBytes() const;
     std::size_t activeSessions() const;
-
-    /** Per-shard counters (index == shard). */
-    std::vector<ShardStats> shardStats() const;
+    /** Rung of the adaptive degradation ladder (Normal when not
+     *  adaptive). */
+    DegradeLevel degradeLevel() const;
 
     /** Telemetry snapshot of the most recently completed session's
      *  private registry (multi-tenancy observability). */
@@ -162,69 +110,54 @@ class MonitorServer
          *  ends the linger early. */
         std::int64_t lingerUntilMs = 0;
         bool open = false;      ///< SessionOpen accepted
+        /** TraceEnd accepted: the client owes the server nothing more,
+         *  so it is never idle while its report is built. */
+        bool traceEnded = false;
         std::uint64_t sessionId = 0;
-        /** Server-global id preassigned at accept; becomes sessionId
-         *  when the SessionOpen frame arrives. */
-        std::uint64_t assignedId = 0;
         std::uint64_t busyCount = 0;
         std::int64_t lastActivityMs = 0;
     };
 
-    /** One event-loop shard. Everything except the handoff queue and
-     *  the atomics is owned by its loop thread alone. */
-    struct Reactor
-    {
-        std::size_t index = 0;
-        int wakeFds[2] = {-1, -1};
-        int tcpFd = -1; ///< own SO_REUSEPORT listener, else -1
-        std::unique_ptr<SessionMux> mux;
-        std::thread thread;
-
-        std::map<int, Connection> connections;    ///< loop thread only
-        std::map<std::uint64_t, int> sessionToFd; ///< loop thread only
-
-        /** Accepted fds routed here by another reactor. */
-        std::mutex handoffMutex;
-        std::vector<std::pair<int, std::uint64_t>> handoff;
-
-        std::atomic<std::uint64_t> assigned{0};
-        std::atomic<std::uint64_t> completed{0};
-        std::atomic<std::uint64_t> failed{0};
-        std::atomic<std::uint64_t> busySent{0};
-        std::atomic<std::uint64_t> partial{0};
-        std::atomic<std::uint64_t> shed{0};
-        std::atomic<std::uint64_t> hintEchoes{0};
-        /** v4: sessions that declared a nonzero plan fingerprint. */
-        std::atomic<std::uint64_t> elisionSessions{0};
-        /** v4: SiteSummary events decoded across completed sessions. */
-        std::atomic<std::uint64_t> summaryEvents{0};
-    };
-
-    void reactorLoop(Reactor &r);
-    void acceptAll(Reactor &r, int listen_fd);
-    void adoptConnection(Reactor &r, int fd, std::uint64_t assigned_id);
-    void adoptHandoffs(Reactor &r);
-    void handleReadable(Reactor &r, Connection &conn);
-    void handleFrame(Reactor &r, Connection &conn, const Frame &frame);
+    void loop();
+    void acceptAll(int listen_fd);
+    void handleReadable(Connection &conn);
+    void handleFrame(Connection &conn, const Frame &frame);
     void flush(Connection &conn);
-    void drainCompletions(Reactor &r);
-    void sendReport(Reactor &r, Connection &conn,
-                    const SessionResult &result);
+    void drainCompletions();
+    void sendReport(Connection &conn, const SessionResult &result);
     void sendFrame(Connection &conn, FrameType type,
                    std::span<const std::uint8_t> payload);
-    void closeConnection(Reactor &r, int fd, bool abort_session);
-    void checkIdle(Reactor &r);
-    void wake(Reactor &r);
+    void closeConnection(int fd, bool abort_session);
+    void checkIdle();
+    void wake();
+    /** Destroy the mux (draining its in-flight jobs, which may still
+     *  wake the loop), then close the wake pipe. */
+    void releaseMux();
 
     ServerConfig config_;
     int unixFd_ = -1;
-    int tcpFd_ = -1; ///< shared listener (reactor 0 polls it)
+    int tcpFd_ = -1;
     std::uint16_t boundTcpPort_ = 0;
+    int wakeFds_[2] = {-1, -1};
 
     WorkerPool pool_;
-    BudgetPool budgetPool_;
-    std::vector<std::unique_ptr<Reactor>> reactors_;
-    std::atomic<std::uint64_t> nextSessionId_{1};
+    std::unique_ptr<SessionMux> mux_;
+    std::thread thread_;
+
+    std::map<int, Connection> connections_;    ///< loop thread only
+    std::map<std::uint64_t, int> sessionToFd_; ///< loop thread only
+
+    // Written by the loop thread, read by any.
+    std::atomic<std::uint64_t> completed_{0};
+    std::atomic<std::uint64_t> failed_{0};
+    std::atomic<std::uint64_t> busySent_{0};
+    std::atomic<std::uint64_t> partial_{0};
+    std::atomic<std::uint64_t> shed_{0};
+    std::atomic<std::uint64_t> hintEchoes_{0};
+    /** v4: sessions that declared a nonzero plan fingerprint. */
+    std::atomic<std::uint64_t> elisionSessions_{0};
+    /** v4: SiteSummary events decoded across completed sessions. */
+    std::atomic<std::uint64_t> summaryEvents_{0};
 
     std::atomic<bool> stop_{false};
     bool started_ = false;

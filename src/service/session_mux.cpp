@@ -107,20 +107,13 @@ struct JobCtx
 } // namespace
 
 SessionMux::SessionMux(WorkerPool &pool, const MuxConfig &config,
-                       std::function<void()> wake,
-                       std::size_t shard_budget_bytes, BudgetPool *rebalance)
-    : pool_(pool), config_(config), wake_(std::move(wake)),
-      rebalance_(rebalance)
+                       std::function<void()> wake)
+    : pool_(pool), config_(config), wake_(std::move(wake))
 {
-    // The per-session cap is still clamped to the *global* budget: with
-    // rebalancing, a shard under load can grow past its base slice, so
-    // the slice is not the right ceiling for a single tenant.
+    // No single tenant may hold more than the whole budget.
     if (config_.maxSessionBytes > config_.globalBudgetBytes)
         config_.maxSessionBytes = config_.globalBudgetBytes;
-    baseBudgetBytes_ = shard_budget_bytes > 0 ? shard_budget_bytes
-                                              : config_.globalBudgetBytes;
-    budgetBytes_.store(baseBudgetBytes_, std::memory_order_relaxed);
-    shardController_ = EpochController(config_.controller);
+    controller_ = EpochController(config_.controller);
 }
 
 SessionMux::~SessionMux()
@@ -129,8 +122,7 @@ SessionMux::~SessionMux()
 }
 
 std::uint64_t
-SessionMux::open(const SessionSpec &spec, RejectInfo &reject,
-                 std::uint64_t preassigned_id)
+SessionMux::open(const SessionSpec &spec, RejectInfo &reject)
 {
     // Checked before anything is sized by numThreads: the wire allows
     // 65 536 threads and a 1 024-epoch ring, which would otherwise buy
@@ -143,13 +135,10 @@ SessionMux::open(const SessionSpec &spec, RejectInfo &reject,
                   "session shape exceeds the per-session cap"};
         return 0;
     }
-    const std::size_t global = globalBytes_.load(std::memory_order_relaxed);
-    std::size_t budget = budgetBytes_.load(std::memory_order_relaxed);
-    if (global + state > budget && stealBudget(global + state - budget))
-        budget = budgetBytes_.load(std::memory_order_relaxed);
-    if (global + state > budget) {
+    if (globalBytes_.load(std::memory_order_relaxed) + state >
+        config_.globalBudgetBytes) {
         reject = {RejectCode::Overload,
-                  "shard budget cannot hold the session's state"};
+                  "server budget cannot hold the session's state"};
         return 0;
     }
 
@@ -162,13 +151,7 @@ SessionMux::open(const SessionSpec &spec, RejectInfo &reject,
     session->controller = EpochController(config_.controller);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    if (preassigned_id != 0) {
-        session->id = preassigned_id;
-        if (preassigned_id >= nextId_)
-            nextId_ = preassigned_id + 1;
-    } else {
-        session->id = nextId_++;
-    }
+    session->id = nextId_++;
     sessions_.emplace(session->id, session);
     return session->id;
 }
@@ -209,7 +192,7 @@ SessionMux::submitChunk(std::uint64_t session_id, const ChunkHeader &header,
 
         if (config_.adaptive && header.tid < session->spec.numThreads) {
             // Graduated admission: each in-sequence chunk is one
-            // telemetry sample for the tenant's ladder and the shard's.
+            // telemetry sample for the tenant's ladder and the server's.
             // At Busy and beyond, back-pressure kicks in well before the
             // hard watermark would; the Grow/Partial rungs act later, at
             // analysis time.
@@ -217,19 +200,12 @@ SessionMux::submitChunk(std::uint64_t session_id, const ChunkHeader &header,
             sample.queueFraction =
                 static_cast<double>(session->queuedBytes) /
                 static_cast<double>(config_.sessionQueueBytes);
-            const std::size_t budget =
-                budgetBytes_.load(std::memory_order_relaxed);
-            sample.budgetFraction =
-                budget == 0
-                    ? 1.0
-                    : static_cast<double>(
-                          globalBytes_.load(std::memory_order_relaxed)) /
-                          static_cast<double>(budget);
+            sample.budgetFraction = budgetFraction();
             const DegradeLevel level =
                 session->controller.observe(sample);
             {
-                std::lock_guard<std::mutex> ctl(shardCtlMutex_);
-                shardController_.observe(sample);
+                std::lock_guard<std::mutex> ctl(controllerMutex_);
+                controller_.observe(sample);
             }
             if (level >= DegradeLevel::Busy) {
                 busy = {BusyReason::SessionQueueFull, header.seq,
@@ -259,20 +235,9 @@ SessionMux::submitChunk(std::uint64_t session_id, const ChunkHeader &header,
         } else {
             const std::size_t global =
                 globalBytes_.load(std::memory_order_relaxed);
-            std::size_t budget = budgetBytes_.load(std::memory_order_relaxed);
-            if (global + log.size() > budget &&
-                stealBudget(global + log.size() - budget))
-                budget = budgetBytes_.load(std::memory_order_relaxed);
-            if (global + log.size() > budget) {
+            if (global + log.size() > config_.globalBudgetBytes) {
                 if (global > session->accounted) {
                     // Other tenants hold budget; they will release it.
-                    busy = {BusyReason::GlobalBudget, header.seq,
-                            config_.busyRetryMs * 4};
-                    return Admission::Busy;
-                }
-                if (budget < config_.globalBudgetBytes) {
-                    // Alone on this shard but siblings hold the rest of
-                    // the budget; an idle tick may donate it. Transient.
                     busy = {BusyReason::GlobalBudget, header.seq,
                             config_.busyRetryMs * 4};
                     return Admission::Busy;
@@ -623,108 +588,37 @@ SessionMux::activeSessions() const
     return sessions_.size();
 }
 
-bool
-SessionMux::stealBudget(std::size_t need)
+double
+SessionMux::budgetFraction() const
 {
-    if (!rebalance_)
-        return false;
-    // Take at least a quantum so a pressured shard does not come back
-    // for every chunk, but never more than the pool holds.
-    static constexpr std::size_t kStealQuantum = 64 * 1024;
-    std::size_t spare = rebalance_->spare.load(std::memory_order_relaxed);
-    for (;;) {
-        if (spare == 0)
-            return false;
-        const std::size_t want = std::max(need, kStealQuantum);
-        const std::size_t take = std::min(spare, want);
-        if (rebalance_->spare.compare_exchange_weak(
-                spare, spare - take, std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-            budgetBytes_.fetch_add(take, std::memory_order_relaxed);
-            steals_.fetch_add(1, std::memory_order_relaxed);
-            stolenBytes_.fetch_add(take, std::memory_order_relaxed);
-            return true;
-        }
-    }
-}
-
-void
-SessionMux::donateIdleBudget()
-{
-    if (!rebalance_)
-        return;
-    // Only a *fully* idle shard donates: no open sessions and nothing
-    // accounted. Keeping half the base slice means an arriving session
-    // is admitted immediately without a round-trip through the pool.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!sessions_.empty())
-            return;
-    }
-    if (globalBytes_.load(std::memory_order_relaxed) != 0)
-        return;
-    const std::size_t keep = baseBudgetBytes_ / 2;
-    std::size_t budget = budgetBytes_.load(std::memory_order_relaxed);
-    for (;;) {
-        if (budget <= keep)
-            return;
-        const std::size_t give = budget - keep;
-        if (budgetBytes_.compare_exchange_weak(
-                budget, keep, std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-            rebalance_->spare.fetch_add(give, std::memory_order_acq_rel);
-            donatedBytes_.fetch_add(give, std::memory_order_relaxed);
-            return;
-        }
-    }
-}
-
-std::size_t
-SessionMux::budgetBytes() const
-{
-    return budgetBytes_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-SessionMux::budgetSteals() const
-{
-    return steals_.load(std::memory_order_relaxed);
-}
-
-std::size_t
-SessionMux::budgetStolenBytes() const
-{
-    return stolenBytes_.load(std::memory_order_relaxed);
-}
-
-std::size_t
-SessionMux::budgetDonatedBytes() const
-{
-    return donatedBytes_.load(std::memory_order_relaxed);
+    if (config_.globalBudgetBytes == 0)
+        return 1.0;
+    return static_cast<double>(globalBytes_.load(std::memory_order_relaxed)) /
+           static_cast<double>(config_.globalBudgetBytes);
 }
 
 DegradeLevel
-SessionMux::shardLevel() const
+SessionMux::degradeLevel() const
 {
     if (!config_.adaptive)
         return DegradeLevel::Normal;
-    std::lock_guard<std::mutex> lock(shardCtlMutex_);
-    return shardController_.level();
+    std::lock_guard<std::mutex> lock(controllerMutex_);
+    return controller_.level();
 }
 
 bool
 SessionMux::shedNewSessions() const
 {
-    return shardLevel() >= DegradeLevel::Shed;
+    return degradeLevel() >= DegradeLevel::Shed;
 }
 
 void
-SessionMux::tickShardController()
+SessionMux::tickController()
 {
     if (!config_.adaptive)
         return;
     const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(shardCtlMutex_);
+    std::lock_guard<std::mutex> lock(controllerMutex_);
     if (now - lastCtlTick_ < std::chrono::milliseconds(100))
         return;
     lastCtlTick_ = now;
@@ -733,14 +627,8 @@ SessionMux::tickShardController()
     // budget alone. An abusive tenant's parked bytes keep the sample
     // hot; an abort that reclaims them lets the ladder walk back down.
     ControllerSample sample;
-    const std::size_t budget =
-        budgetBytes_.load(std::memory_order_relaxed);
-    sample.budgetFraction =
-        budget == 0 ? 1.0
-                    : static_cast<double>(
-                          globalBytes_.load(std::memory_order_relaxed)) /
-                          static_cast<double>(budget);
-    shardController_.observe(sample);
+    sample.budgetFraction = budgetFraction();
+    controller_.observe(sample);
 }
 
 } // namespace bfly::service

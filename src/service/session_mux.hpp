@@ -1,6 +1,6 @@
 /**
  * @file
- * Session multiplexer: shards concurrent monitoring sessions onto the
+ * Session multiplexer: runs concurrent monitoring sessions on the
  * shared WorkerPool with bounded ingest and explicit load shedding.
  *
  * Each session owns a bounded queue of raw log chunks (the service's
@@ -22,18 +22,9 @@
  * plus a caller-supplied wake callback (the server writes a self-pipe).
  *
  * Threading contract: open/submit/abort are called only from the
- * owning reactor's event loop thread; pump and analysis tasks run on
- * the pool; per-session state is guarded by the session's mutex, the
- * session map by the mux's, and the byte budget is atomic.
- *
- * Sharding: a multi-reactor server creates one SessionMux per reactor,
- * each with a slice of the global byte budget. The slices are linked
- * through a shared BudgetPool: a shard that would shed with
- * Busy{GlobalBudget} first tries to *steal* spare budget from the pool
- * (fast path, one CAS), and a fully idle shard *donates* its excess
- * back down to half its base slice on the reactor's idle tick. The
- * invariant is conservation: sum over shards of budgetBytes() plus the
- * pool's spare always equals the configured global budget.
+ * server's event loop thread; pump and analysis tasks run on the pool;
+ * per-session state is guarded by the session's mutex, the session map
+ * by the mux's, and the byte budget is atomic.
  */
 
 #ifndef BUTTERFLY_SERVICE_SESSION_MUX_HPP
@@ -56,25 +47,13 @@
 
 namespace bfly::service {
 
-/**
- * Spare-budget pool shared by the session muxes of a sharded server.
- * Holds bytes no shard currently owns: idle shards donate into it,
- * pressured shards steal from it. Lock-free; one atomic.
- */
-struct BudgetPool
-{
-    std::atomic<std::size_t> spare{0};
-};
-
 struct MuxConfig
 {
     /** Per-session ingest queue watermark: a chunk is admitted while the
      *  queued bytes are below this (LogBuffer-style overshoot by at most
      *  one chunk), shed with Busy otherwise. */
     std::size_t sessionQueueBytes = 256 * 1024;
-    /** Server-wide budget over queued + decoded bytes of all sessions.
-     *  A sharded server slices this evenly across its shards and lets
-     *  the slices rebalance through a BudgetPool. */
+    /** Server-wide budget over queued + decoded bytes of all sessions. */
     std::size_t globalBudgetBytes = 64 * 1024 * 1024;
     /** Hard per-session footprint cap; exceeding it is a Reject, not a
      *  Busy (the client's data simply does not fit). Clamped to the
@@ -88,7 +67,7 @@ struct MuxConfig
      *  queue-full shedding deterministic in back-pressure tests. */
     int debugPumpDelayMs = 0;
     /** Adaptive epoch sizing + graduated admission: per-session and
-     *  per-shard EpochControllers replace the single queue-watermark
+     *  server-wide EpochControllers replace the single queue-watermark
      *  cliff with the grow-h → Partial → Busy → Shed ladder, and the
      *  realized epoch spans are surfaced in SessionResult so the server
      *  can advertise them (EpochHint). Off by default — the legacy
@@ -141,17 +120,9 @@ class SessionMux
     /**
      * @param wake  called (possibly from a pool thread) after a result
      *              is queued; must be async-signal-ish cheap.
-     * @param shard_budget_bytes  this shard's slice of the global byte
-     *              budget; 0 means the whole config.globalBudgetBytes
-     *              (the single-shard/legacy layout).
-     * @param rebalance  shared spare-budget pool linking sibling shards;
-     *              null disables steal/donate (single shard). Borrowed,
-     *              must outlive the mux.
      */
     SessionMux(WorkerPool &pool, const MuxConfig &config,
-               std::function<void()> wake,
-               std::size_t shard_budget_bytes = 0,
-               BudgetPool *rebalance = nullptr);
+               std::function<void()> wake);
     /** Drains all in-flight pump/analysis tasks before returning. */
     ~SessionMux();
 
@@ -204,18 +175,14 @@ class SessionMux
 
     /**
      * Admit a new session, charging sessionStateBytes(spec) against the
-     * shard's budget until it ends. @return its id, or 0 with @p reject
+     * global budget until it ends. @return its id, or 0 with @p reject
      * filled: TooLarge when the session is wider than kMaxSessionThreads
      * or its charge alone exceeds maxSessionBytes; Overload (transient)
-     * when the charge does not fit what the shard has left, even after
-     * stealing spare budget. Opens never over-commit: a session holds
-     * its charge until it ends, so charges past the budget would leave
-     * every session Busy on every chunk. A sharded server passes a
-     * @p preassigned_id (server-global, nonzero) so ids stay unique
-     * across shards; 0 draws from this mux's own counter.
+     * when the charge does not fit what the budget has left. Opens never
+     * over-commit: a session holds its charge until it ends, so charges
+     * past the budget would leave every session Busy on every chunk.
      */
-    std::uint64_t open(const SessionSpec &spec, RejectInfo &reject,
-                       std::uint64_t preassigned_id = 0);
+    std::uint64_t open(const SessionSpec &spec, RejectInfo &reject);
 
     /** Admission + enqueue of one log chunk. On Busy fills @p busy, on
      *  Rejected fills @p reject (and the session is gone). */
@@ -240,33 +207,20 @@ class SessionMux
     /** Sessions currently open (excludes completed/aborted). */
     std::size_t activeSessions() const;
 
-    /** Bytes this shard may currently admit (base slice +- rebalance). */
-    std::size_t budgetBytes() const;
-
-    /** Reactor idle tick: if the shard is fully idle (no sessions, no
-     *  accounted bytes) donate everything above half the base slice to
-     *  the shared pool. No-op without a pool. */
-    void donateIdleBudget();
-
-    /** Budget-rebalance observability. */
-    std::uint64_t budgetSteals() const;
-    std::size_t budgetStolenBytes() const;
-    std::size_t budgetDonatedBytes() const;
-
-    /** Shard-wide degradation rung (Normal when not adaptive). */
-    DegradeLevel shardLevel() const;
+    /** Server-wide degradation rung (Normal when not adaptive). */
+    DegradeLevel degradeLevel() const;
 
     /** True when the adaptive ladder says new sessions must be shed
      *  (the server answers SessionOpen with RejectCode::Overload). */
     bool shedNewSessions() const;
 
-    /** Reactor idle tick for the shard ladder: feed it a sample built
-     *  from the shard's current budget occupancy. Without this a shard
-     *  that escalated to Shed while its last sessions drained would
-     *  never observe another admission sample — and so never recover.
-     *  Rate-limited internally to one sample per 100ms; no-op when not
-     *  adaptive. */
-    void tickShardController();
+    /** Event-loop idle tick for the server-wide ladder: feed it a
+     *  sample built from the current budget occupancy. Without this a
+     *  ladder that escalated to Shed while its last sessions drained
+     *  would never observe another admission sample — and so never
+     *  recover. Rate-limited internally to one sample per 100ms; no-op
+     *  when not adaptive. */
+    void tickController();
 
   private:
     static void pumpTrampoline(void *ctx, std::size_t);
@@ -287,30 +241,18 @@ class SessionMux
     std::shared_ptr<Session> find(std::uint64_t session_id);
     void erase(std::uint64_t session_id);
 
-    /** Under pressure for @p need more bytes: grab spare budget from
-     *  the pool (at least a quantum, to amortize the contention).
-     *  @return true if any budget was acquired. */
-    bool stealBudget(std::size_t need);
+    /** Accounted bytes over the global budget: a ladder sample. */
+    double budgetFraction() const;
 
     WorkerPool &pool_;
     MuxConfig config_;
     std::function<void()> wake_;
 
-    /** This shard's base budget slice and its current (rebalanced)
-     *  value. budgetBytes_ only moves through steal/donate, so
-     *  sum(shards) + pool->spare is conserved. */
-    std::size_t baseBudgetBytes_ = 0;
-    std::atomic<std::size_t> budgetBytes_{0};
-    BudgetPool *rebalance_ = nullptr;
-    std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::size_t> stolenBytes_{0};
-    std::atomic<std::size_t> donatedBytes_{0};
-
-    /** Shard-wide ladder fed by every session's admission samples.
+    /** Server-wide ladder fed by every session's admission samples.
      *  Guarded by its own mutex (taken after a session mutex, never
      *  before — the only nesting order used). */
-    mutable std::mutex shardCtlMutex_;
-    EpochController shardController_;
+    mutable std::mutex controllerMutex_;
+    EpochController controller_;
     std::chrono::steady_clock::time_point lastCtlTick_{};
 
     mutable std::mutex mutex_; ///< guards sessions_ and nextId_

@@ -240,7 +240,6 @@ encodeSessionAccept(const SessionAcceptInfo &info)
     Writer w;
     w.putVarint(info.sessionId);
     w.putVarint(info.queueBytesHint);
-    w.putVarint(info.shardCount);
     return std::move(w.out);
 }
 
@@ -250,8 +249,7 @@ decodeSessionAccept(std::span<const std::uint8_t> payload,
 {
     Reader r{payload};
     const bool ok = r.getVarint(out.sessionId) &&
-                    r.getVarint(out.queueBytesHint) &&
-                    r.getVarint(out.shardCount);
+                    r.getVarint(out.queueBytesHint);
     return statusOf(ok, r);
 }
 

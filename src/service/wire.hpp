@@ -34,16 +34,18 @@
 
 namespace bfly::service {
 
-/** Protocol revision carried in SessionOpen. v2 added shardCount to
- *  SessionAccept; v3 added the EpochHint frame (advisory epoch-sizing
+/** Protocol revision carried in SessionOpen. v2 added a reactor count
+ *  to SessionAccept; v3 added the EpochHint frame (advisory epoch-sizing
  *  feedback — a peer that does not understand it may simply skip it)
  *  and RejectCode::Overload; v4 added the elision-plan fingerprint to
  *  SessionOpen (the client declares which static ElisionPlan its log
  *  was generated under, 0 = none) and its echo plus the decoded
  *  SiteSummary count to Summary, so both ends can assert they agree on
- *  what was elided (servers reject other versions, so both ends move
- *  together — the repo ships client and server from one tree). */
-inline constexpr std::uint8_t kWireVersion = 4;
+ *  what was elided; v5 dropped the reactor count from SessionAccept
+ *  again, since the server runs one reactor (servers reject other
+ *  versions, so both ends move together — the repo ships client and
+ *  server from one tree). */
+inline constexpr std::uint8_t kWireVersion = 5;
 
 /** Hard cap on one frame's payload (bounds every inbound allocation). */
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
@@ -83,7 +85,7 @@ enum class RejectCode : std::uint8_t {
     CorruptLog = 3, ///< log bytes failed to decode
     Internal = 4,   ///< server-side failure
     Timeout = 5,    ///< client went silent / stopped reading
-    Overload = 6,   ///< v3: shard shedding load; retry another time/shard
+    Overload = 6,   ///< v3: server shedding new sessions; retry later
 };
 
 /** How a session ended (Summary frames). */
@@ -145,7 +147,6 @@ struct SessionAcceptInfo
 {
     std::uint64_t sessionId = 0;
     std::uint64_t queueBytesHint = 0; ///< server's per-session queue cap
-    std::uint64_t shardCount = 1;     ///< reactor shards serving sessions
 };
 
 /** LogChunk header; the log bytes follow in the same payload. */

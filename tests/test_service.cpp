@@ -6,7 +6,8 @@
  * remote reports against in-process reference runs (all six
  * lifeguards), the pinned per-event byte charge, crash-restart replay
  * of the .bfz spool, back-pressure end-to-end, per-session telemetry
- * isolation, the slow-client partial-report path, and the adaptive
+ * isolation, the slow-client partial-report path, the idle timeout
+ * (silent clients, never those awaiting a report), and the adaptive
  * admission ladder: EpochHint codec hostility, forced h-change
  * conformance over the wire, and Overload shedding with tick-driven
  * recovery.
@@ -323,12 +324,11 @@ TEST(Wire, PayloadsRoundTrip)
               DecodeStatus::Ok);
     EXPECT_EQ(seq, 31337u);
 
-    SessionAcceptInfo accept{77, 256 * 1024, 4}, accept2;
+    SessionAcceptInfo accept{77, 256 * 1024}, accept2;
     ASSERT_EQ(decodeSessionAccept(encodeSessionAccept(accept), accept2),
               DecodeStatus::Ok);
     EXPECT_EQ(accept2.sessionId, accept.sessionId);
     EXPECT_EQ(accept2.queueBytesHint, accept.queueBytesHint);
-    EXPECT_EQ(accept2.shardCount, accept.shardCount);
 }
 
 TEST(Wire, FrameParserReassemblesByteByByte)
@@ -503,73 +503,6 @@ TEST(SessionMuxTest, GlobalBudgetShedsOnlyWhenOthersHoldBytes)
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(1ms);
     EXPECT_EQ(mux.globalBytes(), 0u);
-}
-
-TEST(SessionMuxTest, PressuredShardStealsBudgetDonatedByIdleShard)
-{
-    // Two shards splitting an 8 KiB budget through a shared pool. The
-    // hot shard outgrows its 4 KiB slice, sheds Busy while the pool is
-    // empty, then succeeds once the idle shard's tick donates — and the
-    // conservation invariant sum(slices) + spare == total holds at
-    // every step.
-    SessionSpec spec;
-    spec.lifeguard = static_cast<std::uint8_t>(Lifeguard::AddrCheck);
-    spec.numThreads = 1;
-    // The hot shard's slice also covers its session's state charge; the
-    // byte figures below are on top of it.
-    const std::size_t state = SessionMux::sessionStateBytes(spec);
-
-    WorkerPool pool(2);
-    MuxConfig config;
-    config.sessionQueueBytes = 1 << 20;
-    config.globalBudgetBytes = 8192 + state;
-    config.debugPumpDelayMs = 200; // park the bytes in the queue
-    BudgetPool shared;
-    SessionMux hot(pool, config, [] {}, 4096 + state, &shared);
-    SessionMux idle(pool, config, [] {}, 4096, &shared);
-
-    auto totalBudget = [&] {
-        return hot.budgetBytes() + idle.budgetBytes() +
-               shared.spare.load();
-    };
-    EXPECT_EQ(totalBudget(), 8192u + state);
-
-    const std::uint64_t id = admit(hot, spec);
-    const std::vector<std::uint8_t> chunk(2800, 0x00); // Nop opcodes
-
-    BusyInfo busy;
-    RejectInfo reject;
-    ASSERT_EQ(hot.submitChunk(id, {0, 0}, chunk, busy, reject),
-              Admission::Accepted);
-
-    // Over the slice, pool empty, but siblings hold the rest of the
-    // global budget: transient Busy, not a TooLarge reject.
-    ASSERT_EQ(hot.submitChunk(id, {1, 0}, chunk, busy, reject),
-              Admission::Busy);
-    EXPECT_EQ(busy.reason, BusyReason::GlobalBudget);
-    EXPECT_EQ(hot.budgetSteals(), 0u);
-
-    // The idle shard's reactor tick donates down to half its slice.
-    idle.donateIdleBudget();
-    EXPECT_EQ(idle.budgetBytes(), 2048u);
-    EXPECT_EQ(idle.budgetDonatedBytes(), 2048u);
-    EXPECT_EQ(shared.spare.load(), 2048u);
-    EXPECT_EQ(totalBudget(), 8192u + state);
-
-    // The go-back-N retry now steals the spare bytes and is admitted.
-    ASSERT_EQ(hot.submitChunk(id, {1, 0}, chunk, busy, reject),
-              Admission::Accepted);
-    EXPECT_EQ(hot.budgetSteals(), 1u);
-    EXPECT_EQ(hot.budgetStolenBytes(), 2048u);
-    EXPECT_EQ(hot.budgetBytes(), 4096u + state + 2048u);
-    EXPECT_EQ(shared.spare.load(), 0u);
-    EXPECT_EQ(totalBudget(), 8192u + state);
-
-    // A busy shard never donates, even when asked.
-    hot.donateIdleBudget();
-    EXPECT_EQ(hot.budgetBytes(), 4096u + state + 2048u);
-
-    hot.abort(id);
 }
 
 TEST(SessionMuxTest, RejectsChunkBeyondSessionCap)
@@ -906,100 +839,19 @@ TEST(MonitorService, ConcurrentSessionsConform)
               static_cast<std::uint64_t>(kThreads * kTracesPerThread + 1));
 }
 
-TEST(MonitorService, ShardOfSessionCoversAllShardsOverAdjacentIds)
-{
-    // Connections get consecutive session ids, so the placement hash
-    // must spread *adjacent* ids: over 64 of them and 4 shards, every
-    // shard is hit. Also pins determinism and the single-shard case.
-    constexpr std::size_t kShards = 4;
-    std::vector<int> hits(kShards, 0);
-    for (std::uint64_t id = 1; id <= 64; ++id) {
-        const std::size_t s = MonitorServer::shardOfSession(id, kShards);
-        ASSERT_LT(s, kShards);
-        EXPECT_EQ(s, MonitorServer::shardOfSession(id, kShards));
-        ++hits[s];
-    }
-    for (std::size_t s = 0; s < kShards; ++s)
-        EXPECT_GT(hits[s], 0) << "shard " << s << " never hit";
-    EXPECT_EQ(MonitorServer::shardOfSession(12345, 1), 0u);
-}
-
-TEST(MonitorService, MultiReactorDistributesSessionsAndSumsStats)
-{
-    // Three reactors behind one Unix listener: sessions spread over
-    // more than one shard, every client learns the shard count from
-    // SessionAccept, reports stay bit-identical to the reference, and
-    // the per-shard counters sum to the aggregate accessors.
-    ServerConfig scfg;
-    scfg.unixPath = tempSocketPath("shards");
-    scfg.workers = 4;
-    scfg.shards = 3;
-    MonitorServer server(scfg);
-    ASSERT_TRUE(server.start());
-    EXPECT_EQ(server.shards(), 3u);
-
-    const Addr heap = 0x100000;
-    const Trace marked = makeMarkedTrace(2, 4, 30, heap);
-    const SessionSpec spec = addrcheckSpec(marked, heap);
-    const RemoteReport reference = referenceFor(spec, marked);
-
-    constexpr int kSessions = 24;
-    std::atomic<int> bad{0};
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kSessions; ++i) {
-        threads.emplace_back([&] {
-            MonitorClient client;
-            if (!client.connectUnix(scfg.unixPath)) {
-                bad.fetch_add(1);
-                return;
-            }
-            const RunResult remote = client.run(spec, marked);
-            if (!remote.ok || !remote.report.identical(reference) ||
-                remote.serverShards != 3)
-                bad.fetch_add(1);
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(bad.load(), 0);
-
-    const std::vector<ShardStats> stats = server.shardStats();
-    ASSERT_EQ(stats.size(), 3u);
-    std::uint64_t sum_completed = 0, sum_assigned = 0, sum_busy = 0;
-    std::size_t shards_used = 0;
-    for (const ShardStats &s : stats) {
-        sum_completed += s.completed;
-        sum_assigned += s.sessionsAssigned;
-        sum_busy += s.busySent;
-        if (s.sessionsAssigned > 0)
-            ++shards_used;
-    }
-    EXPECT_EQ(sum_completed, static_cast<std::uint64_t>(kSessions));
-    EXPECT_EQ(sum_completed, server.sessionsCompleted());
-    EXPECT_EQ(sum_assigned, static_cast<std::uint64_t>(kSessions));
-    EXPECT_EQ(sum_busy, server.busySent());
-    EXPECT_GE(shards_used, 2u)
-        << "placement hash parked every session on one shard";
-    server.stop();
-    EXPECT_EQ(server.sessionsFailed(), 0u);
-}
-
 namespace {
 
 /** Crash-restart durability: each marked trace is spooled to a .bfz
  *  log file before it is sent. After the server "crashes" (stop, all
  *  in-memory state discarded) a fresh server on the same path must
  *  reproduce a bit-identical report — same records, SOS, and summary
- *  fingerprint — from the reloaded spool, across all six lifeguards.
- *  Runs at @p shards reactors: the replay must land on whatever shard
- *  the new server picks and still fingerprint identically. */
+ *  fingerprint — from the reloaded spool, across all six lifeguards. */
 void
-runCrashRestartSpoolReplay(std::size_t shards, const char *tag)
+runCrashRestartSpoolReplay(const char *tag)
 {
     ServerConfig scfg;
     scfg.unixPath = tempSocketPath(tag);
     scfg.workers = 2;
-    scfg.shards = shards;
 
     fuzz::FuzzerConfig fcfg;
     fcfg.seed = 20260808;
@@ -1068,12 +920,7 @@ runCrashRestartSpoolReplay(std::size_t shards, const char *tag)
 
 TEST(MonitorService, CrashRestartSpoolReplayKeepsFingerprint)
 {
-    runCrashRestartSpoolReplay(1, "crash");
-}
-
-TEST(MonitorService, CrashRestartSpoolReplayKeepsFingerprintSharded)
-{
-    runCrashRestartSpoolReplay(2, "crash2");
+    runCrashRestartSpoolReplay("crash");
 }
 
 TEST(MonitorService, ShedsUnderBackPressureAndStillConforms)
@@ -1270,7 +1117,7 @@ TEST(Wire, EpochHintRejectsHostileSpans)
     }
 
     // Overload joined the reject codes with the graduated ladder.
-    RejectInfo overload{RejectCode::Overload, "shard shedding load"};
+    RejectInfo overload{RejectCode::Overload, "server shedding load"};
     RejectInfo overload2;
     ASSERT_EQ(decodeReject(encodeReject(overload), overload2),
               DecodeStatus::Ok);
@@ -1299,7 +1146,7 @@ TEST(SessionMuxTest, AdaptiveLadderShedsNewSessionsAndRecovers)
     EXPECT_FALSE(mux.shedNewSessions());
 
     // Each in-sequence submission is one ladder sample; with the queue
-    // parked over the hot threshold the shard climbs one rung per
+    // parked over the hot threshold the ladder climbs one rung per
     // attempt (Busy verdicts resubmit the same seq, as go-back-N does).
     const std::vector<std::uint8_t> chunk(200, 0x00); // Nop opcodes
     BusyInfo busy;
@@ -1313,11 +1160,11 @@ TEST(SessionMuxTest, AdaptiveLadderShedsNewSessionsAndRecovers)
             ++seq;
     }
     EXPECT_TRUE(mux.shedNewSessions());
-    EXPECT_EQ(mux.shardLevel(), DegradeLevel::Shed);
+    EXPECT_EQ(mux.degradeLevel(), DegradeLevel::Shed);
 
     // The abusive tenant goes away and its bytes are reclaimed. No
     // admission samples can arrive anymore — without the reactor tick
-    // the shard would refuse sessions forever.
+    // the mux would refuse sessions forever.
     mux.abort(id);
     const auto deadline = std::chrono::steady_clock::now() + 20s;
     while (mux.globalBytes() > 0 &&
@@ -1326,13 +1173,13 @@ TEST(SessionMuxTest, AdaptiveLadderShedsNewSessionsAndRecovers)
     ASSERT_EQ(mux.globalBytes(), 0u);
 
     while ((mux.shedNewSessions() ||
-            mux.shardLevel() != DegradeLevel::Normal) &&
+            mux.degradeLevel() != DegradeLevel::Normal) &&
            std::chrono::steady_clock::now() < deadline) {
-        mux.tickShardController(); // rate-limited to one sample / 100ms
+        mux.tickController(); // rate-limited to one sample / 100ms
         std::this_thread::sleep_for(5ms);
     }
     EXPECT_FALSE(mux.shedNewSessions());
-    EXPECT_EQ(mux.shardLevel(), DegradeLevel::Normal)
+    EXPECT_EQ(mux.degradeLevel(), DegradeLevel::Normal)
         << "idle ticks never walked the ladder back down";
 }
 
@@ -1387,7 +1234,7 @@ TEST(MonitorService, AdaptiveServerConformsAcrossForcedHChanges)
         << "no client echo ever reached the server";
 }
 
-TEST(MonitorService, SaturatedAdaptiveShardTurnsAwayNewSessions)
+TEST(MonitorService, SaturatedAdaptiveServerTurnsAwayNewSessions)
 {
     ServerConfig scfg;
     scfg.unixPath = tempSocketPath("shed");
@@ -1403,7 +1250,7 @@ TEST(MonitorService, SaturatedAdaptiveShardTurnsAwayNewSessions)
     ASSERT_TRUE(server.start());
 
     // Sacrificial tenant: a small queue plus a slow pump makes every
-    // go-back-N retry a hot ladder sample, so the shard escalates to
+    // go-back-N retry a hot ladder sample, so the server escalates to
     // Shed while the client burns its (tiny) Busy retry allowance.
     const Addr heap = 0x600000;
     const Trace big = makeMarkedTrace(2, 8, 60, heap);
@@ -1426,21 +1273,22 @@ TEST(MonitorService, SaturatedAdaptiveShardTurnsAwayNewSessions)
     EXPECT_FALSE(refused.ok);
     EXPECT_TRUE(refused.overloaded) << refused.error;
 
-    const std::vector<ShardStats> stats = server.shardStats();
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_EQ(stats[0].degradeLevel, DegradeLevel::Shed);
+    EXPECT_EQ(server.degradeLevel(), DegradeLevel::Shed);
     server.stop();
     EXPECT_GE(server.sessionsShed(), 1u);
     EXPECT_GE(server.busySent(), 1u);
 }
 
-/** Send @p bytes on a raw connection to @p path and decode the server's
- *  first reply, which the caller expects to be a Reject. */
-RejectInfo
-rejectionOf(const std::string &path, const std::vector<std::uint8_t> &bytes)
+/** Send @p bytes on a raw connection to @p path, then return every
+ *  frame the server sends until it closes the connection. */
+std::vector<Frame>
+rawExchange(const std::string &path, const std::vector<std::uint8_t> &bytes)
 {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    // A server that never closes fails the test instead of hanging it.
+    const timeval patience{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof(patience));
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
@@ -1451,22 +1299,33 @@ rejectionOf(const std::string &path, const std::vector<std::uint8_t> &bytes)
               static_cast<ssize_t>(bytes.size()));
 
     FrameParser parser;
-    Frame frame;
-    DecodeStatus status = DecodeStatus::NeedMore;
+    std::vector<Frame> frames;
     std::uint8_t buf[4096];
-    for (int spins = 0; spins < 1000 && status != DecodeStatus::Ok;
-         ++spins) {
+    for (;;) {
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n <= 0)
             break;
         parser.feed({buf, static_cast<std::size_t>(n)});
-        status = parser.next(frame);
+        Frame frame;
+        while (parser.next(frame) == DecodeStatus::Ok)
+            frames.push_back(std::move(frame));
     }
     ::close(fd);
+    return frames;
+}
+
+/** Send @p bytes on a raw connection to @p path and decode the server's
+ *  first reply, which the caller expects to be a Reject. */
+RejectInfo
+rejectionOf(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    const std::vector<Frame> frames = rawExchange(path, bytes);
     RejectInfo reject;
-    EXPECT_EQ(status, DecodeStatus::Ok);
-    EXPECT_EQ(frame.type, FrameType::Reject);
-    EXPECT_EQ(decodeReject(frame.payload, reject), DecodeStatus::Ok);
+    EXPECT_FALSE(frames.empty());
+    if (!frames.empty()) {
+        EXPECT_EQ(frames[0].type, FrameType::Reject);
+        EXPECT_EQ(decodeReject(frames[0].payload, reject), DecodeStatus::Ok);
+    }
     return reject;
 }
 
@@ -1504,6 +1363,73 @@ TEST(MonitorService, UnregisteredLifeguardIsRejectedWithProtocolError)
                   RejectCode::Protocol)
             << "lifeguard byte " << unsigned(id);
     }
+    server.stop();
+    EXPECT_EQ(server.sessionsCompleted(), 0u);
+}
+
+TEST(MonitorService, IdleTimeoutSparesAClientWaitingForItsReport)
+{
+    // Decoding 64-byte chunks at 100 ms each takes far longer than the
+    // 150 ms idle timeout. A client that has sent TraceEnd is waiting
+    // on the server, not idle, and must get its report.
+    ServerConfig scfg;
+    scfg.unixPath = tempSocketPath("idlewait");
+    scfg.workers = 2;
+    scfg.idleTimeoutMs = 150;
+    scfg.mux.debugPumpDelayMs = 100;
+    MonitorServer server(scfg);
+    ASSERT_TRUE(server.start());
+
+    const Addr heap = 0x100000;
+    const Trace marked = makeMarkedTrace(2, 4, 30, heap);
+    const SessionSpec spec = addrcheckSpec(marked, heap);
+    ClientConfig ccfg;
+    ccfg.chunkBytes = 64;
+    MonitorClient client(ccfg);
+    ASSERT_TRUE(client.connectUnix(scfg.unixPath));
+    const RunResult remote = client.run(spec, marked);
+    ASSERT_TRUE(remote.ok) << remote.error;
+    EXPECT_TRUE(remote.report.identical(referenceFor(spec, marked)));
+    server.stop();
+    EXPECT_EQ(server.sessionsCompleted(), 1u);
+    EXPECT_EQ(server.sessionsFailed(), 0u);
+}
+
+TEST(MonitorService, SilentClientTimesOutAndItsBytesAreFreed)
+{
+    // A client that opens a session, sends part of its log and goes
+    // silent is rejected with Timeout, and its session's budget charge
+    // (state plus the queued chunk) is returned.
+    ServerConfig scfg;
+    scfg.unixPath = tempSocketPath("idle");
+    scfg.workers = 1;
+    scfg.idleTimeoutMs = 150;
+    MonitorServer server(scfg);
+    ASSERT_TRUE(server.start());
+
+    const Addr heap = 0x100000;
+    const Trace marked = makeMarkedTrace(2, 4, 30, heap);
+    const SessionSpec spec = addrcheckSpec(marked, heap);
+    const auto items = chunkItems(marked, 64);
+    std::vector<std::uint8_t> bytes;
+    appendFrame(bytes, FrameType::SessionOpen, encodeSessionOpen(spec));
+    appendFrame(bytes, FrameType::LogChunk,
+                encodeChunk({0, items[0].first}, items[0].second));
+
+    const std::vector<Frame> frames = rawExchange(scfg.unixPath, bytes);
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0].type, FrameType::SessionAccept);
+    ASSERT_EQ(frames[1].type, FrameType::Reject);
+    RejectInfo reject;
+    ASSERT_EQ(decodeReject(frames[1].payload, reject), DecodeStatus::Ok);
+    EXPECT_EQ(reject.code, RejectCode::Timeout) << reject.message;
+
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while ((server.globalBytes() > 0 || server.activeSessions() > 0) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(1ms);
+    EXPECT_EQ(server.globalBytes(), 0u) << "budget leaked";
+    EXPECT_EQ(server.activeSessions(), 0u);
     server.stop();
     EXPECT_EQ(server.sessionsCompleted(), 0u);
 }
