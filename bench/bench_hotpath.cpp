@@ -1,24 +1,23 @@
 /**
  * @file
  * Hot-path microbenchmarks: the three substrates this repo's monitoring
- * overhead is built from, each measured against an inline copy of the
- * seed implementation so the speedup is computed within one binary on
- * one machine state:
+ * overhead is built from, each reporting the tree's own throughput:
  *
- *   dispatch     spawn+join std::threads per pass (seed) vs one task
- *                group on the persistent WorkerPool;
- *   set_algebra  node-based std::unordered_set wrapper (seed) vs the
- *                open-addressed inline-buffered FlatSet, over the union/
- *                intersect/subtract/contains mix the dataflow equations
- *                use;
- *   shadow_range per-element hash-map lookups (seed) vs page-span walks
- *                and the last-page cache, over range fills, range scans
- *                and sequential pointwise traffic.
+ *   dispatch     one task group per pass on the persistent WorkerPool;
+ *   set_algebra  the open-addressed inline-buffered FlatSet, over the
+ *                union/intersect/subtract/contains mix the dataflow
+ *                equations use;
+ *   shadow_range page-span walks and the last-page cache of
+ *                ShadowMemory, over range fills, range scans and
+ *                sequential pointwise traffic.
+ *
+ * A change to one of these substrates is judged by an interleaved A/B
+ * of this binary against a build of the parent commit; the numbers of
+ * one run alone say little on a shared host.
  *
  * Writes BENCH_bench_hotpath.json (see bench_common.hpp; directory
  * overridable with BFLY_BENCH_JSON_DIR). `--quick` shrinks every group
- * for the CI smoke run. Not a google-benchmark binary: the paired
- * seed-vs-new measurement and the speedup field need a custom driver.
+ * for the CI smoke run.
  */
 
 #include <algorithm>
@@ -28,8 +27,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -52,105 +49,6 @@ now()
 std::atomic<std::uint64_t> g_sink{0};
 
 // ---------------------------------------------------------------------
-// Seed reference implementations (copied from the pre-overhaul sources,
-// trimmed to the operations measured here).
-// ---------------------------------------------------------------------
-
-/** The seed FlatSet: a thin wrapper over std::unordered_set. */
-class RefSet
-{
-  public:
-    bool contains(Addr k) const { return set_.count(k) != 0; }
-    std::size_t size() const { return set_.size(); }
-    void insert(Addr k) { set_.insert(k); }
-
-    void
-    unionWith(const RefSet &other)
-    {
-        for (Addr k : other.set_)
-            set_.insert(k);
-    }
-
-    void
-    intersectWith(const RefSet &other)
-    {
-        for (auto it = set_.begin(); it != set_.end();) {
-            if (!other.contains(*it))
-                it = set_.erase(it);
-            else
-                ++it;
-        }
-    }
-
-    void
-    subtract(const RefSet &other)
-    {
-        if (other.size() < set_.size()) {
-            for (Addr k : other.set_)
-                set_.erase(k);
-        } else {
-            for (auto it = set_.begin(); it != set_.end();) {
-                if (other.contains(*it))
-                    it = set_.erase(it);
-                else
-                    ++it;
-            }
-        }
-    }
-
-  private:
-    std::unordered_set<Addr> set_;
-};
-
-/** The seed ShadowMemory: one directory lookup per element, no cache. */
-class RefShadow
-{
-  public:
-    static constexpr std::size_t kPageSize = 4096;
-    static constexpr Addr kOffsetMask = kPageSize - 1;
-
-    std::uint8_t
-    get(Addr addr) const
-    {
-        auto it = pages_.find(addr >> 12);
-        if (it == pages_.end())
-            return 0;
-        return (*it->second)[addr & kOffsetMask];
-    }
-
-    void
-    set(Addr addr, std::uint8_t value)
-    {
-        auto &slot = pages_[addr >> 12];
-        if (!slot)
-            slot = std::make_unique<std::array<std::uint8_t, kPageSize>>();
-        (*slot)[addr & kOffsetMask] = value;
-    }
-
-    void
-    setRange(Addr addr, std::size_t len, std::uint8_t value)
-    {
-        for (std::size_t k = 0; k < len; ++k)
-            set(addr + k, value);
-    }
-
-    bool
-    rangeEquals(Addr addr, std::size_t len, std::uint8_t value) const
-    {
-        for (std::size_t k = 0; k < len; ++k) {
-            if (get(addr + k) != value)
-                return false;
-        }
-        return true;
-    }
-
-  private:
-    std::unordered_map<Addr,
-                       std::unique_ptr<std::array<std::uint8_t, kPageSize>>>
-        pages_;
-};
-
-// ---------------------------------------------------------------------
 // Group 1: pass dispatch.
 // ---------------------------------------------------------------------
 
@@ -167,9 +65,7 @@ blockWork(std::size_t item)
 struct GroupResult
 {
     const char *name;
-    double seedOpsPerSec = 0;
-    double newOpsPerSec = 0;
-    double speedup() const { return newOpsPerSec / seedOpsPerSec; }
+    double opsPerSec = 0;
 };
 
 GroupResult
@@ -180,21 +76,9 @@ benchDispatch(bool quick)
                                           std::thread::hardware_concurrency()));
     const std::size_t rounds = quick ? 200 : 2000;
 
-    // Seed: spawn + join one std::thread per block, twice per epoch.
-    const double t0 = now();
-    for (std::size_t r = 0; r < rounds; ++r) {
-        std::vector<std::thread> threads;
-        threads.reserve(nthreads);
-        for (std::size_t t = 0; t < nthreads; ++t)
-            threads.emplace_back(blockWork, t);
-        for (std::thread &th : threads)
-            th.join();
-    }
-    const double seedSecs = now() - t0;
-
-    // New: one persistent pool, one task group per pass.
+    // One persistent pool, one task group per pass.
     WorkerPool pool(nthreads);
-    const double t1 = now();
+    const double t0 = now();
     for (std::size_t r = 0; r < rounds; ++r) {
         TaskGroup pass;
         for (std::size_t t = 0; t < nthreads; ++t)
@@ -203,12 +87,7 @@ benchDispatch(bool quick)
                 nullptr, t);
         pool.waitGroup(pass);
     }
-    const double newSecs = now() - t1;
-
-    GroupResult g{"dispatch"};
-    g.seedOpsPerSec = static_cast<double>(rounds) / seedSecs;
-    g.newOpsPerSec = static_cast<double>(rounds) / newSecs;
-    return g;
+    return {"dispatch", static_cast<double>(rounds) / (now() - t0)};
 }
 
 // ---------------------------------------------------------------------
@@ -216,21 +95,20 @@ benchDispatch(bool quick)
 // ---------------------------------------------------------------------
 
 /** The dataflow mix over one pair of sets; returns elements touched. */
-template <typename Set>
 std::uint64_t
-setMix(const Set &a, const Set &b, const std::vector<Addr> &probes)
+setMix(const AddrSet &a, const AddrSet &b, const std::vector<Addr> &probes)
 {
     std::uint64_t touched = 0;
 
-    Set u = a;
+    AddrSet u = a;
     u.unionWith(b);
     touched += u.size();
 
-    Set i = a;
+    AddrSet i = a;
     i.intersectWith(b);
     touched += a.size();
 
-    Set d = a;
+    AddrSet d = a;
     d.subtract(b);
     touched += a.size();
 
@@ -243,9 +121,8 @@ setMix(const Set &a, const Set &b, const std::vector<Addr> &probes)
     return touched;
 }
 
-template <typename Set>
-double
-runSetGroup(bool quick, std::uint64_t &elems_out)
+GroupResult
+benchSetAlgebra(bool quick)
 {
     // Sizes span the paper's regimes: tiny per-block summaries through
     // epoch-level SOS sets.
@@ -254,7 +131,7 @@ runSetGroup(bool quick, std::uint64_t &elems_out)
     double secs = 0;
     for (std::size_t n : sizes) {
         Rng rng(n);
-        Set a, b;
+        AddrSet a, b;
         for (std::size_t i = 0; i < n; ++i) {
             a.insert(rng.next() % (4 * n));
             b.insert(rng.next() % (4 * n));
@@ -269,30 +146,15 @@ runSetGroup(bool quick, std::uint64_t &elems_out)
             elems += setMix(a, b, probes);
         secs += now() - t0;
     }
-    elems_out = elems;
-    return secs;
-}
-
-GroupResult
-benchSetAlgebra(bool quick)
-{
-    std::uint64_t seedElems = 0, newElems = 0;
-    const double seedSecs = runSetGroup<RefSet>(quick, seedElems);
-    const double newSecs = runSetGroup<AddrSet>(quick, newElems);
-
-    GroupResult g{"set_algebra"};
-    g.seedOpsPerSec = static_cast<double>(seedElems) / seedSecs;
-    g.newOpsPerSec = static_cast<double>(newElems) / newSecs;
-    return g;
+    return {"set_algebra", static_cast<double>(elems) / secs};
 }
 
 // ---------------------------------------------------------------------
 // Group 3: shadow ranges.
 // ---------------------------------------------------------------------
 
-template <typename Shadow>
 std::uint64_t
-shadowMix(Shadow &shadow, bool quick)
+shadowMix(ShadowMemory<std::uint8_t> &shadow, bool quick)
 {
     const std::size_t reps = quick ? 200 : 2000;
     std::uint64_t entries = 0;
@@ -324,20 +186,10 @@ shadowMix(Shadow &shadow, bool quick)
 GroupResult
 benchShadowRange(bool quick)
 {
-    GroupResult g{"shadow_range"};
-    {
-        RefShadow shadow;
-        const double t0 = now();
-        const std::uint64_t entries = shadowMix(shadow, quick);
-        g.seedOpsPerSec = static_cast<double>(entries) / (now() - t0);
-    }
-    {
-        ShadowMemory<std::uint8_t> shadow(0);
-        const double t0 = now();
-        const std::uint64_t entries = shadowMix(shadow, quick);
-        g.newOpsPerSec = static_cast<double>(entries) / (now() - t0);
-    }
-    return g;
+    ShadowMemory<std::uint8_t> shadow(0);
+    const double t0 = now();
+    const std::uint64_t entries = shadowMix(shadow, quick);
+    return {"shadow_range", static_cast<double>(entries) / (now() - t0)};
 }
 
 } // namespace
@@ -359,12 +211,9 @@ main(int argc, char **argv)
         bfly::benchShadowRange(quick),
     };
 
-    std::printf("%-14s %16s %16s %9s\n", "group", "seed ops/s",
-                "new ops/s", "speedup");
-    for (const GroupResult &g : groups) {
-        std::printf("%-14s %16.0f %16.0f %8.2fx\n", g.name,
-                    g.seedOpsPerSec, g.newOpsPerSec, g.speedup());
-    }
+    std::printf("%-14s %16s\n", "group", "ops/s");
+    for (const GroupResult &g : groups)
+        std::printf("%-14s %16.0f\n", g.name, g.opsPerSec);
 
     const std::string path = bfly::bench::benchJsonDir() +
                              "/BENCH_bench_hotpath.json";
@@ -380,11 +229,8 @@ main(int argc, char **argv)
     const std::size_t ngroups = std::size(groups);
     for (std::size_t i = 0; i < ngroups; ++i) {
         const GroupResult &g = groups[i];
-        std::fprintf(f,
-                     "    \"%s\": {\"seed_ops_per_sec\": %.1f, "
-                     "\"new_ops_per_sec\": %.1f, \"speedup\": %.3f}%s\n",
-                     g.name, g.seedOpsPerSec, g.newOpsPerSec, g.speedup(),
-                     i + 1 < ngroups ? "," : "");
+        std::fprintf(f, "    \"%s\": {\"ops_per_sec\": %.1f}%s\n", g.name,
+                     g.opsPerSec, i + 1 < ngroups ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);

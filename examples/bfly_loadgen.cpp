@@ -44,11 +44,13 @@
  * registry ("loadgen.session.latency_us").
  *
  * Exit status: 0 on full conformance, 1 on any mismatch or failed
- * session, 2 on usage errors.
+ * session, 2 on usage errors, including a numeric flag whose value is
+ * not a whole decimal number in range.
  */
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -68,6 +70,7 @@
 #include <unistd.h>
 
 #include "fuzz/trace_fuzzer.hpp"
+#include "parse_number.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "telemetry/metrics.hpp"
@@ -617,6 +620,18 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // @p text as a numeric flag's value, or exit 2 naming it.
+        auto parsed = [&](const char *text, std::uint64_t max) {
+            std::uint64_t n = 0;
+            if (!parseNumber(text, 0, max, 1, n)) {
+                std::cerr << "bfly_loadgen: bad value for " << arg << ": '"
+                          << text << "'\n";
+                usage(std::cerr);
+                std::exit(2);
+            }
+            return n;
+        };
+        auto number = [&](std::uint64_t max) { return parsed(value(), max); };
         if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -624,11 +639,11 @@ main(int argc, char **argv)
             opt.unixPath = value();
         else if (arg == "--tcp") {
             opt.tcp = true;
-            opt.tcpPort = static_cast<std::uint16_t>(std::atoi(value()));
+            opt.tcpPort = static_cast<std::uint16_t>(number(UINT16_MAX));
         } else if (arg == "--sessions")
-            opt.sessions = std::strtoull(value(), nullptr, 10);
+            opt.sessions = number(SIZE_MAX);
         else if (arg == "--traces")
-            opt.traces = std::strtoull(value(), nullptr, 10);
+            opt.traces = number(SIZE_MAX);
         else if (arg == "--seed") {
             const char *v = value();
             if (std::strcmp(v, "from-run-id") == 0) {
@@ -645,11 +660,11 @@ main(int argc, char **argv)
                 if (opt.seed == 0)
                     opt.seed = 1;
             } else {
-                opt.seed = std::strtoull(v, nullptr, 10);
+                opt.seed = parsed(v, UINT64_MAX);
             }
         }
         else if (arg == "--chunk-bytes")
-            opt.chunkBytes = std::strtoull(value(), nullptr, 10);
+            opt.chunkBytes = number(SIZE_MAX);
         else if (arg == "--json")
             opt.jsonPath = value();
         else if (arg == "--quiet")
@@ -659,7 +674,8 @@ main(int argc, char **argv)
         else if (arg == "--chaos")
             opt.chaos = true;
         else if (arg == "--budget-sec")
-            opt.budgetSec = std::strtoull(value(), nullptr, 10);
+            // Seconds past ~136 years would overflow the deadline.
+            opt.budgetSec = number(UINT32_MAX);
         else {
             std::cerr << "bfly_loadgen: unknown option '" << arg << "'\n";
             usage(std::cerr);

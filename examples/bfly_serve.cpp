@@ -14,17 +14,16 @@
  */
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "parse_number.hpp"
 #include "service/server.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -57,21 +56,6 @@ usage()
               << "  --target-events N  adaptive: coalesce epochs until\n"
               << "                  ~N events each (default 512)\n"
               << "  --quiet         suppress the startup banner\n";
-}
-
-/** Parse all of @p text as a decimal in [min, max], scaled by
- *  @p unit; false on anything else (sign, junk, overflow). */
-bool
-parseNumber(const char *text, std::uint64_t min, std::uint64_t max,
-            std::uint64_t unit, std::uint64_t &out)
-{
-    const char *end = text + std::strlen(text);
-    std::uint64_t n = 0;
-    const auto [ptr, ec] = std::from_chars(text, end, n);
-    if (ec != std::errc() || ptr != end || n < min || n > max / unit)
-        return false;
-    out = n * unit;
-    return true;
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential fuzzing CLI: generate adversarial traces, cross-check
- * every lifeguard in both scheduling modes against the sequential
+ * every lifeguard in both run modes against the sequential
  * oracles, and minimize + persist any invariant violation as a .bfz
  * repro.
  *
@@ -359,9 +359,9 @@ main(int argc, char **argv)
         rcfg.fault.enabled = true;
         rcfg.fault.target = Lifeguard::AddrCheck;
         rcfg.fault.dropKind = ErrorKind::UnallocatedAccess;
-        // Corrupt only the production schedule's reports, so the fault
-        // must surface as a mode-equivalence violation.
-        rcfg.fault.modeMask = modeBit(RunMode::PipelinedStream);
+        // Corrupt only the stream walk's reports (the service's path),
+        // so the fault must surface as a mode-equivalence violation.
+        rcfg.fault.modeMask = modeBit(RunMode::Stream);
     }
     const DifferentialRunner runner(rcfg);
 

@@ -50,9 +50,9 @@ ReachingDefinitions::priv(EpochId l, ThreadId t)
 void
 ReachingDefinitions::beginPass(EpochId l, bool second)
 {
-    // Pre-size the per-epoch block storage single-threaded; a resize
-    // while the pipelined graph runs blocks would invalidate references
-    // the sibling blocks are reading (computeLsos walks epochs l-1/l-2).
+    // Pre-size the per-epoch block storage before the pass; a resize
+    // while blocks run would invalidate references the sibling blocks
+    // are reading (computeLsos walks epochs l-1/l-2).
     (void)second;
     if (blocks_.size() <= l)
         blocks_.resize(l + 1);

@@ -32,9 +32,9 @@ ReachingExpressions::priv(EpochId l, ThreadId t)
 void
 ReachingExpressions::beginPass(EpochId l, bool second)
 {
-    // Pre-size the per-epoch block storage single-threaded; a resize
-    // while the pipelined graph runs blocks would invalidate references
-    // sibling blocks read while computing their LSOS.
+    // Pre-size the per-epoch block storage before the pass; a resize
+    // while blocks run would invalidate references sibling blocks read
+    // while computing their LSOS.
     (void)second;
     if (blocks_.size() <= l)
         blocks_.resize(l + 1);

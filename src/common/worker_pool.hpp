@@ -4,16 +4,14 @@
  *
  * A fixed set of long-lived threads parks on a condition variable; all
  * dispatch goes through one mutex-protected task queue. Per-item work in
- * this codebase is a whole block pass or a whole session stage
+ * this codebase is a whole session stage, replay or service session
  * (thousands of events), so a queue lock per item is noise.
  *
  * There is one completion protocol: tasks are submitted into a
  * TaskGroup and the submitter waits for that group to drain
  * (`submitTask` + `waitGroup`). Tasks may submit further tasks into
- * their own group from inside their bodies; this is how the pipelined
- * window schedule's dependency graph releases a successor the moment
- * its last prerequisite completes, and how a session's independent
- * stages overlap. Each group counts its submitted-but-unfinished tasks:
+ * their own group from inside their bodies; this is how the monitoring
+ * service's decode pump hands a drained session to its analysis task. Each group counts its submitted-but-unfinished tasks:
  * the count is incremented before a task is visible in the queue and
  * decremented after its body returns, so it reaching zero means the
  * group's whole frontier drained. The last decrement wakes waiters
@@ -94,11 +92,10 @@ class WorkerPool
 
     /**
      * Enqueue one task into @p group. Safe to call from any thread,
-     * including from inside a running task (a dependency graph submits
-     * a successor the moment its last prerequisite completes). Any
-     * number of drivers may submit into distinct groups and wait on
-     * them concurrently, so several pipelined window schedules can
-     * share one pool.
+     * including from inside a running task (the service's decode pump
+     * submits its session's analysis task). Any number of drivers may
+     * submit into distinct groups and wait on them concurrently, so
+     * several sessions can share one pool.
      * Every submitted task must be balanced by a waitGroup() on its
      * group; tasks never outlive the pool.
      */

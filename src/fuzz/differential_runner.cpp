@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "butterfly/window.hpp"
-#include "common/worker_pool.hpp"
 #include "lifeguards/taintcheck.hpp"
 #include "staticpass/classify.hpp"
 #include "telemetry/metrics.hpp"
@@ -16,7 +15,7 @@ namespace bfly::fuzz {
 
 namespace {
 
-const char *const kModeNames[] = {"sequential", "pipelined-stream"};
+const char *const kModeNames[] = {"sequential", "stream"};
 const char *const kInvariantNames[] = {"mode-equivalence",
                                        "oracle-subsumption",
                                        "fp-monotonicity",
@@ -108,12 +107,11 @@ drive(const CaseContext &ctx, RunMode mode, AnalysisDriver &driver)
       case RunMode::Sequential:
         WindowSchedule().run(ctx.layout, driver);
         break;
-      case RunMode::PipelinedStream: {
+      case RunMode::Stream: {
         EpochStream::Config cfg;
         cfg.globalH = ctx.c.globalH;
         EpochStream stream(ctx.trace, cfg);
-        WorkerPool pool(std::max<std::size_t>(1, ctx.trace.numThreads()));
-        WindowSchedule(false, &pool).runPipelined(stream, driver);
+        WindowSchedule().run(stream, driver);
         break;
       }
     }

@@ -1,17 +1,17 @@
 /**
  * @file
  * Differential conformance runner: executes one fuzz case through every
- * lifeguard in both scheduling modes and machine-checks the paper's
+ * lifeguard in both run modes and machine-checks the paper's
  * correctness claims as properties.
  *
  * Invariants checked per case:
  *
  *  - mode equivalence (Theorem-free, but the repo's own guarantee): the
- *    sequential barrier walk over a materialized layout (the reference)
- *    and the pipelined task graph over a streaming EpochStream (the
- *    monitoring service's path) must produce bit-identical reports
- *    (error records, SOS, and — for the generic reaching-defs
- *    analysis — every per-epoch/per-block dataflow set);
+ *    window walk over a materialized layout (the reference) and the
+ *    same walk over a streaming EpochStream (the monitoring service's
+ *    path) must produce bit-identical reports (error records, SOS,
+ *    and — for the generic reaching-defs analysis — every
+ *    per-epoch/per-block dataflow set);
  *
  *  - oracle subsumption (Theorems 6.1/6.2): the butterfly lifeguard
  *    never misses an error the exact sequential oracle flags — zero
@@ -55,13 +55,13 @@
 
 namespace bfly::fuzz {
 
-/** Scheduling modes: the two schedules callers actually use. */
+/** Run modes: the two block sources callers actually walk. */
 enum class RunMode : std::uint8_t {
-    Sequential,      ///< barrier walk on the calling thread (reference)
-    PipelinedStream, ///< dependency task graph over an EpochStream
+    Sequential, ///< walk over a materialized EpochLayout (reference)
+    Stream,     ///< walk over an EpochStream (the service's path)
 };
 inline constexpr RunMode kAllModes[] = {RunMode::Sequential,
-                                        RunMode::PipelinedStream};
+                                        RunMode::Stream};
 /** FaultPlan::modeMask value covering every mode (1 bit per RunMode). */
 inline constexpr std::uint8_t kAllModesMask =
     (1u << std::size(kAllModes)) - 1;

@@ -492,7 +492,7 @@ priceButterfly(const AppPerformance &app, const PerfInputs &in)
         if (traced) {
             // Per-(thread, epoch) barrier-stall breakdown of the
             // barrier schedule: one histogram sample per block. This is
-            // exactly the time the pipelined schedule recovers.
+            // exactly the time the pipelined model recovers.
             for (const auto &per_thread :
                  report.butterfly.timing.barrierStallPerBlock)
                 for (Cycles stall : per_thread)

@@ -20,12 +20,11 @@
  * provides ground truth; Theorem 6.1 (zero false negatives) is checked in
  * the test suite against both SC and TSO executions.
  *
- * Thread safety: pass1/pass2 may be invoked concurrently for different
- * blocks (the pipelined schedule's task graph). Per-block
- * state is disjoint; shared state (error log, counters) is committed
- * once per block under a mutex. An epoch's last pass-1 block, found by
- * an atomic count, builds its wing table. finalizeEpoch is single-writer
- * by design.
+ * Thread safety: the schedule runs one block at a time, but blocks stay
+ * safe to run concurrently. Per-block state is disjoint; shared state
+ * (error log, counters) is committed once per block under a mutex. An
+ * epoch's last pass-1 block, found by an atomic count, builds its wing
+ * table. finalizeEpoch is single-writer by design.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
@@ -84,14 +83,10 @@ class ButterflyAddrCheck : public AnalysisDriver
     /**
      * ADDRCHECK's pass 2 and finalize consume only pass-1 summaries —
      * never the SOS that finalize advances, nor pass-2 results — so the
-     * pipelined schedule may run them relaxed: finalizeEpoch(l) does not
-     * gate pass 2 of epoch l, and no global synchronization remains.
+     * cycle model prices it relaxed: finalizeEpoch(l) need not wait for
+     * pass 2 of epoch l.
      */
     bool finalizeAfterPass2() const override { return false; }
-
-    /** Pass 2 of (l, t) reads epoch l+1's wing table, which only the
-     *  last pass-1 block of l+1 (maybe thread t's own) completes. */
-    bool pass2ReadsOwnNextPass1() const override { return true; }
 
     /**
      * The isolation records pass2() commits for body block @p block, in

@@ -38,9 +38,7 @@
  * Like TAINTCHECK this driver is strict (finalizeAfterPass2() ==
  * true): pass 2 reads the SOS snapshot finalizeEpoch advances. Unlike
  * TAINTCHECK, the WM_l fixpoint pass 2 computes folds epoch l+1 rules
- * of EVERY thread — the body thread included — so the driver also
- * declares pass2ReadsOwnNextPass1() and the pipelined schedule orders
- * P2(l,t) after P1(l+1,t) instead of letting them overlap.
+ * of EVERY thread, the body thread included.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_ADDRLEAK_HPP
@@ -92,7 +90,6 @@ class ButterflyAddrLeak : public AnalysisDriver
     void pass1(const BlockView &block) override;
     void pass2(const BlockView &block) override;
     void finalizeEpoch(EpochId l) override;
-    bool pass2ReadsOwnNextPass1() const override { return true; }
 
     const ErrorLog &errors() const { return errors_; }
 

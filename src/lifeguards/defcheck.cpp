@@ -72,7 +72,8 @@ ButterflyDefCheck::pass2(const BlockView &block)
     // paths — membership in the generic analysis's IN_{l,t,i}.
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
-    // Pass-2 blocks run concurrently; buffer reports and commit once.
+    // Buffer reports and commit once, so blocks stay safe to run
+    // concurrently (DESIGN.md §6).
     std::vector<ErrorRecord> block_errors;
     std::vector<Addr> keys;
     for (InstrOffset i = 0; i < block.size(); ++i) {

@@ -48,8 +48,7 @@
  *
  * This driver is *strict* (finalizeAfterPass2() == true): pass 2 reads
  * the entry lock states and cumulative accessor state that finalize
- * advances, and finalize(l) reads epoch-(l+1) pass-1 summaries — both
- * orderings the strict pipelined schedule guarantees.
+ * advances, and finalize(l) reads epoch-(l+1) pass-1 summaries.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_LOCKSET_HPP

@@ -375,8 +375,8 @@ ButterflyTaintCheck::pass2(const BlockView &block)
     std::unordered_map<Addr, bool> last_check_phase[2];
     std::unordered_map<Addr, std::int64_t> roots;
 
-    // Pass-2 blocks run concurrently; buffer shared-state updates and
-    // commit them once at the end of the block.
+    // Buffer shared-state updates and commit them once at the end of
+    // the block, so blocks stay safe to run concurrently (DESIGN.md §6).
     std::vector<ErrorRecord> block_errors;
     std::uint64_t block_resolved = 0;
     std::uint64_t block_exhausted = 0;

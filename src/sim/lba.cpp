@@ -269,9 +269,8 @@ simulateButterflyPipelined(const ButterflyTimingInput &input,
     if (L == 0)
         return result;
 
-    // Task table mirroring WindowSchedule's graph: A(0..L), P1, P2,
-    // F, R. Admission and retirement cost nothing but still order the
-    // graph.
+    // Task table of DESIGN.md §7's edge list: A(0..L), P1, P2, F, R.
+    // Admission and retirement cost nothing but still order the graph.
     const std::size_t p1_base = L + 1;
     const std::size_t p2_base = p1_base + L * T;
     const std::size_t f_base = p2_base + L * T;

@@ -51,7 +51,7 @@ struct TimingResult
      * The pass-1 barrier of window step l charges epoch l; the pass-2
      * barrier charges epoch l-1; the trailing step charges the final
      * epoch. Summing every cell reproduces barrierWaitCycles exactly —
-     * this is the per-block breakdown the pipelined scheduler eliminates,
+     * this is the per-block breakdown the pipelined model eliminates,
      * so it shows *where* a skewed trace loses time to barriers.
      */
     std::vector<std::vector<Cycles>> barrierStallPerBlock;
@@ -114,11 +114,13 @@ struct ButterflyTimingInput
 TimingResult simulateButterfly(const ButterflyTimingInput &input);
 
 /**
- * Timing of the *pipelined* butterfly schedule: the same per-block costs
- * executed as a dependency task graph (the one WindowSchedule::
- * runPipelined builds) by @p workers work-conserving lifeguard cores —
- * no barriers, a block-pass starts the moment its prerequisites finish
- * and a core is free. Greedy list scheduling in task order; admission
+ * Timing of a *pipelined* butterfly schedule: the same per-block costs
+ * executed as the dependency task graph whose edges DESIGN.md §7 lists,
+ * by @p workers work-conserving lifeguard cores — no barriers, a
+ * block-pass starts the moment its prerequisites finish and a core is
+ * free. WindowSchedule itself walks the window in order on one thread;
+ * this model prices the LBA platform's one lifeguard core per
+ * application thread. Greedy list scheduling in task order; admission
  * and retirement are free; finalizeEpoch costs sosUpdateCost[l].
  *
  * The model is lifeguard-bound (production coupling and barrierCost do

@@ -200,20 +200,18 @@ class EpochLayout
  * cell at admission, and copiedEvents() counts those copies. At most
  * windowEpochs epochs are resident, independent of trace length.
  *
- * The window schedules acquire epochs in order and retire each epoch
- * once every task reading its events has completed. An optional
+ * The window walk acquires each epoch just before its pass 1 and
+ * retires it just after its pass 2, in order. An optional
  * LogBuffer models the back-pressure the bounded window exerts on the
  * logging platform: each event of an epoch is produced into the buffer
  * before admission and consumed at admission, so epochs larger than
  * the buffer surface producer stalls exactly where the LBA hardware
  * would stall the application core.
  *
- * acquire() calls must be in epoch order (the task graph's admission
- * chain is totally ordered); retire() calls must also be in order.
- * block() is safe to call concurrently with acquire()/retire() of
- * *other* epochs — the ring cells are disjoint and the schedule orders
- * cell reuse behind retirement. The stream borrows its trace, as a
- * layout does.
+ * acquire() and retire() calls must be in epoch order. block() is safe
+ * to call concurrently with acquire()/retire() of *other* epochs — the
+ * ring cells are disjoint and acquire() refuses to lap the ring. The
+ * stream borrows its trace, as a layout does.
  */
 class EpochStream
 {

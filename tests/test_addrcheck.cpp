@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "butterfly/window.hpp"
@@ -453,34 +452,18 @@ class Pass2Recorder final : public AnalysisDriver
     void
     pass2(const BlockView &block) override
     {
-        std::vector<ErrorRecord> records = inner_.isolationRecords(block);
-        {
-            std::lock_guard<std::mutex> guard(mutex_);
-            byBlock[{block.epoch, block.thread}] = std::move(records);
-        }
+        byBlock[{block.epoch, block.thread}] =
+            inner_.isolationRecords(block);
         inner_.pass2(block);
     }
 
     void finalizeEpoch(EpochId l) override { inner_.finalizeEpoch(l); }
-
-    bool
-    finalizeAfterPass2() const override
-    {
-        return inner_.finalizeAfterPass2();
-    }
-
-    bool
-    pass2ReadsOwnNextPass1() const override
-    {
-        return inner_.pass2ReadsOwnNextPass1();
-    }
 
     std::map<std::pair<EpochId, ThreadId>, std::vector<ErrorRecord>>
         byBlock;
 
   private:
     ButterflyAddrCheck &inner_;
-    std::mutex mutex_;
 };
 
 enum class Schedule { Barrier, Streamed };
@@ -525,9 +508,7 @@ expectTablesMatchUnionMeet(const Trace &trace,
         }
     }
 
-    WorkerPool pool(4);
-    for (Schedule schedule :
-         {Schedule::Barrier, Schedule::Streamed}) {
+    for (Schedule schedule : {Schedule::Barrier, Schedule::Streamed}) {
         ButterflyAddrCheck check(T, cfg);
         Pass2Recorder recorder(check);
         switch (schedule) {
@@ -536,7 +517,7 @@ expectTablesMatchUnionMeet(const Trace &trace,
             break;
           case Schedule::Streamed: {
             EpochStream stream(trace, slicing);
-            WindowSchedule(false, &pool).runPipelined(stream, recorder);
+            WindowSchedule().run(stream, recorder);
             break;
           }
         }

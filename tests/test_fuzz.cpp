@@ -17,7 +17,6 @@
 #include "src/fuzz/trace_fuzzer.hpp"
 #include "src/service/analyzer.hpp"
 #include "butterfly/window.hpp"
-#include "common/worker_pool.hpp"
 #include "lifeguards/taintcheck.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -155,7 +154,7 @@ TEST(DifferentialRunner, InjectedModeDependentBugBreaksEquivalence)
     cfg.fault.enabled = true;
     cfg.fault.target = Lifeguard::AddrCheck;
     cfg.fault.dropKind = ErrorKind::UnallocatedAccess;
-    cfg.fault.modeMask = modeBit(RunMode::PipelinedStream);
+    cfg.fault.modeMask = modeBit(RunMode::Stream);
     const DifferentialRunner runner(cfg);
 
     const CaseOutcome outcome = runner.run(rogueCase(16));
@@ -164,7 +163,7 @@ TEST(DifferentialRunner, InjectedModeDependentBugBreaksEquivalence)
     for (const Violation &v : outcome.violations)
         saw = saw || (v.invariant == Invariant::ModeEquivalence &&
                       v.lifeguard == Lifeguard::AddrCheck &&
-                      v.mode == RunMode::PipelinedStream);
+                      v.mode == RunMode::Stream);
     EXPECT_TRUE(saw) << outcome.violations.front().toString();
 }
 
@@ -172,30 +171,30 @@ TEST(RunModes, NamesAndMaskBitsArePinned)
 {
     // fuzz_cli --inject-fault builds its mask with modeBit(), its
     // reports name modes with runModeName(), and the CI self-test greps
-    // for "(pipelined-stream)": all three rest on these values.
+    // for "(stream)": all three rest on these values.
     ASSERT_EQ(std::size(kAllModes), 2u);
     EXPECT_EQ(kAllModes[0], RunMode::Sequential);
-    EXPECT_EQ(kAllModes[1], RunMode::PipelinedStream);
+    EXPECT_EQ(kAllModes[1], RunMode::Stream);
     EXPECT_STREQ(runModeName(RunMode::Sequential), "sequential");
-    EXPECT_STREQ(runModeName(RunMode::PipelinedStream), "pipelined-stream");
+    EXPECT_STREQ(runModeName(RunMode::Stream), "stream");
     EXPECT_EQ(modeBit(RunMode::Sequential), 0x1);
-    EXPECT_EQ(modeBit(RunMode::PipelinedStream), 0x2);
+    EXPECT_EQ(modeBit(RunMode::Stream), 0x2);
     EXPECT_EQ(kAllModesMask, modeBit(RunMode::Sequential) |
-                                 modeBit(RunMode::PipelinedStream));
+                                 modeBit(RunMode::Stream));
 }
 
 TEST(FaultPlan, CorruptsOnlyTheTargetInMaskedModes)
 {
     FaultPlan plan;
     plan.target = Lifeguard::AddrCheck;
-    plan.modeMask = modeBit(RunMode::PipelinedStream);
+    plan.modeMask = modeBit(RunMode::Stream);
     EXPECT_FALSE(plan.corrupts(Lifeguard::AddrCheck,
-                               RunMode::PipelinedStream))
+                               RunMode::Stream))
         << "a disabled plan corrupts nothing";
 
     plan.enabled = true;
     EXPECT_TRUE(plan.corrupts(Lifeguard::AddrCheck,
-                              RunMode::PipelinedStream));
+                              RunMode::Stream));
     EXPECT_FALSE(plan.corrupts(Lifeguard::AddrCheck, RunMode::Sequential));
     for (Lifeguard lg : kAllLifeguards) {
         if (lg == Lifeguard::AddrCheck)
@@ -215,10 +214,10 @@ TEST(FaultPlan, CorruptsOnlyTheTargetInMaskedModes)
 TEST(Violation, ToStringLeadsWithInvariantLifeguardAndMode)
 {
     const Violation diverged{Invariant::ModeEquivalence,
-                             Lifeguard::AddrCheck, RunMode::PipelinedStream,
+                             Lifeguard::AddrCheck, RunMode::Stream,
                              "2 vs 3 records"};
     EXPECT_EQ(diverged.toString(),
-              "mode-equivalence [ADDRCHECK] (pipelined-stream): "
+              "mode-equivalence [ADDRCHECK] (stream): "
               "2 vs 3 records");
     // Only mode equivalence names a mode.
     const Violation missed{Invariant::OracleSubsumption,
@@ -230,11 +229,11 @@ TEST(Violation, ToStringLeadsWithInvariantLifeguardAndMode)
     cfg.fault.enabled = true;
     cfg.fault.target = Lifeguard::AddrCheck;
     cfg.fault.dropKind = ErrorKind::UnallocatedAccess;
-    cfg.fault.modeMask = modeBit(RunMode::PipelinedStream);
+    cfg.fault.modeMask = modeBit(RunMode::Stream);
     const CaseOutcome outcome = DifferentialRunner(cfg).run(rogueCase(16));
     ASSERT_FALSE(outcome.clean());
     EXPECT_EQ(outcome.violations.front().toString().rfind(
-                  "mode-equivalence [ADDRCHECK] (pipelined-stream)", 0),
+                  "mode-equivalence [ADDRCHECK] (stream)", 0),
               0u)
         << outcome.violations.front().toString();
 }
@@ -255,7 +254,7 @@ TEST(DifferentialRunner, InjectedReferenceDropBreaksEquivalenceAndSubsumption)
     for (const Violation &v : outcome.violations) {
         EXPECT_EQ(v.lifeguard, Lifeguard::AddrCheck) << v.toString();
         diverged = diverged || (v.invariant == Invariant::ModeEquivalence &&
-                                v.mode == RunMode::PipelinedStream);
+                                v.mode == RunMode::Stream);
         missed = missed || v.invariant == Invariant::OracleSubsumption;
     }
     EXPECT_TRUE(diverged);
@@ -588,7 +587,6 @@ TEST(CorpusReplay, TaintCheckCountsBudgetExhaustedChecksInBothModes)
     // outcome — and, like the report, independent of the schedule.
     const DifferentialRunner runner;
     const LifeguardEntry &entry = lifeguardEntry(Lifeguard::TaintCheck);
-    WorkerPool pool(2);
     std::size_t exhausting = 0, within_budget = 0;
     for (const std::string &path : listCorpus(BFLY_CORPUS_DIR)) {
         const FuzzCase c = loadRepro(path);
@@ -617,13 +615,13 @@ TEST(CorpusReplay, TaintCheckCountsBudgetExhaustedChecksInBothModes)
             walked)
             << path;
 
-        const std::uint64_t graphed = budgetOf([&](AnalysisDriver &d) {
+        const std::uint64_t streamed = budgetOf([&](AnalysisDriver &d) {
             EpochStream::Config cfg;
             cfg.globalH = c.globalH;
             EpochStream stream(trace, cfg);
-            WindowSchedule(false, &pool).runPipelined(stream, d);
+            WindowSchedule().run(stream, d);
         });
-        EXPECT_EQ(graphed, walked) << path;
+        EXPECT_EQ(streamed, walked) << path;
         EXPECT_EQ(runner.run(c).budgetExhausted, walked) << path;
         (walked > 0 ? exhausting : within_budget) += 1;
     }

@@ -68,7 +68,7 @@ TEST(IdempotentFilter, KNoAddrNeverHits)
  * Butterfly mode flushes at every epoch boundary, so the set of filtered
  * events inside an epoch depends only on that epoch's own accesses —
  * never on which epochs ran before it. That independence is what lets
- * the pipelined scheduler finalize epochs in dependency order rather
+ * the pipelined cycle model finalize epochs in dependency order rather
  * than strict sequence without changing any filter verdict.
  */
 TEST(IdempotentFilter, EpochFlushMakesFilterDecisionsOrderIndependent)

@@ -1,10 +1,12 @@
 /**
  * @file
- * The pipelined (dependency-task-graph) window schedule over an
- * EpochStream: determinism against the sequential walk for every
- * lifeguard, whatever the pool size, ring width or pool sharing; the
+ * The window walk over an EpochStream and the cycle models' pipelined
+ * accounting: stream walk == layout walk for every lifeguard, whatever
+ * the ring width or coalescing, and for walks that share one pool; the
  * stream's equivalence with the materialized layout, the bounded
- * residency guarantee, and the timing models' pipelined accounting.
+ * residency guarantee, back-pressure accounting; and, for every
+ * lifeguard that declares a relaxed finalize, the same report when
+ * epochs finalize as early as the cycle model prices them.
  */
 
 #include <algorithm>
@@ -67,22 +69,40 @@ mixTrace(std::uint64_t seed, Workload &w_out)
     return interleave(w_out.programs, InterleaveConfig{}, rng);
 }
 
-/** Run @p driver through the pipelined graph over an EpochStream cut
- *  at the same global H as EpochLayout::byGlobalSeq(trace, h). */
-PipelineStats
+/** A 3-thread taint mix with three tainted jumps injected. */
+Trace
+taintTrace(std::uint64_t seed)
+{
+    WorkloadConfig wcfg;
+    wcfg.numThreads = 3;
+    wcfg.instrPerThread = 600;
+    wcfg.seed = seed;
+    Workload w = makeTaintMix(wcfg);
+    Rng bug_rng(seed ^ 0xf00d);
+    injectBugs(w, BugKind::TaintedJump, 3, bug_rng);
+    Rng rng(seed * 131 + 17);
+    return interleave(w.programs, InterleaveConfig{}, rng);
+}
+
+/** Run @p driver by the window walk over an EpochStream cut at the same
+ *  global H as EpochLayout::byGlobalSeq(trace, h); returns the stream's
+ *  epoch count. Every epoch must be retired when the walk returns. */
+std::size_t
 runStreamed(const Trace &trace, std::size_t h, AnalysisDriver &driver)
 {
     EpochStream::Config cfg;
     cfg.globalH = h;
     EpochStream stream(trace, cfg);
-    WorkerPool pool(std::max<std::size_t>(1, stream.numThreads()));
-    return WindowSchedule(false, &pool).runPipelined(stream, driver);
+    WindowSchedule().run(stream, driver);
+    EXPECT_LE(stream.peakResidentEpochs(), 2u);
+    EXPECT_EQ(stream.residentEpochs(), 0u);
+    return stream.numEpochs();
 }
 
 // --------------------------------------------------------------------
-// Pipelined == sequential, per lifeguard. The task graph may reorder
-// anything the dependency edges allow; the analysis results may not
-// change at all.
+// Stream walk == layout walk, per lifeguard, over generated workloads:
+// the stream admits and retires epochs as the walk goes, and neither
+// the reports nor the lifeguards' own counters may change.
 // --------------------------------------------------------------------
 
 TEST(PipelineDeterminism, AddrCheckMatchesSequentialAcrossSeeds)
@@ -99,46 +119,35 @@ TEST(PipelineDeterminism, AddrCheckMatchesSequentialAcrossSeeds)
         ButterflyAddrCheck seq(layout, cfg);
         WindowSchedule().run(layout, seq);
 
-        ButterflyAddrCheck pipe(layout, cfg);
-        const PipelineStats stats = runStreamed(trace, 512, pipe);
+        ButterflyAddrCheck streamed(layout, cfg);
+        EXPECT_EQ(runStreamed(trace, 512, streamed), layout.numEpochs());
 
         EXPECT_EQ(sortedRecords(seq.errors()),
-                  sortedRecords(pipe.errors()))
+                  sortedRecords(streamed.errors()))
             << "seed " << seed;
-        EXPECT_EQ(seq.eventsChecked(), pipe.eventsChecked());
-        EXPECT_EQ(seq.sosNow().sorted(), pipe.sosNow().sorted());
-        EXPECT_EQ(stats.epochsFinalized, layout.numEpochs());
+        EXPECT_EQ(seq.eventsChecked(), streamed.eventsChecked());
+        EXPECT_EQ(seq.sosNow().sorted(), streamed.sosNow().sorted());
     }
 }
 
 TEST(PipelineDeterminism, TaintCheckMatchesSequentialAcrossSeeds)
 {
     for (std::uint64_t seed : {5u, 6u, 7u}) {
-        WorkloadConfig wcfg;
-        wcfg.numThreads = 3;
-        wcfg.instrPerThread = 600;
-        wcfg.seed = seed;
-        Workload w = makeTaintMix(wcfg);
-        Rng bug_rng(seed ^ 0xf00d);
-        injectBugs(w, BugKind::TaintedJump, 3, bug_rng);
-
-        Rng rng(seed * 131 + 17);
-        const Trace trace =
-            interleave(w.programs, InterleaveConfig{}, rng);
+        const Trace trace = taintTrace(seed);
         const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 240);
 
         TaintCheckConfig cfg;
         ButterflyTaintCheck seq(layout, cfg);
         WindowSchedule().run(layout, seq);
 
-        ButterflyTaintCheck pipe(layout, cfg);
-        runStreamed(trace, 240, pipe);
+        ButterflyTaintCheck streamed(layout, cfg);
+        EXPECT_EQ(runStreamed(trace, 240, streamed), layout.numEpochs());
 
         EXPECT_EQ(sortedRecords(seq.errors()),
-                  sortedRecords(pipe.errors()))
+                  sortedRecords(streamed.errors()))
             << "seed " << seed;
-        EXPECT_EQ(seq.checksResolved(), pipe.checksResolved());
-        EXPECT_EQ(seq.sosNow().sorted(), pipe.sosNow().sorted());
+        EXPECT_EQ(seq.checksResolved(), streamed.checksResolved());
+        EXPECT_EQ(seq.sosNow().sorted(), streamed.sosNow().sorted());
     }
 }
 
@@ -156,11 +165,11 @@ TEST(PipelineDeterminism, DefCheckMatchesSequentialAcrossSeeds)
         ButterflyDefCheck seq(layout, cfg);
         WindowSchedule().run(layout, seq);
 
-        ButterflyDefCheck pipe(layout, cfg);
-        runStreamed(trace, 512, pipe);
+        ButterflyDefCheck streamed(layout, cfg);
+        EXPECT_EQ(runStreamed(trace, 512, streamed), layout.numEpochs());
 
         EXPECT_EQ(sortedRecords(seq.errors()),
-                  sortedRecords(pipe.errors()))
+                  sortedRecords(streamed.errors()))
             << "seed " << seed;
     }
 }
@@ -176,61 +185,41 @@ TEST(PipelineDeterminism, ReachingDefsMatchesSequentialAcrossSeeds)
         ReachingDefinitions seq(layout.numThreads());
         WindowSchedule().run(layout, seq);
 
-        ReachingDefinitions pipe(layout.numThreads());
-        runStreamed(trace, 512, pipe);
+        ReachingDefinitions streamed(layout.numThreads());
+        EXPECT_EQ(runStreamed(trace, 512, streamed), L);
 
         for (EpochId l = 0; l < L; ++l) {
-            EXPECT_EQ(seq.sos(l).sorted(), pipe.sos(l).sorted())
+            EXPECT_EQ(seq.sos(l).sorted(), streamed.sos(l).sorted())
                 << "seed " << seed << " epoch " << l;
-            EXPECT_EQ(seq.genEpoch(l).sorted(), pipe.genEpoch(l).sorted())
+            EXPECT_EQ(seq.genEpoch(l).sorted(),
+                      streamed.genEpoch(l).sorted())
                 << "seed " << seed << " epoch " << l;
             for (ThreadId t = 0; t < layout.numThreads(); ++t) {
                 EXPECT_EQ(seq.blockResults(l, t).in.sorted(),
-                          pipe.blockResults(l, t).in.sorted());
+                          streamed.blockResults(l, t).in.sorted());
                 EXPECT_EQ(seq.blockResults(l, t).out.sorted(),
-                          pipe.blockResults(l, t).out.sorted());
+                          streamed.blockResults(l, t).out.sorted());
             }
         }
     }
 }
 
-TEST(PipelineDeterminism, TaskCountMatchesGraphShape)
-{
-    Workload w;
-    const Trace trace = mixTrace(11, w);
-    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 512);
-    const std::size_t L = layout.numEpochs();
-    const std::size_t T = layout.numThreads();
-    ASSERT_GE(L, 2u);
-
-    AddrCheckConfig cfg;
-    cfg.heapBase = w.heapBase;
-    cfg.heapLimit = w.heapLimit;
-    ButterflyAddrCheck pipe(layout, cfg);
-    const PipelineStats stats = runStreamed(trace, 512, pipe);
-
-    // A(0..L) + P1 + P2 + F + R.
-    EXPECT_EQ(stats.tasksRun, (L + 1) + 2 * L * T + 2 * L);
-    EXPECT_EQ(stats.epochsFinalized, L);
-    EXPECT_GE(stats.peakResidentEpochs, 1u);
-    EXPECT_LE(stats.peakResidentEpochs, 4u); // the default window
-}
-
 TEST(PipelineDeterminism, EmptyTraceIsANoOp)
 {
     const Trace trace; // no threads at all
-    AddrCheckConfig cfg;
-    ButterflyAddrCheck pipe(trace.numThreads(), cfg);
-    const PipelineStats stats = runStreamed(trace, 64, pipe);
-    EXPECT_EQ(stats.tasksRun, 0u);
-    EXPECT_TRUE(pipe.errors().records().empty());
+    EpochStream::Config cfg;
+    cfg.globalH = 64;
+    EpochStream stream(trace, cfg);
+    AddrCheckConfig acfg;
+    ButterflyAddrCheck walked(trace.numThreads(), acfg);
+    WindowSchedule().run(stream, walked);
+    EXPECT_EQ(stream.numEpochs(), 0u);
+    EXPECT_EQ(stream.peakResidentEpochs(), 0u);
+    EXPECT_TRUE(walked.errors().records().empty());
 }
 
 // --------------------------------------------------------------------
-// Pool determinism: the graph's result may not depend on how many
-// workers run it, on how wide the stream's ring is, or on other graphs
-// sharing the pool (the service's sessions share one). Every registered
-// lifeguard, over fuzzed cases from every scenario.
+// Fuzzed cases from every scenario, for every registered lifeguard.
 // --------------------------------------------------------------------
 
 /** One fuzzed case, materialized, with its sequential-walk layout. */
@@ -267,97 +256,10 @@ walkReport(const LifeguardEntry &entry, const WalkedCase &wc)
     return entry.report(*driver, wc.layout.numEpochs());
 }
 
-/** The same, by the task graph on @p pool over a @p window-epoch ring. */
-LifeguardReport
-graphReport(const LifeguardEntry &entry, const WalkedCase &wc,
-            WorkerPool &pool, std::size_t window)
-{
-    const auto driver = entry.makeDriver(
-        wc.c.lifeguardParams(entry.id, wc.layout.numThreads()));
-    EpochStream::Config cfg;
-    cfg.globalH = wc.c.globalH;
-    cfg.windowEpochs = window;
-    EpochStream stream(wc.trace, cfg);
-    const PipelineStats stats =
-        WindowSchedule(false, &pool).runPipelined(stream, *driver);
-    EXPECT_LE(stats.peakResidentEpochs, window);
-    return entry.report(*driver, stream.numEpochs());
-}
-
-class PoolDeterminism : public ::testing::TestWithParam<Lifeguard>
-{
-};
-
-TEST_P(PoolDeterminism, GraphMatchesWalkForAnyPoolSizeAndWindow)
-{
-    const LifeguardEntry &entry = lifeguardEntry(GetParam());
-    const std::uint64_t seed = 0x9d1 + static_cast<std::uint64_t>(entry.id);
-    std::vector<std::uint64_t> digests;
-    for (const WalkedCase &wc : fuzzedCases(seed, 10)) {
-        const LifeguardReport want = walkReport(entry, wc);
-        digests.push_back(want.digest());
-        const std::size_t T = wc.trace.numThreads();
-        for (const std::size_t workers : {std::size_t{1}, std::size_t{3},
-                                          2 * T + 1}) {
-            WorkerPool pool(workers);
-            for (const std::size_t window : {4u, 7u}) {
-                EXPECT_TRUE(graphReport(entry, wc, pool, window) == want)
-                    << wc.c.scenario << " case " << wc.c.caseId << ", "
-                    << workers << " workers, window " << window;
-            }
-        }
-    }
-    // Non-vacuous: the cases drive this lifeguard to different reports.
-    std::sort(digests.begin(), digests.end());
-    EXPECT_GT(std::unique(digests.begin(), digests.end()) - digests.begin(),
-              1);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, PoolDeterminism, ::testing::ValuesIn(kAllLifeguards),
-    [](const ::testing::TestParamInfo<Lifeguard> &info) {
-        std::string name = lifeguardName(info.param);
-        std::replace(name.begin(), name.end(), '-', '_');
-        return name;
-    });
-
-TEST(SharedPool, ConcurrentGraphsMatchTheirWalks)
-{
-    // Three drivers submit graphs of every lifeguard onto one two-worker
-    // pool at once, as the service's concurrent sessions do; each graph
-    // must still reproduce its own sequential walk.
-    const std::vector<WalkedCase> cases = fuzzedCases(0x5ea, 12);
-    std::vector<LifeguardReport> want;
-    for (std::size_t i = 0; i < cases.size(); ++i)
-        want.push_back(walkReport(
-            lifeguardEntry(kAllLifeguards[i % std::size(kAllLifeguards)]),
-            cases[i]));
-
-    WorkerPool pool(2);
-    std::vector<LifeguardReport> got(cases.size());
-    std::vector<std::thread> drivers;
-    constexpr std::size_t kDrivers = 3;
-    for (std::size_t d = 0; d < kDrivers; ++d)
-        drivers.emplace_back([&, d] {
-            for (std::size_t i = d; i < cases.size(); i += kDrivers)
-                got[i] = graphReport(
-                    lifeguardEntry(
-                        kAllLifeguards[i % std::size(kAllLifeguards)]),
-                    cases[i], pool, 4);
-        });
-    for (std::thread &t : drivers)
-        t.join();
-    for (std::size_t i = 0; i < cases.size(); ++i)
-        EXPECT_TRUE(got[i] == want[i])
-            << cases[i].c.scenario << " case " << cases[i].c.caseId << " "
-            << lifeguardName(kAllLifeguards[i % std::size(kAllLifeguards)]);
-}
-
 // --------------------------------------------------------------------
-// The stream walk, the service's schedule for small sessions: the
-// layout walk's results for every lifeguard, whatever the ring width or
-// coalescing, with in-order admission and retirement and at most two
-// resident epochs.
+// The stream walk, the service's schedule: the layout walk's results
+// for every lifeguard, whatever the ring width or coalescing, with
+// in-order admission and retirement and at most two resident epochs.
 // --------------------------------------------------------------------
 
 /** A @p window-epoch stream cut at heartbeat markers and coalesced by
@@ -439,6 +341,59 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/** One stream walk of the SharedPool test, run as a pool task. */
+struct PooledWalk
+{
+    const WalkedCase *wc = nullptr;
+    Lifeguard lifeguard{};
+    LifeguardReport got;
+};
+
+TEST(SharedPool, ConcurrentWalksMatchTheirLayoutWalks)
+{
+    // Three submitters put stream walks of every lifeguard onto one
+    // two-worker pool at once, each into its own task group, as the
+    // service's concurrent sessions put their analysis tasks; each walk
+    // must still reproduce its own layout walk.
+    const std::vector<WalkedCase> cases = fuzzedCases(0x5ea, 12);
+    std::vector<PooledWalk> walks(cases.size());
+    std::vector<LifeguardReport> want;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        walks[i].wc = &cases[i];
+        walks[i].lifeguard = kAllLifeguards[i % std::size(kAllLifeguards)];
+        want.push_back(
+            walkReport(lifeguardEntry(walks[i].lifeguard), cases[i]));
+    }
+
+    WorkerPool pool(2);
+    std::vector<std::thread> submitters;
+    constexpr std::size_t kSubmitters = 3;
+    for (std::size_t d = 0; d < kSubmitters; ++d)
+        submitters.emplace_back([&, d] {
+            TaskGroup group;
+            for (std::size_t i = d; i < walks.size(); i += kSubmitters)
+                pool.submitTask(
+                    group,
+                    [](void *ctx, std::size_t) {
+                        PooledWalk &walk = *static_cast<PooledWalk *>(ctx);
+                        EpochStream::Config cfg;
+                        cfg.globalH = walk.wc->c.globalH;
+                        EpochStream stream(walk.wc->trace, cfg);
+                        walk.got = streamWalkReport(
+                            lifeguardEntry(walk.lifeguard), *walk.wc,
+                            stream);
+                    },
+                    &walks[i], 0);
+            pool.waitGroup(group);
+        });
+    for (std::thread &t : submitters)
+        t.join();
+    for (std::size_t i = 0; i < walks.size(); ++i)
+        EXPECT_TRUE(walks[i].got == want[i])
+            << cases[i].c.scenario << " case " << cases[i].c.caseId << " "
+            << lifeguardName(walks[i].lifeguard);
+}
+
 /**
  * Forwards to a real driver and checks, at every hook, what the stream
  * walk promises: pass 1 of epoch l runs with l-1 and l resident, pass 2
@@ -496,10 +451,6 @@ class ResidencyProbe : public AnalysisDriver
     bool finalizeAfterPass2() const override
     {
         return inner_.finalizeAfterPass2();
-    }
-    bool pass2ReadsOwnNextPass1() const override
-    {
-        return inner_.pass2ReadsOwnNextPass1();
     }
 
     std::vector<Call> calls;
@@ -570,7 +521,9 @@ TEST(EpochStream, BlocksMatchMaterializedLayout)
     const std::size_t H = 512;
     const EpochLayout layout = EpochLayout::byGlobalSeq(trace, H);
 
-    EpochStream stream(trace, EpochStream::Config{H, 4, nullptr});
+    EpochStream::Config cfg;
+    cfg.globalH = H;
+    EpochStream stream(trace, cfg);
     ASSERT_EQ(stream.numEpochs(), layout.numEpochs());
     ASSERT_EQ(stream.numThreads(), layout.numThreads());
 
@@ -598,72 +551,6 @@ TEST(EpochStream, BlocksMatchMaterializedLayout)
     EXPECT_LE(stream.peakResidentEpochs(), stream.windowEpochs());
 }
 
-TEST(EpochStream, PipelinedStreamingMatchesSequentialLayout)
-{
-    for (std::uint64_t seed : {11u, 33u}) {
-        Workload w;
-        const Trace trace = mixTrace(seed, w);
-        const std::size_t H = 512;
-        const EpochLayout layout = EpochLayout::byGlobalSeq(trace, H);
-
-        AddrCheckConfig cfg;
-        cfg.heapBase = w.heapBase;
-        cfg.heapLimit = w.heapLimit;
-
-        ButterflyAddrCheck seq(layout, cfg);
-        WindowSchedule().run(layout, seq);
-
-        EpochStream stream(trace, EpochStream::Config{H, 4, nullptr});
-        WorkerPool pool(stream.numThreads());
-        ButterflyAddrCheck pipe(stream.numThreads(), cfg);
-        const PipelineStats stats =
-            WindowSchedule(false, &pool).runPipelined(stream, pipe);
-
-        EXPECT_EQ(sortedRecords(seq.errors()),
-                  sortedRecords(pipe.errors()))
-            << "seed " << seed;
-        EXPECT_EQ(seq.sosNow().sorted(), pipe.sosNow().sorted());
-
-        // The whole point of streaming: bounded residency no matter how
-        // long the trace is.
-        EXPECT_GE(stats.peakResidentEpochs, 1u);
-        EXPECT_LE(stats.peakResidentEpochs, stream.windowEpochs());
-        EXPECT_EQ(stream.residentEpochs(), 0u)
-            << "every epoch must be retired by graph completion";
-    }
-}
-
-TEST(EpochStream, StrictDriverStreamsToo)
-{
-    // TAINTCHECK keeps the strict finalize order; the streaming source
-    // must still retire everything and agree with sequential.
-    WorkloadConfig wcfg;
-    wcfg.numThreads = 3;
-    wcfg.instrPerThread = 600;
-    wcfg.seed = 5;
-    Workload w = makeTaintMix(wcfg);
-    Rng bug_rng(5 ^ 0xf00d);
-    injectBugs(w, BugKind::TaintedJump, 3, bug_rng);
-    Rng rng(5 * 131 + 17);
-    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
-
-    const std::size_t H = 240;
-    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, H);
-    TaintCheckConfig cfg;
-    ButterflyTaintCheck seq(layout, cfg);
-    WindowSchedule().run(layout, seq);
-
-    EpochStream stream(trace, EpochStream::Config{H, 4, nullptr});
-    WorkerPool pool(stream.numThreads());
-    ButterflyTaintCheck pipe(layout, cfg);
-    const PipelineStats stats =
-        WindowSchedule(false, &pool).runPipelined(stream, pipe);
-
-    EXPECT_EQ(sortedRecords(seq.errors()), sortedRecords(pipe.errors()));
-    EXPECT_LE(stats.peakResidentEpochs, stream.windowEpochs());
-    EXPECT_EQ(stream.residentEpochs(), 0u);
-}
-
 TEST(EpochStream, BackPressureRecordsProducerStalls)
 {
     Workload w;
@@ -671,18 +558,114 @@ TEST(EpochStream, BackPressureRecordsProducerStalls)
     // A buffer far smaller than one epoch: every admission overflows it,
     // so the model must record stalls the application core would take.
     LogBuffer buffer(/*capacity_bytes=*/64 * 16, /*record_bytes=*/16);
-    EpochStream stream(trace, EpochStream::Config{512, 4, &buffer});
+    EpochStream::Config cfg;
+    cfg.globalH = 512;
+    cfg.backPressure = &buffer;
+    EpochStream stream(trace, cfg);
 
-    AddrCheckConfig cfg;
-    cfg.heapBase = w.heapBase;
-    cfg.heapLimit = w.heapLimit;
-    WorkerPool pool(stream.numThreads());
-    ButterflyAddrCheck pipe(stream.numThreads(), cfg);
-    const PipelineStats stats =
-        WindowSchedule(false, &pool).runPipelined(stream, pipe);
+    AddrCheckConfig acfg;
+    acfg.heapBase = w.heapBase;
+    acfg.heapLimit = w.heapLimit;
+    ButterflyAddrCheck walked(stream.numThreads(), acfg);
+    WindowSchedule().run(stream, walked);
 
-    EXPECT_GT(stats.producerStalls, 0u);
-    EXPECT_EQ(stats.producerStalls, buffer.producerStalls());
+    EXPECT_GT(stream.producerStalls(), 0u);
+    EXPECT_EQ(stream.producerStalls(), buffer.producerStalls());
+}
+
+TEST(EpochStream, StrictDriverStreamsToo)
+{
+    // TAINTCHECK keeps the strict finalize order. A stream whose
+    // producer stalls on a log buffer smaller than one epoch must still
+    // retire everything and agree with the layout walk: back-pressure is
+    // accounting, never a change in what the walk sees.
+    const Trace trace = taintTrace(5);
+    const std::size_t H = 240;
+    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, H);
+    TaintCheckConfig cfg;
+    ButterflyTaintCheck seq(layout, cfg);
+    ASSERT_TRUE(seq.finalizeAfterPass2());
+    WindowSchedule().run(layout, seq);
+    ASSERT_FALSE(seq.errors().records().empty());
+
+    LogBuffer buffer(/*capacity_bytes=*/64 * 16, /*record_bytes=*/16);
+    EpochStream::Config scfg;
+    scfg.globalH = H;
+    scfg.backPressure = &buffer;
+    EpochStream stream(trace, scfg);
+    ButterflyTaintCheck streamed(layout, cfg);
+    WindowSchedule().run(stream, streamed);
+
+    EXPECT_GT(stream.producerStalls(), 0u);
+    EXPECT_EQ(sortedRecords(seq.errors()), sortedRecords(streamed.errors()));
+    EXPECT_EQ(seq.checksResolved(), streamed.checksResolved());
+    EXPECT_LE(stream.peakResidentEpochs(), 2u);
+    EXPECT_EQ(stream.residentEpochs(), 0u);
+}
+
+// --------------------------------------------------------------------
+// Relaxed finalize. priceButterfly prices a driver that declares
+// finalizeAfterPass2() == false with the cycle model's relaxed edges,
+// where finalizeEpoch(l) waits only for pass 1 of epoch l+1. The
+// declaration holds only if the report is the same when epochs really
+// finalize that early.
+// --------------------------------------------------------------------
+
+/**
+ * Walk @p layout finalizing each epoch as early as the relaxed edges
+ * allow: epoch l right after pass 1 of epoch l+1 and before its own
+ * pass 2; the last epoch before its own pass 2.
+ */
+void
+walkFinalizingEarly(const EpochLayout &layout, AnalysisDriver &driver)
+{
+    auto pass = [&](EpochId l, bool second) {
+        driver.beginPass(l, second);
+        for (ThreadId t = 0; t < layout.numThreads(); ++t) {
+            if (second)
+                driver.pass2(layout.block(l, t));
+            else
+                driver.pass1(layout.block(l, t));
+        }
+    };
+    const std::size_t L = layout.numEpochs();
+    for (EpochId l = 0; l < L; ++l) {
+        pass(l, false);
+        if (l >= 1) {
+            driver.finalizeEpoch(l - 1);
+            pass(l - 1, true);
+        }
+    }
+    if (L >= 1) {
+        driver.finalizeEpoch(L - 1);
+        pass(L - 1, true);
+    }
+}
+
+TEST(RelaxedFinalize, EarliestFinalizeMatchesTheWalk)
+{
+    const std::vector<WalkedCase> cases = fuzzedCases(0xf1a, 400);
+    std::size_t relaxed = 0;
+    for (Lifeguard lg : kAllLifeguards) {
+        const LifeguardEntry &entry = lifeguardEntry(lg);
+        auto driverFor = [&](const WalkedCase &wc) {
+            return entry.makeDriver(
+                wc.c.lifeguardParams(lg, wc.layout.numThreads()));
+        };
+        if (driverFor(cases.front())->finalizeAfterPass2())
+            continue;
+        ++relaxed;
+        for (const WalkedCase &wc : cases) {
+            const auto driver = driverFor(wc);
+            walkFinalizingEarly(wc.layout, *driver);
+            EXPECT_TRUE(entry.report(*driver, wc.layout.numEpochs()) ==
+                        walkReport(entry, wc))
+                << lifeguardName(lg) << " " << wc.c.scenario << " case "
+                << wc.c.caseId;
+        }
+    }
+    // Non-vacuous: some registered lifeguard declares itself relaxed.
+    EXPECT_GE(relaxed, 1u);
 }
 
 // --------------------------------------------------------------------

@@ -2,9 +2,11 @@
  * @file
  * Tests for the monitoring service: wire protocol round-trips and
  * hostile-input handling, session-mux admission control (queue-full and
- * global-budget shedding, hard-cap rejection), loopback conformance of
- * remote reports against in-process reference runs (all six
- * lifeguards), the pinned per-event byte charge, crash-restart replay
+ * global-budget shedding, hard-cap rejection), mux reports equal to
+ * in-process reference runs for any pool size and ring width (all six
+ * lifeguards), loopback conformance of remote reports against
+ * in-process reference runs, the pinned per-event byte charge,
+ * crash-restart replay
  * of the .bfz spool, back-pressure end-to-end, per-session telemetry
  * isolation, the slow-client partial-report path, the idle timeout
  * (silent clients, never those awaiting a report), and the adaptive
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -620,6 +623,63 @@ TEST(SessionMuxTest, ReportIsIndependentOfChunkBoundaries)
     }
     EXPECT_EQ(mux.activeSessions(), 0u);
 }
+
+class PoolDeterminism : public ::testing::TestWithParam<Lifeguard>
+{
+};
+
+TEST_P(PoolDeterminism, MuxMatchesReferenceForAnyPoolSizeAndWindow)
+{
+    // The mux runs each session's decode pump and its analysis walk as
+    // tasks on the shared pool. The report may not depend on how many
+    // workers the pool has (one worker runs pump and walk in turn) nor
+    // on how wide the session's stream ring is.
+    const Lifeguard lg = GetParam();
+    fuzz::FuzzerConfig fcfg;
+    fcfg.seed = 0x9d1 + static_cast<std::uint64_t>(lg);
+    fuzz::TraceFuzzer fuzzer(fcfg);
+    std::vector<std::uint64_t> fingerprints;
+    for (int i = 0; i < 8; ++i) {
+        const fuzz::FuzzCase fuzz_case = fuzzer.next();
+        const Trace trace = fuzz_case.materialize();
+        const Trace marked = withHeartbeatMarkers(
+            trace, EpochLayout::byGlobalSeq(trace, fuzz_case.globalH));
+        SessionSpec spec = fuzzSpec(fuzz_case, trace, lg);
+        const RemoteReport want = referenceFor(spec, marked);
+        fingerprints.push_back(want.fingerprint);
+
+        const std::size_t T = trace.numThreads();
+        for (const std::size_t workers : {std::size_t{1}, std::size_t{3},
+                                          2 * T + 1}) {
+            WorkerPool pool(workers);
+            SessionMux mux(pool, MuxConfig{}, [] {});
+            for (const std::uint32_t window : {4u, 7u}) {
+                spec.windowEpochs = window;
+                const MuxRun run = runThroughMux(mux, spec, marked, 64);
+                ASSERT_TRUE(run.completed);
+                ASSERT_FALSE(run.result.failed)
+                    << run.result.reject.message;
+                EXPECT_TRUE(run.result.report.identical(want))
+                    << fuzz_case.scenario << " case " << fuzz_case.caseId
+                    << ", " << workers << " workers, window " << window;
+            }
+            EXPECT_EQ(mux.activeSessions(), 0u);
+        }
+    }
+    // Non-vacuous: the cases drive this lifeguard to different reports.
+    std::sort(fingerprints.begin(), fingerprints.end());
+    EXPECT_GT(std::unique(fingerprints.begin(), fingerprints.end()) -
+                  fingerprints.begin(),
+              1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, PoolDeterminism, ::testing::ValuesIn(kAllLifeguards),
+    [](const ::testing::TestParamInfo<Lifeguard> &info) {
+        std::string name = lifeguardName(info.param);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 // ---------------------------------------------------------------- loopback
 

@@ -503,7 +503,7 @@ TEST(EpochStream, HeartbeatModeMatchesLayoutOnSkewedMarkers)
     // The streaming slicer must agree block-for-block with the
     // materialized layout even when markers are duplicated in one
     // thread and skewed across threads — this is what keeps the
-    // service's pipelined analysis bit-identical to the client's
+    // service's streamed analysis bit-identical to the client's
     // reference when heartbeats misbehave.
     Trace trace = test::traceOf({
         {Event::read(1), Event::heartbeat(), Event::heartbeat(),

@@ -1,8 +1,8 @@
 /**
  * @file
  * WorkerPool unit tests: the one completion protocol (submit into a
- * TaskGroup, wait for that group) that the pipelined window schedule,
- * a session's stage graph and the monitoring service all run on.
+ * TaskGroup, wait for that group) that a session's stage graph and the
+ * monitoring service both run on.
  */
 
 #include <atomic>
