@@ -39,8 +39,8 @@ runWith(WorkloadFactory factory, unsigned threads, bool caching)
 }
 
 void
-BM_AblationCaching(benchmark::State &state, const std::string &name,
-                   WorkloadFactory factory, bool caching)
+BM_AblationCaching(benchmark::State &state, WorkloadFactory factory,
+                   bool caching)
 {
     for (auto _ : state) {
         const SessionResult r = runWith(factory, 8, caching);
@@ -82,9 +82,8 @@ main(int argc, char **argv)
                 ("ablation_caching/" + name +
                  (caching ? "/cached" : "/prototype"))
                     .c_str(),
-                [name = name, factory = factory,
-                 caching](benchmark::State &s) {
-                    BM_AblationCaching(s, name, factory, caching);
+                [factory = factory, caching](benchmark::State &s) {
+                    BM_AblationCaching(s, factory, caching);
                 })
                 ->Iterations(1)
                 ->Unit(benchmark::kMillisecond);

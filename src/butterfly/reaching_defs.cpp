@@ -47,19 +47,6 @@ ReachingDefinitions::priv(EpochId l, ThreadId t)
     return blocks_[l][t];
 }
 
-void
-ReachingDefinitions::beginPass(EpochId l, bool second)
-{
-    // Pre-size the per-epoch block storage before the pass; a resize
-    // while blocks run would invalidate references the sibling blocks
-    // are reading (computeLsos walks epochs l-1/l-2).
-    (void)second;
-    if (blocks_.size() <= l)
-        blocks_.resize(l + 1);
-    if (blocks_[l].size() < numThreads_)
-        blocks_[l].resize(numThreads_);
-}
-
 bool
 ReachingDefinitions::inKillBlock(DefId d, EpochId l, ThreadId t) const
 {

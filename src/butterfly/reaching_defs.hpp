@@ -69,7 +69,6 @@ class ReachingDefinitions : public AnalysisDriver
     void pass1(const BlockView &block) override;
     void pass2(const BlockView &block) override;
     void finalizeEpoch(EpochId l) override;
-    void beginPass(EpochId l, bool second) override;
 
     /** SOS_l. Valid for l <= (last finalized epoch) + 2. */
     const DefSet &sos(EpochId l) const;

@@ -61,7 +61,6 @@ class ReachingExpressions : public AnalysisDriver
     void pass1(const BlockView &block) override;
     void pass2(const BlockView &block) override;
     void finalizeEpoch(EpochId l) override;
-    void beginPass(EpochId l, bool second) override;
 
     const ExprSet &sos(EpochId l) const;
     const BlockResults &blockResults(EpochId l, ThreadId t) const;

@@ -31,7 +31,14 @@ namespace bfly {
 
 class WorkerPool;
 
-/** Hooks a butterfly analysis implements; called by WindowSchedule. */
+/**
+ * Hooks a butterfly analysis implements; called by WindowSchedule.
+ *
+ * One thread per driver: the walk calls every hook from the thread that
+ * called run(), one block at a time, so a driver needs no
+ * synchronisation. Separate drivers may be walked at the same time,
+ * because they share no mutable state.
+ */
 class AnalysisDriver
 {
   public:
@@ -57,9 +64,9 @@ class AnalysisDriver
 
     /**
      * Called immediately before the blocks of a pass over epoch @p l run
-     * (@p second selects pass 2). Drivers that grow per-epoch containers
-     * lazily (e.g. the per-epoch block vectors in reaching_defs)
-     * override this to pre-size them.
+     * (@p second selects pass 2). Nothing in src/ overrides it. It stays
+     * because window.cpp calls it and the benchmark's wrapping driver
+     * (TimedDriver in perfbench/bench.hpp) still overrides it.
      */
     virtual void beginPass(EpochId l, bool second)
     {

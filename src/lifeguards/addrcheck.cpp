@@ -40,6 +40,21 @@ struct AddrCheckTelemetry
     }
 };
 
+/** Per-block flush of the hot-path tallies (never per event). */
+void
+publishBlock(std::uint64_t checks, std::uint64_t isolation,
+             std::uint64_t flagged)
+{
+    if (!telemetry::enabled())
+        return;
+    const AddrCheckTelemetry &m = AddrCheckTelemetry::get();
+    auto &reg = telemetry::registry();
+    reg.add(m.eventsChecked, checks);
+    reg.add(m.isolationViolations, isolation);
+    reg.add(m.errorsFlagged, flagged);
+    reg.add(m.blocksCommitted);
+}
+
 } // namespace
 
 ButterflyAddrCheck::ButterflyAddrCheck(std::size_t num_threads,
@@ -120,56 +135,10 @@ ButterflyAddrCheck::lsosBaseContains(Addr key, EpochId l, ThreadId t) const
 }
 
 void
-ButterflyAddrCheck::commitBlock(EpochId l, ThreadId t,
-                                const std::vector<ErrorRecord> &local,
-                                std::uint64_t checks,
-                                std::uint64_t isolation)
+ButterflyAddrCheck::report(EpochId l, ThreadId t, const ErrorRecord &rec)
 {
-    if (telemetry::enabled()) {
-        // Per-block flush of the hot-path tallies (never per event).
-        const AddrCheckTelemetry &m = AddrCheckTelemetry::get();
-        auto &reg = telemetry::registry();
-        reg.add(m.eventsChecked, checks);
-        reg.add(m.isolationViolations, isolation);
-        reg.add(m.errorsFlagged, local.size());
-        reg.add(m.blocksCommitted);
-    }
-    std::lock_guard<std::mutex> guard(mutex_);
-    for (const ErrorRecord &rec : local) {
-        if (errors_.report(rec))
-            ++errorsPerBlock_[blockKey(l, t)];
-    }
-    eventsChecked_ += checks;
-    isolationViol_ += isolation;
-}
-
-void
-ButterflyAddrCheck::finishPass1(EpochId l, ThreadId t,
-                                const BlockSummary &s,
-                                const std::vector<ErrorRecord> &local_errors,
-                                std::uint64_t checks)
-{
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        summarySizes_[blockKey(l, t)] =
-            s.genEnd.size() + s.killEnd.size() + s.access.size();
-    }
-    if (telemetry::enabled()) {
-        const AddrCheckTelemetry &m = AddrCheckTelemetry::get();
-        telemetry::registry().observe(m.summarySize,
-                                      s.genEnd.size() + s.killEnd.size() +
-                                          s.access.size());
-    }
-    commitBlock(l, t, local_errors, checks, 0);
-
-    // The epoch's last pass-1 block, which the acq_rel count lets see
-    // every other block's summary, builds the epoch's wing table.
-    std::atomic<std::size_t> &done = pass1Done_[l % kWindow];
-    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        summaries_.size()) {
-        done.store(0, std::memory_order_relaxed);
-        buildWingTable(l);
-    }
+    if (errors_.report(rec))
+        ++errorsPerBlock_[blockKey(l, t)];
 }
 
 void
@@ -210,8 +179,8 @@ ButterflyAddrCheck::pass1(const BlockView &block)
     s = BlockSummary{};
     s.epoch = l;
 
-    std::vector<ErrorRecord> local_errors;
     std::uint64_t checks = 0;
+    std::uint64_t flagged = 0;
 
     // Local allocation-state delta on top of the LSOS (key -> allocated?).
     std::unordered_map<Addr, bool> delta;
@@ -223,7 +192,8 @@ ButterflyAddrCheck::pass1(const BlockView &block)
     };
     auto flag = [&](std::uint64_t index, Addr addr, std::uint16_t size,
                     ErrorKind kind) {
-        local_errors.push_back(ErrorRecord{t, index, addr, kind, size});
+        ++flagged;
+        report(l, t, ErrorRecord{t, index, addr, kind, size});
     };
 
     std::vector<Addr> keys;
@@ -289,14 +259,30 @@ ButterflyAddrCheck::pass1(const BlockView &block)
         }
     }
 
-    finishPass1(l, t, s, local_errors, checks);
+    const std::uint64_t summary =
+        s.genEnd.size() + s.killEnd.size() + s.access.size();
+    summarySizes_[blockKey(l, t)] = summary;
+    eventsChecked_ += checks;
+    if (telemetry::enabled())
+        telemetry::registry().observe(AddrCheckTelemetry::get().summarySize,
+                                      summary);
+    publishBlock(checks, 0, flagged);
+
+    // The epoch's last pass-1 block builds the epoch's wing table.
+    if (++pass1Done_[l % kWindow] == summaries_.size()) {
+        pass1Done_[l % kWindow] = 0;
+        buildWingTable(l);
+    }
 }
 
 void
 ButterflyAddrCheck::pass2(const BlockView &block)
 {
     const std::vector<ErrorRecord> records = isolationRecords(block);
-    commitBlock(block.epoch, block.thread, records, 0, records.size());
+    for (const ErrorRecord &rec : records)
+        report(block.epoch, block.thread, rec);
+    isolationViol_ += records.size();
+    publishBlock(0, records.size(), records.size());
 }
 
 std::vector<ErrorRecord>

@@ -19,20 +19,12 @@
  * The oracle in addrcheck_oracle.hpp replays the true interleaving and
  * provides ground truth; Theorem 6.1 (zero false negatives) is checked in
  * the test suite against both SC and TSO executions.
- *
- * Thread safety: the schedule runs one block at a time, but blocks stay
- * safe to run concurrently. Per-block state is disjoint; shared state
- * (error log, counters) is committed once per block under a mutex. An
- * epoch's last pass-1 block, found by an atomic count, builds its wing
- * table. finalizeEpoch is single-writer by design.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
 #define BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
 
 #include <array>
-#include <atomic>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -174,16 +166,8 @@ class ButterflyAddrCheck : public AnalysisDriver
     void keysOf(Addr base, std::uint16_t size,
                 std::vector<Addr> &out) const;
 
-    /** Commit a block's locally-collected reports under the mutex. */
-    void commitBlock(EpochId l, ThreadId t,
-                     const std::vector<ErrorRecord> &local_errors,
-                     std::uint64_t checks, std::uint64_t isolation);
-
-    /** Record the finished pass-1 summary's size, commit the block's
-     *  errors, and build the epoch's wing table after its last block. */
-    void finishPass1(EpochId l, ThreadId t, const BlockSummary &s,
-                     const std::vector<ErrorRecord> &local_errors,
-                     std::uint64_t checks);
+    /** Log @p rec, counting it against block (l, t) if it is new. */
+    void report(EpochId l, ThreadId t, const ErrorRecord &rec);
 
     /** Build epoch @p l's wing table from its pass-1 summaries. */
     void buildWingTable(EpochId l);
@@ -196,11 +180,10 @@ class ButterflyAddrCheck : public AnalysisDriver
     /** Ring of per-epoch wing tables, and the pass-1 blocks finished
      *  so far in the epoch each slot is collecting. */
     std::array<WingTable, kWindow> wingTables_;
-    std::array<std::atomic<std::size_t>, kWindow> pass1Done_{};
+    std::array<std::size_t, kWindow> pass1Done_{};
 
-    AddrSet sos_; ///< single-writer SOS, advanced in finalizeEpoch
+    AddrSet sos_; ///< SOS, advanced in finalizeEpoch
 
-    std::mutex mutex_; ///< guards the shared members below
     ErrorLog errors_;
     std::unordered_map<std::uint64_t, std::uint64_t> errorsPerBlock_;
     std::unordered_map<std::uint64_t, std::uint64_t> summarySizes_;

@@ -118,7 +118,6 @@ ButterflyAddrLeak::mayTaint(const Rule &rule, const AddrSet &wm) const
 const AddrSet &
 ButterflyAddrLeak::ensureWindowMay(EpochId l)
 {
-    std::lock_guard<std::mutex> guard(wmMutex_);
     if (windowMayEpoch_ == l)
         return windowMay_;
 
@@ -195,7 +194,6 @@ ButterflyAddrLeak::pass2(const BlockView &block)
         return sosPrev_.contains(key);
     };
 
-    std::vector<ErrorRecord> local_errors;
     std::unordered_map<Addr, const Rule *> last_own;
     std::size_t ri = 0;
     for (const Check &c : s->checks) {
@@ -226,16 +224,10 @@ ButterflyAddrLeak::pass2(const BlockView &block)
         }
 
         if (may) {
-            local_errors.push_back(ErrorRecord{
-                t, block.first + c.offset, c.addr, ErrorKind::AddrLeak,
-                c.size});
+            errors_.report(t, block.first + c.offset, c.addr,
+                           ErrorKind::AddrLeak, c.size);
         }
     }
-
-    std::lock_guard<std::mutex> guard(mutex_);
-    for (const ErrorRecord &rec : local_errors)
-        errors_.report(rec);
-    checks_ += s->checks.size();
 }
 
 void

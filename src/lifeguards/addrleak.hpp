@@ -46,7 +46,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -96,9 +95,6 @@ class ButterflyAddrLeak : public AnalysisDriver
     /** SOS after the last finalized epoch: cells that may hold a heap
      *  pointer (for the differential runner's state fingerprint). */
     const AddrSet &sosNow() const { return sosCur_; }
-
-    /** Output sinks resolved (cost-model feed). */
-    std::uint64_t checksResolved() const { return checks_; }
 
   private:
     static constexpr std::size_t kWindow = 4; ///< ring depth (epochs)
@@ -152,16 +148,13 @@ class ButterflyAddrLeak : public AnalysisDriver
     /** Single-slot window may-set cache, keyed by epoch. */
     AddrSet windowMay_;
     EpochId windowMayEpoch_ = kNoEpoch;
-    std::mutex wmMutex_;
 
     /** SOS double buffer: sosPrev_ = SOS_l while epoch l is in pass 2,
      *  sosCur_ = SOS_{l+1} (the TAINTCHECK idiom). */
     AddrSet sosPrev_;
     AddrSet sosCur_;
 
-    std::mutex mutex_; ///< guards errors_ / checks_ commits from pass 2
     ErrorLog errors_;
-    std::uint64_t checks_ = 0;
 };
 
 /** Exact sequential leak oracle over the true (gseq) interleaving. */

@@ -58,12 +58,6 @@ ButterflyDefCheck::pass1(const BlockView &block)
 }
 
 void
-ButterflyDefCheck::beginPass(EpochId l, bool second)
-{
-    exprs_.beginPass(l, second);
-}
-
-void
 ButterflyDefCheck::pass2(const BlockView &block)
 {
     exprs_.pass2(block);
@@ -72,9 +66,6 @@ ButterflyDefCheck::pass2(const BlockView &block)
     // paths — membership in the generic analysis's IN_{l,t,i}.
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
-    // Buffer reports and commit once, so blocks stay safe to run
-    // concurrently (DESIGN.md §6).
-    std::vector<ErrorRecord> block_errors;
     std::vector<Addr> keys;
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
@@ -101,18 +92,13 @@ ButterflyDefCheck::pass2(const BlockView &block)
             keysOf(config_, base, size, keys);
             for (Addr k : keys) {
                 if (!in.contains(k)) {
-                    block_errors.push_back(ErrorRecord{
-                        t, block.first + i, base,
-                        ErrorKind::UninitializedRead, size});
+                    errors_.report(t, block.first + i, base,
+                                   ErrorKind::UninitializedRead, size);
                     break;
                 }
             }
         }
     }
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const ErrorRecord &rec : block_errors)
-        errors_.report(rec);
 }
 
 void

@@ -73,7 +73,6 @@ ButterflyLockSet::pass1(const BlockView &block)
     // the unknown epoch-entry state E.
     std::uint64_t set_prefix = 0;
     std::uint64_t clear_prefix = 0;
-    std::uint64_t local_accesses = 0;
 
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
@@ -95,7 +94,6 @@ ButterflyLockSet::pass1(const BlockView &block)
         bool write = false;
         if (!accessOf(e, addr, write) || !config_.monitored(addr))
             continue;
-        ++local_accesses;
 
         // This access holds, as a function of the entry mask E:
         //   set_prefix | (E & ~touched)
@@ -121,9 +119,6 @@ ButterflyLockSet::pass1(const BlockView &block)
 
     s.setMask = set_prefix;
     s.clearMask = clear_prefix;
-
-    std::lock_guard<std::mutex> guard(mutex_);
-    accesses_ += local_accesses;
 }
 
 bool

@@ -56,7 +56,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -113,9 +112,6 @@ class ButterflyLockSet : public AnalysisDriver
 
     /** Variables still in shared state with a live candidate set. */
     std::size_t trackedVariables() const { return keyState_.size(); }
-
-    /** Accesses classified (cost-model feed). */
-    std::uint64_t accessesClassified() const { return accesses_; }
 
   private:
     static constexpr std::size_t kWindow = 4; ///< ring depth (epochs)
@@ -187,12 +183,7 @@ class ButterflyLockSet : public AnalysisDriver
     std::unordered_map<Addr, KeyState> keyState_; ///< finalize-owned
     EpochId nextAbsorb_ = 0; ///< next epoch to fold into accessor state
 
-    /** Guards accesses_ (committed from parallel pass-1 blocks); errors_
-     *  is only written in finalizeEpoch, which the strict schedule makes
-     *  a globally quiescent point. */
-    std::mutex mutex_;
-    ErrorLog errors_;
-    std::uint64_t accesses_ = 0;
+    ErrorLog errors_; ///< written only by finalizeEpoch
 };
 
 /** Exact sequential Eraser over the true (gseq) interleaving. */

@@ -374,12 +374,7 @@ ButterflyTaintCheck::pass2(const BlockView &block)
     // LASTCHECK is their OR (a taint concluded in either phase persists).
     std::unordered_map<Addr, bool> last_check_phase[2];
     std::unordered_map<Addr, std::int64_t> roots;
-
-    // Buffer shared-state updates and commit them once at the end of
-    // the block, so blocks stay safe to run concurrently (DESIGN.md §6).
-    std::vector<ErrorRecord> block_errors;
-    std::uint64_t block_resolved = 0;
-    std::uint64_t block_exhausted = 0;
+    std::uint64_t exhausted = 0;
 
     auto keys_over = [&](Addr base, std::uint16_t size, auto &&fn) {
         if (base == kNoAddr)
@@ -447,8 +442,8 @@ ButterflyTaintCheck::pass2(const BlockView &block)
                 const bool tainted =
                     resolveKey(config_.keyOf(e.addr), ctx);
                 if (tainted) {
-                    block_errors.push_back(ErrorRecord{
-                        t, index, e.addr, ErrorKind::TaintedUse, e.size});
+                    errors_.report(t, index, e.addr, ErrorKind::TaintedUse,
+                                   e.size);
                 }
                 break;
               }
@@ -464,20 +459,14 @@ ButterflyTaintCheck::pass2(const BlockView &block)
             roots = phaseOneFixpoint(l, t, ctx.wingLo, ctx.wingHi,
                                      local_taint_offset);
         }
-        block_resolved += ctx.resolved;
-        block_exhausted += ctx.exhausted;
+        checksResolved_ += ctx.resolved;
+        exhausted += ctx.exhausted;
     }
 
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        checksResolved_ += block_resolved;
-        budgetExhausted_ += block_exhausted;
-        for (const ErrorRecord &rec : block_errors)
-            errors_.report(rec);
-    }
+    budgetExhausted_ += exhausted;
     if (telemetry::enabled())
         telemetry::registry().add(TaintCheckTelemetry::get().budgetExhausted,
-                                  block_exhausted);
+                                  exhausted);
 
     // LASTCHECK = OR of the two phases' last-write resolutions.
     bs.lastCheck = last_check_phase[0];

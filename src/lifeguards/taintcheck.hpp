@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -171,8 +170,8 @@ class ButterflyTaintCheck : public AnalysisDriver
         /** Relaxed termination: keys on the current path. */
         std::vector<Addr> path;
         unsigned depth = 0;
-        /** Resolutions performed through this context (committed to the
-         *  shared counter at end of pass 2, under the mutex). */
+        /** Resolutions performed through this context (added to
+         *  checksResolved_ at the end of its phase). */
         std::uint64_t resolved = 0;
         /** ctx.resolved at the start of the current check (budget base). */
         std::uint64_t budgetMark = 0;
@@ -207,10 +206,6 @@ class ButterflyTaintCheck : public AnalysisDriver
     AddrSet sosPrev_; ///< SOS_l   while pass 2 of epoch l runs
     AddrSet sosCur_;  ///< SOS_{l+1} (already advanced by finalize(l-1))
 
-    /** Guards errors_, checksResolved_ and budgetExhausted_: pass-2
-     *  blocks run in parallel and buffer their reports locally,
-     *  committing once per block. */
-    std::mutex mutex_;
     ErrorLog errors_;
     std::uint64_t checksResolved_ = 0;
     std::uint64_t budgetExhausted_ = 0;

@@ -4,8 +4,8 @@
  * shared WorkerPool with bounded ingest and explicit load shedding.
  *
  * Each session owns a bounded queue of raw log chunks (the service's
- * LogBuffer analogue: the network is the producer, the decode pump the
- * consumer). The event loop enqueues accepted chunks and a pump task —
+ * counterpart of the LBA log buffer: the network is the producer, the
+ * decode pump the consumer). The event loop enqueues accepted chunks and a pump task —
  * one in flight per session, running on the shared pool — drains the
  * queue through a per-thread ChunkedLogDecoder into the session's
  * decoded trace. When the queue is at capacity, or the server-wide byte
@@ -50,8 +50,8 @@ namespace bfly::service {
 struct MuxConfig
 {
     /** Per-session ingest queue watermark: a chunk is admitted while the
-     *  queued bytes are below this (LogBuffer-style overshoot by at most
-     *  one chunk), shed with Busy otherwise. */
+     *  queued bytes are below this (overshoot by at most one chunk),
+     *  shed with Busy otherwise. */
     std::size_t sessionQueueBytes = 256 * 1024;
     /** Server-wide budget over queued + decoded bytes of all sessions. */
     std::size_t globalBudgetBytes = 64 * 1024 * 1024;

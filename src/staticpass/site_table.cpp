@@ -31,7 +31,7 @@ pseudoSiteName(ThreadId tid, const Event &e)
 struct Stamper
 {
     SiteTable &table;
-    std::unordered_map<std::uint64_t, SiteId> cache;
+    std::unordered_map<std::uint64_t, SiteId> cache{};
     std::size_t stamped = 0;
 
     void

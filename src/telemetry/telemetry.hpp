@@ -10,7 +10,7 @@
  * aggregate locally and flush per block/epoch).
  *
  * Naming scheme: every metric is a dot-path `bfly.<component>.<name>`
- * (e.g. `bfly.window.pass1_blocks`, `bfly.logbuffer.producer_stalls`).
+ * (e.g. `bfly.window.pass1_blocks`, `bfly.perf.app_stall_cycles`).
  * The JSON exporter nests snapshots by path component, so the metrics
  * file mirrors the component hierarchy. Trace spans use the hierarchy
  * session / epoch / thread / pass: the root `session` span encloses

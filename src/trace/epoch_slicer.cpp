@@ -328,7 +328,6 @@ EpochLayout::epoch(EpochId l) const
 }
 
 EpochStream::EpochStream(const Trace &trace, Config config)
-    : backPressure_(config.backPressure)
 {
     ensure(config.windowEpochs >= 4,
            "EpochStream window must hold at least 4 epochs (body, both "
@@ -389,23 +388,10 @@ EpochStream::acquire(EpochId l)
            "EpochStream ring cell still resident (retire the oldest "
            "epoch before admitting a new one)");
 
-    // Model the log-buffer occupancy at admission: the platform has
-    // produced this epoch's events while the window was busy; admission
-    // drains them. An epoch that exceeds the buffer records the stalls
-    // the application core would have taken.
-    const std::size_t T = starts_.size();
-    if (backPressure_) {
-        for (std::size_t t = 0; t < T; ++t) {
-            const std::size_t n = starts_[t][l + 1] - starts_[t][l];
-            for (std::size_t k = 0; k < n; ++k)
-                backPressure_->produce();
-        }
-        backPressure_->heartbeat();
-    }
-
     // A block that straddles a marker is copied into the cell's buffer,
     // sized first so that the spans into it stay valid; every other
     // block is a span of the trace's events.
+    const std::size_t T = starts_.size();
     std::size_t straddling = 0;
     for (std::size_t t = 0; t < T; ++t)
         if (locate(markers_[t], starts_[t][l], starts_[t][l + 1]).straddles)
@@ -423,21 +409,11 @@ EpochStream::acquire(EpochId l)
         } else {
             cell.events[t] = raw_[t].subspan(at.offset, n);
         }
-        if (backPressure_)
-            for (std::size_t k = 0; k < n; ++k)
-                backPressure_->consume();
     }
     copiedEvents_ += straddling;
     cell.epoch = l;
     ++nextAcquire_;
-
-    const std::size_t now =
-        resident_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    std::size_t peak = peakResident_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peakResident_.compare_exchange_weak(peak, now,
-                                                std::memory_order_acq_rel))
-        ;
+    peakResident_ = std::max(peakResident_, ++resident_);
 }
 
 BlockView
@@ -462,13 +438,7 @@ EpochStream::retire(EpochId l)
               std::span<const Event>());
     cell.copies.clear();
     ++nextRetire_;
-    resident_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-std::uint64_t
-EpochStream::producerStalls() const
-{
-    return backPressure_ ? backPressure_->producerStalls() : 0;
+    --resident_;
 }
 
 } // namespace bfly

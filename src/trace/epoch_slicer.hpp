@@ -34,14 +34,12 @@
 #ifndef BUTTERFLY_TRACE_EPOCH_SLICER_HPP
 #define BUTTERFLY_TRACE_EPOCH_SLICER_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
 
-#include "trace/log_buffer.hpp"
 #include "trace/trace.hpp"
 
 namespace bfly {
@@ -201,17 +199,9 @@ class EpochLayout
  * windowEpochs epochs are resident, independent of trace length.
  *
  * The window walk acquires each epoch just before its pass 1 and
- * retires it just after its pass 2, in order. An optional
- * LogBuffer models the back-pressure the bounded window exerts on the
- * logging platform: each event of an epoch is produced into the buffer
- * before admission and consumed at admission, so epochs larger than
- * the buffer surface producer stalls exactly where the LBA hardware
- * would stall the application core.
- *
- * acquire() and retire() calls must be in epoch order. block() is safe
- * to call concurrently with acquire()/retire() of *other* epochs — the
- * ring cells are disjoint and acquire() refuses to lap the ring. The
- * stream borrows its trace, as a layout does.
+ * retires it just after its pass 2, in order. acquire() and retire()
+ * calls must be in epoch order, and acquire() refuses to lap the ring.
+ * The stream borrows its trace, as a layout does.
  */
 class EpochStream
 {
@@ -237,8 +227,6 @@ class EpochStream
         /** Ring capacity in epochs; >= 4 (the butterfly needs the body
          *  epoch, both wings, and the epoch being admitted). */
         std::size_t windowEpochs = 4;
-        /** Optional occupancy model for admission back-pressure. */
-        LogBuffer *backPressure = nullptr;
         /**
          * Cut at embedded Heartbeat markers instead of gseq buckets —
          * the same boundaries as EpochLayout::fromHeartbeats. This is
@@ -297,19 +285,10 @@ class EpochStream
      */
     std::uint64_t copiedEvents() const { return copiedEvents_; }
 
-    std::size_t residentEpochs() const
-    {
-        return resident_.load(std::memory_order_acquire);
-    }
+    std::size_t residentEpochs() const { return resident_; }
 
     /** High-water mark of simultaneously resident epochs. */
-    std::size_t peakResidentEpochs() const
-    {
-        return peakResident_.load(std::memory_order_acquire);
-    }
-
-    /** Producer stalls recorded in the back-pressure buffer (0 if none). */
-    std::uint64_t producerStalls() const;
+    std::size_t peakResidentEpochs() const { return peakResident_; }
 
   private:
     /** Ring cell holding one resident epoch's per-thread blocks. */
@@ -341,12 +320,9 @@ class EpochStream
 
     EpochId nextAcquire_ = 0;
     EpochId nextRetire_ = 0;
-    /** Written by acquire() only, which the schedule runs in order. */
     std::uint64_t copiedEvents_ = 0;
-
-    std::atomic<std::size_t> resident_{0};
-    std::atomic<std::size_t> peakResident_{0};
-    LogBuffer *backPressure_ = nullptr;
+    std::size_t resident_ = 0;
+    std::size_t peakResident_ = 0;
 };
 
 } // namespace bfly

@@ -7,6 +7,7 @@
  */
 
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -84,28 +85,58 @@ TEST(Classify, ButterflyAnatomy)
     EXPECT_EQ(classify(5, 2, 7, 0), WingPosition::AfterWindow);
 }
 
-/** Records every hook call to verify the Section 4.3 schedule. */
+/**
+ * Records every hook call to verify the Section 4.3 schedule, and the
+ * thread each hook (beginPass included) ran on.
+ */
 class RecordingDriver : public AnalysisDriver
 {
   public:
     std::vector<std::string> calls;
+    std::vector<std::thread::id> threads;
 
     void
     pass1(const BlockView &block) override
     {
+        threads.push_back(std::this_thread::get_id());
         calls.push_back("p1(" + std::to_string(block.epoch) + "," +
                         std::to_string(block.thread) + ")");
     }
     void
     pass2(const BlockView &block) override
     {
+        threads.push_back(std::this_thread::get_id());
         calls.push_back("p2(" + std::to_string(block.epoch) + "," +
                         std::to_string(block.thread) + ")");
     }
     void
     finalizeEpoch(EpochId l) override
     {
+        threads.push_back(std::this_thread::get_id());
         calls.push_back("fin(" + std::to_string(l) + ")");
+    }
+    void
+    beginPass(EpochId l, bool second) override
+    {
+        (void)l;
+        (void)second;
+        threads.push_back(std::this_thread::get_id());
+    }
+
+    /** Every hook, one beginPass per pass, ran on thread @p id. */
+    void
+    expectRanOn(std::thread::id id, std::size_t epochs) const
+    {
+        EXPECT_EQ(threads.size(), calls.size() + 2 * epochs);
+        for (const std::thread::id ran : threads)
+            EXPECT_EQ(ran, id);
+    }
+
+    /** Every hook, one beginPass per pass, ran on the calling thread. */
+    void
+    expectRanOnThisThread(std::size_t epochs) const
+    {
+        expectRanOn(std::this_thread::get_id(), epochs);
     }
 };
 
@@ -130,6 +161,7 @@ TEST(WindowSchedule, FourStepOrder)
         "p2(2,0)", "p2(2,1)", "fin(2)",   // trace boundary
     };
     EXPECT_EQ(driver.calls, expected);
+    driver.expectRanOnThisThread(3);
 }
 
 TEST(WindowSchedule, EmptyTraceIsANoOp)
@@ -141,13 +173,14 @@ TEST(WindowSchedule, EmptyTraceIsANoOp)
     // A single (empty) epoch still flows through both passes.
     EXPECT_EQ(driver.calls,
               (std::vector<std::string>{"p1(0,0)", "p2(0,0)", "fin(0)"}));
+    driver.expectRanOnThisThread(1);
 }
 
 TEST(WindowSchedule, ParallelFlagIsIgnored)
 {
     // The constructor's parameters survive only for the benchmark's
     // WindowSchedule(true, &pool) spelling: run() must still be the
-    // exact single-threaded walk, whatever the flag and the pool.
+    // exact walk on the calling thread, whatever the flag and the pool.
     std::vector<Event> prog = {Event::nop(), Event::heartbeat(),
                                Event::nop(), Event::heartbeat(),
                                Event::nop()};
@@ -157,15 +190,18 @@ TEST(WindowSchedule, ParallelFlagIsIgnored)
     RecordingDriver reference;
     WindowSchedule().run(layout, reference);
     ASSERT_EQ(reference.calls.size(), 3u * 3 * 2 + 3);
+    reference.expectRanOnThisThread(3);
 
     WorkerPool pool(3);
     RecordingDriver flagged;
     WindowSchedule(true, &pool).run(layout, flagged);
     EXPECT_EQ(flagged.calls, reference.calls);
+    flagged.expectRanOnThisThread(3);
 
     RecordingDriver no_pool;
     WindowSchedule(true, nullptr).run(layout, no_pool);
     EXPECT_EQ(no_pool.calls, reference.calls);
+    no_pool.expectRanOnThisThread(3);
 
     // runPipelined, kept for the benchmark's traced serve replay, is the
     // same walk over a stream.
@@ -175,6 +211,38 @@ TEST(WindowSchedule, ParallelFlagIsIgnored)
     RecordingDriver forwarded;
     WindowSchedule(true, &pool).runPipelined(stream, forwarded);
     EXPECT_EQ(forwarded.calls, reference.calls);
+    forwarded.expectRanOnThisThread(3);
+    EXPECT_EQ(stream.residentEpochs(), 0u);
+}
+
+TEST(WindowSchedule, HooksRunOnTheThreadThatCallsRun)
+{
+    // The service walks each session's driver on a pool worker, not on
+    // the thread that built the trace: every hook must follow run()'s
+    // caller, over a layout and over a stream alike.
+    std::vector<Event> prog = {Event::nop(), Event::heartbeat(),
+                               Event::nop(), Event::heartbeat(),
+                               Event::nop()};
+    Trace trace = test::traceOf({prog, prog});
+    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    EpochStream::Config cfg;
+    cfg.fromHeartbeats = true;
+    EpochStream stream(trace, cfg);
+
+    RecordingDriver laid;
+    RecordingDriver streamed;
+    std::thread::id walker;
+    std::thread([&] {
+        walker = std::this_thread::get_id();
+        WindowSchedule().run(layout, laid);
+        WindowSchedule().run(stream, streamed);
+    }).join();
+
+    ASSERT_NE(walker, std::this_thread::get_id());
+    ASSERT_EQ(laid.calls.size(), 3u * 2 * 2 + 3);
+    laid.expectRanOn(walker, 3);
+    EXPECT_EQ(streamed.calls, laid.calls);
+    streamed.expectRanOn(walker, 3);
     EXPECT_EQ(stream.residentEpochs(), 0u);
 }
 

@@ -506,10 +506,12 @@ TEST(ElisionEndToEnd, SummariesLandInTheSameEpochAsTheirRun)
     // Every summary's gseq must not exceed the marker that follows it,
     // so EpochLayout::byGlobalSeq buckets it with the run's epoch.
     const auto &ev = elided.threads[0].events;
-    for (std::size_t i = 0; i + 1 < ev.size(); ++i)
-        if (ev[i].kind == EventKind::SiteSummary)
+    for (std::size_t i = 0; i + 1 < ev.size(); ++i) {
+        if (ev[i].kind == EventKind::SiteSummary) {
             EXPECT_LE(ev[i].gseq, ev[i + 1].gseq != 0
                                       ? ev[i + 1].gseq
                                       : ev[i].gseq);
+        }
+    }
 }
 

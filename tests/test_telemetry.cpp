@@ -21,11 +21,15 @@
 #include <thread>
 #include <vector>
 
+#include "butterfly/window.hpp"
 #include "harness/session.hpp"
+#include "lifeguards/addrcheck.hpp"
+#include "memmodel/interleaver.hpp"
 #include "telemetry/exporter.hpp"
-#include "trace/log_buffer.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_span.hpp"
+#include "workloads/bugs.hpp"
+#include "workloads/workload.hpp"
 
 namespace bfly {
 namespace {
@@ -600,44 +604,49 @@ TEST_F(TelemetryTest, StageSpansLandBesidePassSpans)
     EXPECT_EQ(telemetry::tracer().dropped(), 0u);
 }
 
-TEST_F(TelemetryTest, LogBufferPublishesStallsAndHeartbeats)
+TEST_F(TelemetryTest, AddrCheckFlushesItsTalliesOncePerBlock)
 {
-    LogBuffer buf(32, 16); // 2 records
-    EXPECT_TRUE(buf.produce());
-    EXPECT_TRUE(buf.produce());
-    EXPECT_FALSE(buf.produce()); // full -> stall
-    buf.heartbeat();             // occupancy 2 at the epoch marker
-    EXPECT_TRUE(buf.consume());
-    EXPECT_TRUE(buf.consume());
-    EXPECT_FALSE(buf.consume()); // empty -> idle
-    EXPECT_EQ(buf.heartbeats(), 1u);
+    // ADDRCHECK logs each report as it finds it and keeps its hot-path
+    // tallies in locals, published once per pass-1 block and once per
+    // pass-2 block: the registry must agree with the driver's own
+    // counters, and every logged record is counted against one block.
+    WorkloadConfig wcfg;
+    wcfg.numThreads = 3;
+    wcfg.instrPerThread = 1500;
+    wcfg.seed = 5;
+    Workload w = makeRandomMix(wcfg);
+    Rng bug_rng(0xbeef);
+    injectBugs(w, BugKind::UseAfterFree, 4, bug_rng);
+    Rng rng(41);
+    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
+    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 300);
+
+    AddrCheckConfig cfg;
+    cfg.heapBase = w.heapBase;
+    cfg.heapLimit = w.heapLimit + 0x100000;
+    ButterflyAddrCheck check(layout, cfg);
+    WindowSchedule().run(layout, check);
+    ASSERT_FALSE(check.errors().records().empty());
+
+    const std::uint64_t blocks = layout.numEpochs() * layout.numThreads();
+    std::uint64_t counted = 0;
+    for (EpochId l = 0; l < layout.numEpochs(); ++l)
+        for (ThreadId t = 0; t < layout.numThreads(); ++t)
+            counted += check.errorsInBlock(l, t);
+    EXPECT_EQ(counted, check.errors().records().size());
 
     const RegistrySnapshot snap = telemetry::registry().snapshot();
-    EXPECT_EQ(snap.value("bfly.logbuffer.produced"), 2u);
-    EXPECT_EQ(snap.value("bfly.logbuffer.consumed"), 2u);
-    EXPECT_EQ(snap.value("bfly.logbuffer.producer_stalls"), 1u);
-    EXPECT_EQ(snap.value("bfly.logbuffer.consumer_idles"), 1u);
-    EXPECT_EQ(snap.value("bfly.logbuffer.heartbeats"), 1u);
-    const auto *occ = snap.histogram("bfly.logbuffer.occupancy");
-    ASSERT_NE(occ, nullptr);
-    EXPECT_EQ(occ->count, 1u);
-    EXPECT_EQ(occ->max, 2u);
-
-    // The stall and heartbeat leave instant events with the occupancy.
-    std::size_t stalls = 0, beats = 0;
-    for (const ResolvedEvent &e : telemetry::tracer().collect()) {
-        if (e.name == "logbuffer.stall") {
-            ++stalls;
-            EXPECT_EQ(e.ph, 'i');
-            EXPECT_EQ(e.argName, "occupancy");
-            EXPECT_EQ(e.argValue, 2u);
-        } else if (e.name == "logbuffer.heartbeat") {
-            ++beats;
-            EXPECT_EQ(e.argValue, 2u);
-        }
-    }
-    EXPECT_EQ(stalls, 1u);
-    EXPECT_EQ(beats, 1u);
+    EXPECT_EQ(snap.value("bfly.addrcheck.blocks_committed"), 2 * blocks);
+    EXPECT_EQ(snap.value("bfly.addrcheck.events_checked"),
+              check.eventsChecked());
+    EXPECT_EQ(snap.value("bfly.addrcheck.isolation_violations"),
+              check.isolationViolations());
+    // Duplicates of an already-logged event are flagged but not logged.
+    EXPECT_GE(snap.value("bfly.addrcheck.errors_flagged"),
+              check.errors().records().size());
+    const auto *summaries = snap.histogram("bfly.addrcheck.summary_size");
+    ASSERT_NE(summaries, nullptr);
+    EXPECT_EQ(summaries->count, blocks);
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 
 #include "memmodel/interleaver.hpp"
 #include "tests/helpers.hpp"
-#include "trace/log_buffer.hpp"
 #include "trace/log_codec.hpp"
 #include "workloads/workload.hpp"
 
@@ -865,29 +864,6 @@ TEST(BlockViews, LayoutCopiesOwnTheirCopiedBlocks)
     expectSameContents(blockContents(copy), want);
     expectSameContents(blockContents(assigned), want);
     EXPECT_GT(checkLayout(marked, copy), 0u);
-}
-
-TEST(LogBuffer, CapacityFromBytes)
-{
-    LogBuffer buf(8 * 1024, 16);
-    EXPECT_EQ(buf.capacity(), 512u);
-}
-
-TEST(LogBuffer, ProduceConsumeAndStalls)
-{
-    LogBuffer buf(32, 16); // 2 records
-    EXPECT_TRUE(buf.produce());
-    EXPECT_TRUE(buf.produce());
-    EXPECT_FALSE(buf.produce()); // full
-    EXPECT_EQ(buf.producerStalls(), 1u);
-    EXPECT_TRUE(buf.consume());
-    EXPECT_TRUE(buf.produce());
-    EXPECT_TRUE(buf.consume());
-    EXPECT_TRUE(buf.consume());
-    EXPECT_FALSE(buf.consume()); // empty
-    EXPECT_EQ(buf.consumerIdles(), 1u);
-    EXPECT_EQ(buf.produced(), 3u);
-    EXPECT_EQ(buf.consumed(), 3u);
 }
 
 } // namespace
