@@ -1,19 +1,23 @@
 /**
  * @file
- * Hot-path microbenchmarks: the three substrates this repo's monitoring
- * overhead is built from, each reporting the tree's own throughput:
+ * Hot-path microbenchmarks: three substrates this repo's monitoring
+ * overhead is built from, and one lifeguard kernel, each reporting the
+ * tree's own throughput:
  *
- *   dispatch     one task group per pass on the persistent WorkerPool;
- *   set_algebra  the open-addressed inline-buffered FlatSet, over the
- *                union/intersect/subtract/contains mix the dataflow
- *                equations use;
- *   shadow_range page-span walks and the last-page cache of
- *                ShadowMemory, over range fills, range scans and
- *                sequential pointwise traffic.
+ *   dispatch       one task group per pass on the persistent WorkerPool;
+ *   set_algebra    the open-addressed inline-buffered FlatSet, over the
+ *                  union/intersect/subtract/contains mix the dataflow
+ *                  equations use;
+ *   shadow_range   page-span walks and the last-page cache of
+ *                  ShadowMemory, over range fills, range scans and
+ *                  sequential pointwise traffic;
+ *   addrcheck_walk ADDRCHECK's window walk (pass 1, pass 2, finalize)
+ *                  over an EpochStream of a serve-long-shaped OCEAN
+ *                  trace, in key checks per second.
  *
- * A change to one of these substrates is judged by an interleaved A/B
- * of this binary against a build of the parent commit; the numbers of
- * one run alone say little on a shared host.
+ * A change to one of these is judged by an interleaved A/B of this
+ * binary against a build of the parent commit; the numbers of one run
+ * alone say little on a shared host.
  *
  * Writes BENCH_bench_hotpath.json (see bench_common.hpp; directory
  * overridable with BFLY_BENCH_JSON_DIR). `--quick` shrinks every group
@@ -34,6 +38,9 @@
 #include "common/rng.hpp"
 #include "common/shadow_memory.hpp"
 #include "common/worker_pool.hpp"
+#include "lifeguards/addrcheck.hpp"
+#include "memmodel/interleaver.hpp"
+#include "workloads/workload.hpp"
 
 namespace bfly {
 namespace {
@@ -192,6 +199,48 @@ benchShadowRange(bool quick)
     return {"shadow_range", static_cast<double>(entries) / (now() - t0)};
 }
 
+// ---------------------------------------------------------------------
+// Group 4: the ADDRCHECK walk.
+// ---------------------------------------------------------------------
+
+GroupResult
+benchAddrCheckWalk(bool quick)
+{
+    // One serve-long session's trace: OCEAN, 4 threads x 60 000
+    // instructions, epochs of h = 2048 instructions per thread. Built
+    // once, outside the timed region.
+    constexpr std::size_t kH = 2048;
+    WorkloadConfig wc;
+    wc.numThreads = 4;
+    wc.instrPerThread = 60000;
+    wc.phaseEvents = 9000;
+    wc.warmupNops = 3 * kH;
+    wc.seed = 1;
+    const Workload workload = makeOcean(wc);
+    Rng rng(2);
+    const Trace trace =
+        interleave(workload.programs, InterleaveConfig{}, rng);
+    AddrCheckConfig cfg;
+    cfg.heapBase = workload.heapBase;
+    cfg.heapLimit = workload.heapLimit;
+    EpochStream::Config slicing;
+    slicing.globalH = kH * wc.numThreads;
+
+    const std::size_t reps = quick ? 1 : 20;
+    std::uint64_t checks = 0;
+    double secs = 0;
+    for (std::size_t r = 0; r < reps; ++r) {
+        ButterflyAddrCheck check(wc.numThreads, cfg);
+        const double t0 = now();
+        EpochStream stream(trace, slicing);
+        WindowSchedule().run(stream, check);
+        secs += now() - t0;
+        checks += check.eventsChecked();
+        g_sink.fetch_add(check.errors().size(), std::memory_order_relaxed);
+    }
+    return {"addrcheck_walk", static_cast<double>(checks) / secs};
+}
+
 } // namespace
 } // namespace bfly
 
@@ -209,11 +258,12 @@ main(int argc, char **argv)
         bfly::benchDispatch(quick),
         bfly::benchSetAlgebra(quick),
         bfly::benchShadowRange(quick),
+        bfly::benchAddrCheckWalk(quick),
     };
 
-    std::printf("%-14s %16s\n", "group", "ops/s");
+    std::printf("%-16s %16s\n", "group", "ops/s");
     for (const GroupResult &g : groups)
-        std::printf("%-14s %16.0f\n", g.name, g.opsPerSec);
+        std::printf("%-16s %16.0f\n", g.name, g.opsPerSec);
 
     const std::string path = bfly::bench::benchJsonDir() +
                              "/BENCH_bench_hotpath.json";

@@ -64,7 +64,11 @@ struct LifeguardCosts
      * Section 7.2's future-work optimization: cache parts of the
      * first-pass analysis and reuse them when the same monitored code
      * revisits a location. When enabled, a filtered (repeat) access
-     * pays recordCachedCost instead of recordCost.
+     * pays recordCachedCost instead of recordCost. The software
+     * ADDRCHECK caches its LSOS answers per block regardless; this
+     * prices the paper's lifeguard cores, and stays off by default so
+     * the cycle model reproduces the paper's uncached prototype
+     * (Figure 11).
      */
     bool firstPassCaching = false;
     Cycles recordCachedCost = 2;

@@ -19,6 +19,8 @@ struct AddrCheckTelemetry
     telemetry::MetricId blocksCommitted;
     telemetry::MetricId summarySize; ///< histogram, per pass-1 block
     telemetry::MetricId sosSize;     ///< gauge, keys in the SOS
+    telemetry::MetricId lsosProbes;  ///< first touches of a key in a block
+    telemetry::MetricId tableSlots;  ///< gauge, slots of the key tables
 
     static const AddrCheckTelemetry &
     get()
@@ -34,6 +36,8 @@ struct AddrCheckTelemetry
                 r.counter("bfly.addrcheck.blocks_committed");
             s.summarySize = r.histogram("bfly.addrcheck.summary_size");
             s.sosSize = r.gauge("bfly.addrcheck.sos_size");
+            s.lsosProbes = r.counter("bfly.addrcheck.lsos_probes");
+            s.tableSlots = r.gauge("bfly.addrcheck.table_slots");
             return s;
         }();
         return m;
@@ -42,54 +46,110 @@ struct AddrCheckTelemetry
 
 /** Per-block flush of the hot-path tallies (never per event). */
 void
-publishBlock(std::uint64_t checks, std::uint64_t isolation,
-             std::uint64_t flagged)
+publishBlock(std::uint64_t checks, std::uint64_t probes,
+             std::uint64_t isolation, std::uint64_t flagged)
 {
     if (!telemetry::enabled())
         return;
     const AddrCheckTelemetry &m = AddrCheckTelemetry::get();
     auto &reg = telemetry::registry();
     reg.add(m.eventsChecked, checks);
+    reg.add(m.lsosProbes, probes);
     reg.add(m.isolationViolations, isolation);
     reg.add(m.errorsFlagged, flagged);
     reg.add(m.blocksCommitted);
+}
+
+/** Fewest slots a key table holds. */
+constexpr std::size_t kMinSlots = 16;
+
+/** A key table keeps its slots at reset while they are at most this
+ *  many times what its previous block needed. */
+constexpr std::size_t kSlack = 4;
+
+/** Linear-probing home of @p key in a power-of-two table. */
+std::size_t
+homeOf(Addr key, std::size_t mask)
+{
+    // Multiplicative hashing: the product's upper 32 bits depend on all
+    // lower key bits, so sequential and strided keys spread out.
+    return (key * 0x9e3779b97f4a7c15ULL >> 32) & mask;
 }
 
 } // namespace
 
 ButterflyAddrCheck::ButterflyAddrCheck(std::size_t num_threads,
                                        const AddrCheckConfig &config)
-    : config_(config), summaries_(num_threads)
+    : config_(config), tables_(num_threads)
 {
     ensure(config_.granularity > 0, "granularity must be positive");
     ensure(num_threads < kSeveral,
            "thread ids must stay below the wing table's markers");
 }
 
+void
+ButterflyAddrCheck::KeyTable::reset(EpochId l)
+{
+    const std::size_t need = std::max(kMinSlots, std::bit_ceil(2 * used));
+    if (bits.size() < kMinSlots || bits.size() > kSlack * need) {
+        keys = std::vector<Addr>(need);
+        bits = std::vector<std::uint8_t>(need);
+    } else {
+        std::fill(bits.begin(), bits.end(), 0);
+    }
+    used = gen = kill = access = 0;
+    epoch = l;
+}
+
+std::size_t
+ButterflyAddrCheck::KeyTable::find(Addr key) const
+{
+    const std::size_t mask = bits.size() - 1;
+    std::size_t i = homeOf(key, mask);
+    while (bits[i] && keys[i] != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+ButterflyAddrCheck::KeyTable::grow()
+{
+    std::vector<Addr> old_keys(2 * keys.size());
+    std::vector<std::uint8_t> old_bits(2 * bits.size());
+    old_keys.swap(keys);
+    old_bits.swap(bits);
+    for (std::size_t j = 0; j < old_bits.size(); ++j) {
+        if (old_bits[j]) {
+            const std::size_t i = find(old_keys[j]);
+            keys[i] = old_keys[j];
+            bits[i] = old_bits[j];
+        }
+    }
+}
+
 std::size_t
 ButterflyAddrCheck::WingTable::find(Addr key) const
 {
-    // Multiplicative hashing: the product's upper 32 bits depend on all
-    // lower key bits, so sequential and strided keys spread out.
     const std::size_t mask = slots.size() - 1;
-    std::size_t i = (key * 0x9e3779b97f4a7c15ULL >> 32) & mask;
+    std::size_t i = homeOf(key, mask);
     while ((slots[i].state != kNoThread || slots[i].access != kNoThread) &&
            slots[i].key != key)
         i = (i + 1) & mask;
     return i;
 }
 
-ButterflyAddrCheck::BlockSummary &
-ButterflyAddrCheck::slot(EpochId l, ThreadId t)
+const ButterflyAddrCheck::KeyTable *
+ButterflyAddrCheck::tableIfValid(EpochId l, ThreadId t) const
 {
-    return summaries_[t][l % kWindow];
+    const KeyTable &table = tables_[t][l % kWindow];
+    return table.epoch == l ? &table : nullptr;
 }
 
-const ButterflyAddrCheck::BlockSummary *
-ButterflyAddrCheck::slotIfValid(EpochId l, ThreadId t) const
+const ButterflyAddrCheck::WingTable *
+ButterflyAddrCheck::wingTableIfValid(EpochId l) const
 {
-    const BlockSummary &s = summaries_[t][l % kWindow];
-    return s.epoch == l ? &s : nullptr;
+    const WingTable &table = wingTables_[l % kWindow];
+    return table.epoch == l ? &table : nullptr;
 }
 
 void
@@ -109,29 +169,23 @@ ButterflyAddrCheck::lsosBaseContains(Addr key, EpochId l, ThreadId t) const
 {
     // LSOS_{l,t} = (GEN_{l-1,t} - U_{t'!=t} KILL_{l-2,t'})
     //              U (SOS_l - KILL_{l-1,t})         [Section 5.2 / 6.1]
-    const BlockSummary *head =
-        l >= 1 ? slotIfValid(l - 1, t) : nullptr;
+    const KeyTable *head = l >= 1 ? tableIfValid(l - 1, t) : nullptr;
+    const std::uint8_t bits = head ? head->bitsOf(key) : 0;
 
-    if (head && head->genEnd.contains(key)) {
+    if (KeyTable::genEnd(bits)) {
         bool killed_by_l2 = false;
         if (l >= 2) {
-            for (ThreadId u = 0; u < summaries_.size() && !killed_by_l2;
-                 ++u) {
+            for (ThreadId u = 0; u < tables_.size() && !killed_by_l2; ++u) {
                 if (u == t)
                     continue;
-                const BlockSummary *w = slotIfValid(l - 2, u);
-                if (w && w->killEnd.contains(key))
-                    killed_by_l2 = true;
+                const KeyTable *w = tableIfValid(l - 2, u);
+                killed_by_l2 = w && KeyTable::killEnd(w->bitsOf(key));
             }
         }
         if (!killed_by_l2)
             return true;
     }
-    if (sos_.contains(key)) {
-        if (!head || !head->killEnd.contains(key))
-            return true;
-    }
-    return false;
+    return !KeyTable::killEnd(bits) && sos_.contains(key);
 }
 
 void
@@ -145,27 +199,29 @@ void
 ButterflyAddrCheck::buildWingTable(EpochId l)
 {
     std::size_t keys = 0;
-    for (ThreadId u = 0; u < summaries_.size(); ++u)
-        if (const BlockSummary *s = slotIfValid(l, u))
-            keys += s->allocAny.size() + s->freeAny.size() +
-                    s->access.size();
+    for (ThreadId u = 0; u < tables_.size(); ++u)
+        if (const KeyTable *s = tableIfValid(l, u))
+            keys += s->used;
     WingTable &table = wingTables_[l % kWindow];
     // assign() keeps the slot array whenever it is large enough.
     table.slots.assign(std::bit_ceil(2 * keys + 1), WingTable::Slot{});
     table.epoch = l;
-    auto mark = [&table](const AddrSet &set, ThreadId u, bool state) {
-        for (Addr k : set) {
-            WingTable::Slot &slot = table.slots[table.find(k)];
-            slot.key = k;
-            ThreadId &owner = state ? slot.state : slot.access;
+    for (ThreadId u = 0; u < tables_.size(); ++u) {
+        const KeyTable *s = tableIfValid(l, u);
+        if (!s)
+            continue;
+        auto mark = [u](ThreadId &owner) {
             owner = owner == kNoThread || owner == u ? u : kSeveral;
-        }
-    };
-    for (ThreadId u = 0; u < summaries_.size(); ++u) {
-        if (const BlockSummary *s = slotIfValid(l, u)) {
-            mark(s->allocAny, u, true);
-            mark(s->freeAny, u, true);
-            mark(s->access, u, false);
+        };
+        for (std::size_t i = 0; i < s->bits.size(); ++i) {
+            if (!s->bits[i])
+                continue;
+            WingTable::Slot &slot = table.slots[table.find(s->keys[i])];
+            slot.key = s->keys[i];
+            if (s->bits[i] & KeyTable::kChanged)
+                mark(slot.state);
+            if (s->bits[i] & KeyTable::kAccess)
+                mark(slot.access);
         }
     }
 }
@@ -175,20 +231,31 @@ ButterflyAddrCheck::pass1(const BlockView &block)
 {
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
-    BlockSummary &s = slot(l, t);
-    s = BlockSummary{};
-    s.epoch = l;
+    KeyTable &table = tables_[t][l % kWindow];
+    const std::size_t slots_before = table.bits.size();
+    table.reset(l);
 
     std::uint64_t checks = 0;
     std::uint64_t flagged = 0;
 
-    // Local allocation-state delta on top of the LSOS (key -> allocated?).
-    std::unordered_map<Addr, bool> delta;
-    auto contains = [&](Addr key) {
-        auto it = delta.find(key);
-        if (it != delta.end())
-            return it->second;
-        return lsosBaseContains(key, l, t);
+    // The slot bits of @p key. Pass 1 of (l, t) reads only key tables
+    // (l-1, t) and (l-2, u != t) and the SOS, none of which changes
+    // while the block runs, so the LSOS answer a key's first touch
+    // caches stays valid for the whole block.
+    auto touch = [&](Addr key) -> std::uint8_t & {
+        std::size_t i = table.find(key);
+        if (!table.bits[i]) {
+            if (2 * (table.used + 1) > table.bits.size()) {
+                table.grow();
+                i = table.find(key);
+            }
+            table.keys[i] = key;
+            table.bits[i] = lsosBaseContains(key, l, t)
+                                ? KeyTable::kUsed | KeyTable::kAllocated
+                                : KeyTable::kUsed;
+            ++table.used;
+        }
+        return table.bits[i];
     };
     auto flag = [&](std::uint64_t index, Addr addr, std::uint16_t size,
                     ErrorKind kind) {
@@ -205,10 +272,14 @@ ButterflyAddrCheck::pass1(const BlockView &block)
             keysOf(base, size, keys);
             for (Addr k : keys) {
                 ++checks;
-                if (!contains(k))
+                std::uint8_t &bits = touch(k);
+                if (!(bits & KeyTable::kAllocated))
                     flag(index, base, size,
                          ErrorKind::UnallocatedAccess);
-                s.access.insert(k);
+                if (!(bits & KeyTable::kAccess)) {
+                    bits |= KeyTable::kAccess;
+                    ++table.access;
+                }
             }
         };
 
@@ -217,12 +288,10 @@ ButterflyAddrCheck::pass1(const BlockView &block)
             keysOf(e.addr, e.size, keys);
             for (Addr k : keys) {
                 ++checks;
-                if (contains(k))
+                std::uint8_t &bits = touch(k);
+                if (bits & KeyTable::kAllocated)
                     flag(index, e.addr, e.size, ErrorKind::DoubleAlloc);
-                delta[k] = true;
-                s.allocAny.insert(k);
-                s.genEnd.insert(k);
-                s.killEnd.erase(k);
+                table.change(bits, true);
             }
             break;
 
@@ -230,13 +299,11 @@ ButterflyAddrCheck::pass1(const BlockView &block)
             keysOf(e.addr, e.size, keys);
             for (Addr k : keys) {
                 ++checks;
-                if (!contains(k))
+                std::uint8_t &bits = touch(k);
+                if (!(bits & KeyTable::kAllocated))
                     flag(index, e.addr, e.size,
                          ErrorKind::UnallocatedFree);
-                delta[k] = false;
-                s.freeAny.insert(k);
-                s.killEnd.insert(k);
-                s.genEnd.erase(k);
+                table.change(bits, false);
             }
             break;
 
@@ -259,17 +326,20 @@ ButterflyAddrCheck::pass1(const BlockView &block)
         }
     }
 
-    const std::uint64_t summary =
-        s.genEnd.size() + s.killEnd.size() + s.access.size();
+    const std::uint64_t summary = table.gen + table.kill + table.access;
     summarySizes_[blockKey(l, t)] = summary;
     eventsChecked_ += checks;
-    if (telemetry::enabled())
-        telemetry::registry().observe(AddrCheckTelemetry::get().summarySize,
-                                      summary);
-    publishBlock(checks, 0, flagged);
+    tableSlots_ = tableSlots_ - slots_before + table.bits.size();
+    if (telemetry::enabled()) {
+        const AddrCheckTelemetry &m = AddrCheckTelemetry::get();
+        telemetry::registry().observe(m.summarySize, summary);
+        telemetry::registry().set(m.tableSlots, tableSlots_);
+    }
+    // Each key in the table was one first touch, so one LSOS probe.
+    publishBlock(checks, table.used, 0, flagged);
 
     // The epoch's last pass-1 block builds the epoch's wing table.
-    if (++pass1Done_[l % kWindow] == summaries_.size()) {
+    if (++pass1Done_[l % kWindow] == tables_.size()) {
         pass1Done_[l % kWindow] = 0;
         buildWingTable(l);
     }
@@ -282,7 +352,7 @@ ButterflyAddrCheck::pass2(const BlockView &block)
     for (const ErrorRecord &rec : records)
         report(block.epoch, block.thread, rec);
     isolationViol_ += records.size();
-    publishBlock(0, records.size(), records.size());
+    publishBlock(0, 0, records.size(), records.size());
 }
 
 std::vector<ErrorRecord>
@@ -355,62 +425,70 @@ ButterflyAddrCheck::isolationRecords(const BlockView &block) const
     return records;
 }
 
+bool
+ButterflyAddrCheck::inEpochGen(Addr key, EpochId l, ThreadId t) const
+{
+    // GEN_l: allocated by some thread, and every other thread
+    // allocates-or-never-frees it across epochs l-1..l (Section 5.2).
+    //
+    // Shortcut: the key is in allocAny(l, t), so the wing table of l
+    // names t or kSeveral as its state owner. If it names t alone and
+    // the table of l-1 names nobody or t, no other thread allocated or
+    // freed it in l-1..l, so none killed it and the test holds.
+    const WingTable *now = wingTableIfValid(l);
+    const WingTable *prev = l >= 1 ? wingTableIfValid(l - 1) : nullptr;
+    if (now && (l == 0 || prev) &&
+        now->slots[now->find(key)].state == t) {
+        const ThreadId before =
+            prev ? prev->slots[prev->find(key)].state : kNoThread;
+        if (before == kNoThread || before == t)
+            return true;
+    }
+
+    for (ThreadId u = 0; u < tables_.size(); ++u) {
+        if (u == t)
+            continue;
+        const KeyTable *cur = tableIfValid(l, u);
+        const KeyTable *old = l >= 1 ? tableIfValid(l - 1, u) : nullptr;
+        const std::uint8_t c = cur ? cur->bitsOf(key) : 0;
+        const std::uint8_t p = old ? old->bitsOf(key) : 0;
+        const bool gen_span = KeyTable::genEnd(c) ||
+                              (KeyTable::genEnd(p) && !KeyTable::killEnd(c));
+        const bool not_kill_span =
+            !KeyTable::killEnd(p) && !KeyTable::killEnd(c);
+        if (!gen_span && !not_kill_span)
+            return false;
+    }
+    return true;
+}
+
 void
 ButterflyAddrCheck::finalizeEpoch(EpochId l)
 {
-    const std::size_t nthreads = summaries_.size();
-
-    // KILL_l = U_t KILL_{l,t}
-    AddrSet kill_epoch;
-    for (ThreadId t = 0; t < nthreads; ++t) {
-        if (const BlockSummary *s = slotIfValid(l, t))
-            kill_epoch.unionWith(s->killEnd);
+    std::size_t gen_keys = 0;
+    std::size_t kill_keys = 0;
+    for (ThreadId t = 0; t < tables_.size(); ++t) {
+        if (const KeyTable *s = tableIfValid(l, t)) {
+            gen_keys += s->gen;
+            kill_keys += s->kill;
+        }
     }
 
-    // GEN_l: allocated by some thread, and every other thread
-    // allocates-or-never-frees it across epochs l-1..l (Section 5.2).
-    auto gen_span = [&](Addr key, ThreadId u) {
-        const BlockSummary *cur = slotIfValid(l, u);
-        if (cur && cur->genEnd.contains(key))
-            return true;
-        if (l >= 1) {
-            const BlockSummary *prev = slotIfValid(l - 1, u);
-            if (prev && prev->genEnd.contains(key) &&
-                !(cur && cur->killEnd.contains(key))) {
-                return true;
-            }
-        }
-        return false;
-    };
-    auto not_kill_span = [&](Addr key, ThreadId u) {
-        if (l >= 1) {
-            const BlockSummary *prev = slotIfValid(l - 1, u);
-            if (prev && prev->killEnd.contains(key))
-                return false;
-        }
-        const BlockSummary *cur = slotIfValid(l, u);
-        if (cur && cur->killEnd.contains(key))
-            return false;
-        return true;
-    };
-
+    // KILL_l = U_t KILL_{l,t}; GEN_l from each thread's GEN_{l,t}.
+    AddrSet kill_epoch;
     AddrSet gen_epoch;
-    for (ThreadId t = 0; t < nthreads; ++t) {
-        const BlockSummary *s = slotIfValid(l, t);
+    kill_epoch.reserve(kill_keys);
+    gen_epoch.reserve(gen_keys);
+    for (ThreadId t = 0; t < tables_.size(); ++t) {
+        const KeyTable *s = tableIfValid(l, t);
         if (!s)
             continue;
-        for (Addr key : s->genEnd) {
-            bool all_others = true;
-            for (ThreadId u = 0; u < nthreads; ++u) {
-                if (u == t)
-                    continue;
-                if (!gen_span(key, u) && !not_kill_span(key, u)) {
-                    all_others = false;
-                    break;
-                }
-            }
-            if (all_others)
-                gen_epoch.insert(key);
+        for (std::size_t i = 0; i < s->bits.size(); ++i) {
+            if (KeyTable::killEnd(s->bits[i]))
+                kill_epoch.insert(s->keys[i]);
+            else if (KeyTable::genEnd(s->bits[i]) &&
+                     inEpochGen(s->keys[i], l, t))
+                gen_epoch.insert(s->keys[i]);
         }
     }
 
@@ -418,6 +496,7 @@ ButterflyAddrCheck::finalizeEpoch(EpochId l)
 
     // Single-writer SOS advance: SOS_{l+2} = GEN_l U (SOS_{l+1} - KILL_l).
     sos_.subtract(kill_epoch);
+    sos_.reserve(sos_.size() + gen_epoch.size());
     sos_.unionWith(gen_epoch);
 
     if (telemetry::enabled()) {

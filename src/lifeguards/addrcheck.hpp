@@ -110,14 +110,81 @@ class ButterflyAddrCheck : public AnalysisDriver
   private:
     static constexpr std::size_t kWindow = 4; ///< ring depth (epochs)
 
-    /** Per-block pass-1 summary s_{l,t}. */
-    struct BlockSummary
+    /**
+     * Block (l, t)'s pass-1 key table, which is also its summary
+     * s_{l,t}: one slot per monitored key the block touched, holding
+     * the key's allocation state and what the block did to it. A key's
+     * first touch asks the LSOS once and seeds the state with the
+     * answer; the block's allocs and frees then update it, so a repeat
+     * costs one probe. GEN_{l,t} (genEnd) is the keys whose last alloc
+     * or free was an alloc, KILL_{l,t} (killEnd) those whose last was a
+     * free. Linear probing over power-of-two arrays at most half full.
+     * One table per ring slot, cleared in place for the next block.
+     */
+    struct KeyTable
     {
-        AddrSet genEnd;   ///< allocated at block end (net)
-        AddrSet killEnd;  ///< freed at block end (net)
-        AddrSet allocAny; ///< allocated anywhere in the block
-        AddrSet freeAny;  ///< freed anywhere in the block
-        AddrSet access;   ///< ACCESS_{l,t}: keys read or written
+        static constexpr std::uint8_t kUsed = 1;      ///< slot holds a key
+        static constexpr std::uint8_t kAllocated = 2; ///< current state
+        static constexpr std::uint8_t kAllocAny = 4;  ///< allocated in block
+        static constexpr std::uint8_t kFreeAny = 8;   ///< freed in block
+        static constexpr std::uint8_t kAccess = 16;   ///< read or written
+        static constexpr std::uint8_t kChanged = kAllocAny | kFreeAny;
+
+        static bool
+        genEnd(std::uint8_t slot)
+        {
+            return (slot & kChanged) && (slot & kAllocated);
+        }
+
+        static bool
+        killEnd(std::uint8_t slot)
+        {
+            return (slot & kChanged) && !(slot & kAllocated);
+        }
+
+        /**
+         * Clear the table for a block of epoch @p l. The slot arrays are
+         * kept unless they hold several times what the previous block of
+         * this ring slot needed; then they shrink to that need.
+         */
+        void reset(EpochId l);
+
+        /** Index of the slot holding @p key, or of the free slot that
+         *  would take it. */
+        std::size_t find(Addr key) const;
+
+        /** @p key's bits, or 0 if the block did not touch it. */
+        std::uint8_t
+        bitsOf(Addr key) const
+        {
+            return bits[find(key)];
+        }
+
+        /** Double the slot arrays, keeping every key. */
+        void grow();
+
+        /** Apply an alloc (@p alloc) or a free to slot bits @p slot,
+         *  keeping the GEN and KILL counts. */
+        void
+        change(std::uint8_t &slot, bool alloc)
+        {
+            gen -= genEnd(slot) ? 1 : 0;
+            kill -= killEnd(slot) ? 1 : 0;
+            slot = static_cast<std::uint8_t>(
+                alloc ? slot | kAllocAny | kAllocated
+                      : (slot | kFreeAny) & ~kAllocated);
+            ++(alloc ? gen : kill);
+        }
+
+        /** Slot keys and bits, kept apart: 9 bytes a slot instead of a
+         *  padded 16, and a probe scans dense bytes. Bits 0 marks an
+         *  empty slot. */
+        std::vector<Addr> keys;
+        std::vector<std::uint8_t> bits;
+        std::size_t used = 0;   ///< keys in the table
+        std::size_t gen = 0;    ///< |genEnd|
+        std::size_t kill = 0;   ///< |killEnd|
+        std::size_t access = 0; ///< |ACCESS_{l,t}|
         EpochId epoch = kNoEpoch;
     };
 
@@ -153,11 +220,16 @@ class ButterflyAddrCheck : public AnalysisDriver
     std::uint64_t
     blockKey(EpochId l, ThreadId t) const
     {
-        return l * summaries_.size() + t;
+        return l * tables_.size() + t;
     }
 
-    BlockSummary &slot(EpochId l, ThreadId t);
-    const BlockSummary *slotIfValid(EpochId l, ThreadId t) const;
+    /** Block (l, t)'s key table, or nullptr if its ring slot holds
+     *  another block. */
+    const KeyTable *tableIfValid(EpochId l, ThreadId t) const;
+
+    /** The wing table of epoch @p l, or nullptr if its ring slot holds
+     *  another epoch. */
+    const WingTable *wingTableIfValid(EpochId l) const;
 
     /** Key membership in LSOS_{l,t} before any local delta. */
     bool lsosBaseContains(Addr key, EpochId l, ThreadId t) const;
@@ -169,13 +241,17 @@ class ButterflyAddrCheck : public AnalysisDriver
     /** Log @p rec, counting it against block (l, t) if it is new. */
     void report(EpochId l, ThreadId t, const ErrorRecord &rec);
 
-    /** Build epoch @p l's wing table from its pass-1 summaries. */
+    /** Build epoch @p l's wing table from its pass-1 key tables. */
     void buildWingTable(EpochId l);
+
+    /** Whether key @p key of block (l, t)'s GEN_{l,t} is in GEN_l. */
+    bool inEpochGen(Addr key, EpochId l, ThreadId t) const;
 
     AddrCheckConfig config_;
 
-    /** Ring of per-epoch, per-thread summaries. */
-    std::vector<std::array<BlockSummary, kWindow>> summaries_; ///< [t]
+    /** Ring of per-epoch, per-thread key tables. */
+    std::vector<std::array<KeyTable, kWindow>> tables_; ///< [t]
+    std::size_t tableSlots_ = 0; ///< slots the key tables hold
 
     /** Ring of per-epoch wing tables, and the pass-1 blocks finished
      *  so far in the epoch each slot is collecting. */

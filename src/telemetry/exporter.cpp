@@ -194,7 +194,7 @@ writeChromeTrace(std::ostream &os)
     char buf[64];
     for (const ResolvedEvent &e : events) {
         os << ",\n {\"name\": \"" << jsonEscape(e.name) << "\", \"cat\": "
-           << "\"bfly\", \"ph\": \"" << e.ph << "\", \"pid\": "
+           << "\"bfly\", \"ph\": \"X\", \"pid\": "
            << unsigned(e.pid) << ", \"tid\": " << e.tid << ", \"ts\": ";
         // Wall events are stored in ns; Chrome wants us. Simulated
         // events are stored in cycles and rendered one cycle per us.
@@ -204,17 +204,12 @@ writeChromeTrace(std::ostream &os)
         } else {
             os << e.ts;
         }
-        if (e.ph == 'X') {
-            os << ", \"dur\": ";
-            if (e.pid == SpanTracer::kWallPid) {
-                std::snprintf(buf, sizeof buf, "%.3f",
-                              double(e.dur) / 1000.0);
-                os << buf;
-            } else {
-                os << e.dur;
-            }
-        } else if (e.ph == 'i') {
-            os << ", \"s\": \"t\"";
+        os << ", \"dur\": ";
+        if (e.pid == SpanTracer::kWallPid) {
+            std::snprintf(buf, sizeof buf, "%.3f", double(e.dur) / 1000.0);
+            os << buf;
+        } else {
+            os << e.dur;
         }
         if (e.hasArg) {
             os << ", \"args\": {\"" << jsonEscape(e.argName)

@@ -7,7 +7,7 @@
  *    (histograms become {count, sum, mean, min, max, buckets} objects).
  *    This is the format the BENCH_*.json trajectory and the monitor CLI
  *    `--telemetry` flag emit.
- *  - writeChromeTrace: buffered span/instant events in the Chrome
+ *  - writeChromeTrace: buffered complete (span) events in the Chrome
  *    trace-event JSON array format — load in chrome://tracing or
  *    Perfetto. Events are sorted by (pid, ts); process-name metadata
  *    labels the wall-clock and simulated-cycle clock domains.

@@ -95,25 +95,6 @@ SpanTracer::complete(std::uint32_t name, std::uint64_t ts,
     e.argName = arg_name;
     e.tid = tid;
     e.pid = pid;
-    e.ph = 'X';
-    push(e);
-}
-
-void
-SpanTracer::instant(std::uint32_t name, std::uint8_t pid,
-                    std::uint16_t tid, std::uint32_t arg_name,
-                    std::uint64_t arg_value)
-{
-    if (!enabled())
-        return;
-    TraceEvent e;
-    e.ts = nowNs();
-    e.argValue = arg_value;
-    e.name = name;
-    e.argName = arg_name;
-    e.tid = tid;
-    e.pid = pid;
-    e.ph = 'i';
     push(e);
 }
 
@@ -139,7 +120,6 @@ SpanTracer::collect() const
             res.argValue = e.argValue;
             res.tid = e.tid;
             res.pid = e.pid;
-            res.ph = e.ph;
             out.push_back(std::move(res));
         }
     }

@@ -42,13 +42,12 @@ namespace bfly::telemetry {
 struct TraceEvent
 {
     std::uint64_t ts = 0;  ///< ns (pid 0) or cycles (pid 1)
-    std::uint64_t dur = 0; ///< same unit as ts; 0 for instants
+    std::uint64_t dur = 0; ///< same unit as ts
     std::uint64_t argValue = 0;
     std::uint32_t name = 0;            ///< interned
     std::uint32_t argName = kNoMetric; ///< interned; kNoMetric = no arg
     std::uint16_t tid = 0;
     std::uint8_t pid = 0;
-    char ph = 'X'; ///< 'X' complete, 'i' instant
 };
 
 /** A collected event with names resolved (export/test-friendly). */
@@ -61,7 +60,6 @@ struct ResolvedEvent
     std::uint64_t argValue = 0;
     std::uint16_t tid = 0;
     std::uint8_t pid = 0;
-    char ph = 'X';
     bool hasArg = false;
 };
 
@@ -98,11 +96,6 @@ class SpanTracer
                   std::uint8_t pid, std::uint16_t tid,
                   std::uint32_t arg_name = kNoMetric,
                   std::uint64_t arg_value = 0);
-
-    /** Push an instant ('i') event. No-op when telemetry is disabled. */
-    void instant(std::uint32_t name, std::uint8_t pid, std::uint16_t tid,
-                 std::uint32_t arg_name = kNoMetric,
-                 std::uint64_t arg_value = 0);
 
     /**
      * Snapshot all buffered events, names resolved, sorted by (pid, ts).

@@ -6,13 +6,17 @@
  * with injected bugs. Also checks the paper's accuracy trade-off: false
  * positives are monotone-ish in epoch size and vanish for isolated
  * activity. Pass 2's per-epoch wing tables are checked record for record
- * against a brute-force per-block union meet of the wings.
+ * against a brute-force per-block union meet of the wings, and pass 1's
+ * key tables and finalize's GEN test against the summary sets,
+ * allocation-delta map and per-thread GEN test they replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "butterfly/window.hpp"
 #include "fuzz/trace_fuzzer.hpp"
@@ -319,8 +323,8 @@ TEST(AddrCheck, EveryBlockOfA300ThreadLayoutKeepsItsOwnCounts)
 }
 
 // --------------------------------------------------------------------
-// Pass 2's wing tables against a per-block union meet of the wings,
-// the reference kept here.
+// The references: the key sets a block's events touch, and the union
+// meet pass 2's wing tables replaced.
 // --------------------------------------------------------------------
 
 std::vector<Addr>
@@ -441,11 +445,14 @@ unionMeetRecords(const EpochLayout &layout,
     return out;
 }
 
-/** Forwards to ADDRCHECK, keeping the records each pass 2 commits. */
-class Pass2Recorder final : public AnalysisDriver
+/**
+ * Forwards to ADDRCHECK, keeping the records each pass 2 commits and the
+ * SOS each finalizeEpoch leaves.
+ */
+class WalkRecorder final : public AnalysisDriver
 {
   public:
-    explicit Pass2Recorder(ButterflyAddrCheck &inner) : inner_(inner) {}
+    explicit WalkRecorder(ButterflyAddrCheck &inner) : inner_(inner) {}
 
     void pass1(const BlockView &block) override { inner_.pass1(block); }
 
@@ -457,16 +464,87 @@ class Pass2Recorder final : public AnalysisDriver
         inner_.pass2(block);
     }
 
-    void finalizeEpoch(EpochId l) override { inner_.finalizeEpoch(l); }
+    void
+    finalizeEpoch(EpochId l) override
+    {
+        inner_.finalizeEpoch(l);
+        sosAfter[l] = inner_.sosNow().sorted();
+    }
 
     std::map<std::pair<EpochId, ThreadId>, std::vector<ErrorRecord>>
         byBlock;
+    std::map<EpochId, std::vector<Addr>> sosAfter;
 
   private:
     ButterflyAddrCheck &inner_;
 };
 
-enum class Schedule { Barrier, Streamed };
+/**
+ * The window walk over a layout, the same walk over a stream, and the
+ * layout walk with each finalizeEpoch(l) run right after pass 1 of l+1,
+ * before pass 2 of l: the earliest order a relaxed driver allows
+ * (RelaxedFinalize.* in test_pipeline.cpp).
+ */
+enum class Schedule { Barrier, Streamed, RelaxedFinalize };
+
+constexpr Schedule kSchedules[] = {Schedule::Barrier, Schedule::Streamed,
+                                   Schedule::RelaxedFinalize};
+
+/** One input the walks below are checked on, and how to slice it. */
+struct WalkCase
+{
+    Trace trace;
+    EpochStream::Config slicing;
+    AddrCheckConfig cfg;
+    std::string what;
+
+    EpochLayout
+    layout() const
+    {
+        return slicing.fromHeartbeats
+                   ? EpochLayout::fromHeartbeats(trace)
+                   : EpochLayout::byGlobalSeq(trace, slicing.globalH);
+    }
+};
+
+void
+walkUnder(Schedule schedule, const WalkCase &c, const EpochLayout &layout,
+          AnalysisDriver &driver)
+{
+    switch (schedule) {
+      case Schedule::Barrier:
+        WindowSchedule().run(layout, driver);
+        return;
+      case Schedule::Streamed: {
+        EpochStream stream(c.trace, c.slicing);
+        WindowSchedule().run(stream, driver);
+        return;
+      }
+      case Schedule::RelaxedFinalize: {
+        auto pass = [&](EpochId l, bool second) {
+            for (ThreadId t = 0; t < layout.numThreads(); ++t) {
+                if (second)
+                    driver.pass2(layout.block(l, t));
+                else
+                    driver.pass1(layout.block(l, t));
+            }
+        };
+        const std::size_t L = layout.numEpochs();
+        for (EpochId l = 0; l < L; ++l) {
+            pass(l, false);
+            if (l >= 1) {
+                driver.finalizeEpoch(l - 1);
+                pass(l - 1, true);
+            }
+        }
+        if (L >= 1) {
+            driver.finalizeEpoch(L - 1);
+            pass(L - 1, true);
+        }
+        return;
+      }
+    }
+}
 
 /** Epochs of @p global_h events (EpochLayout::byGlobalSeq). */
 EpochStream::Config
@@ -477,52 +555,142 @@ globalSlicing(std::size_t global_h)
     return slicing;
 }
 
+/** Epochs cut at the threads' heartbeats. */
+EpochStream::Config
+heartbeatSlicing()
+{
+    EpochStream::Config slicing;
+    slicing.fromHeartbeats = true;
+    return slicing;
+}
+
+/** Random-mix traces with injected bugs, under SC and TSO. */
+std::vector<WalkCase>
+buggyScAndTsoCases()
+{
+    const BugKind kinds[] = {BugKind::UseAfterFree,
+                             BugKind::UnallocatedAccess,
+                             BugKind::DoubleFree};
+    std::vector<WalkCase> cases;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        for (MemModel model :
+             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+            WorkloadConfig wcfg;
+            wcfg.numThreads = 2 + seed % 3;
+            wcfg.instrPerThread = 1500;
+            wcfg.seed = seed;
+            Workload w = makeRandomMix(wcfg);
+            Rng bug_rng(seed ^ 0xbeef);
+            injectBugs(w, kinds[seed % 3], 4, bug_rng);
+            InterleaveConfig icfg;
+            icfg.model = model;
+            Rng rng(seed * 31 + 7);
+
+            WalkCase c;
+            c.trace = interleave(w.programs, icfg, rng);
+            c.slicing = globalSlicing(100 * wcfg.numThreads);
+            c.cfg.heapBase = w.heapBase;
+            c.cfg.heapLimit = w.heapLimit + 0x100000;
+            c.what = "seed " + std::to_string(seed) + " model " +
+                     std::to_string(int(model));
+            cases.push_back(std::move(c));
+        }
+    }
+    return cases;
+}
+
+/** 60 TraceFuzzer cases, every scenario. */
+std::vector<WalkCase>
+fuzzWalkCases()
+{
+    fuzz::FuzzerConfig fcfg;
+    fcfg.seed = 14;
+    const fuzz::TraceFuzzer fuzzer(fcfg);
+    std::vector<WalkCase> cases;
+    for (std::uint64_t id = 0; id < 60; ++id) {
+        const fuzz::FuzzCase fc = fuzzer.generate(id);
+        WalkCase c;
+        c.trace = fc.materialize();
+        c.slicing = globalSlicing(fc.globalH);
+        c.cfg.heapBase = fc.heapBase;
+        c.cfg.heapLimit = fc.heapLimit;
+        c.what = fc.scenario + " case " + std::to_string(id);
+        cases.push_back(std::move(c));
+    }
+    return cases;
+}
+
+/** A random mix of @p threads threads, @p instr instructions each,
+ *  cut into epochs of @p per_thread_h events per thread. */
+WalkCase
+randomMixCase(std::size_t threads, std::size_t instr,
+              std::size_t per_thread_h, std::uint64_t seed,
+              std::uint64_t interleave_seed)
+{
+    WorkloadConfig wcfg;
+    wcfg.numThreads = threads;
+    wcfg.instrPerThread = instr;
+    wcfg.seed = seed;
+    const Workload w = makeRandomMix(wcfg);
+    Rng rng(interleave_seed);
+    WalkCase c;
+    c.trace = interleave(w.programs, InterleaveConfig{}, rng);
+    c.slicing = globalSlicing(per_thread_h * threads);
+    c.cfg.heapBase = w.heapBase;
+    c.cfg.heapLimit = w.heapLimit;
+    c.what = std::to_string(threads) + " threads";
+    return c;
+}
+
+/** More threads than any 64-bit thread mask could name. */
+WalkCase
+seventyThreadCase()
+{
+    return randomMixCase(70, 240, 40, 70, 17);
+}
+
+/** No wings at all: the only thread owns every key it touches. */
+WalkCase
+oneThreadCase()
+{
+    return randomMixCase(1, 2000, 128, 1, 3);
+}
+
+// --------------------------------------------------------------------
+// Pass 2's wing tables against a per-block union meet of the wings,
+// the reference kept here.
+// --------------------------------------------------------------------
+
 /**
- * Slice @p trace as @p slicing says, run ADDRCHECK over it under every
- * schedule, and compare each block's pass-2 records, one for one and in
- * order, with the union meet; the isolation counters must sum to the
- * same total. Returns that total.
+ * Run ADDRCHECK over @p c under every schedule, and compare each block's
+ * pass-2 records, one for one and in order, with the union meet; the
+ * isolation counters must sum to the same total. Returns that total.
  */
 std::uint64_t
-expectTablesMatchUnionMeet(const Trace &trace,
-                           const EpochStream::Config &slicing,
-                           const AddrCheckConfig &cfg,
-                           const std::string &what)
+expectTablesMatchUnionMeet(const WalkCase &c)
 {
-    const EpochLayout layout =
-        slicing.fromHeartbeats
-            ? EpochLayout::fromHeartbeats(trace)
-            : EpochLayout::byGlobalSeq(trace, slicing.globalH);
+    const EpochLayout layout = c.layout();
     const std::size_t L = layout.numEpochs();
     const std::size_t T = layout.numThreads();
     std::vector<std::vector<RefSummary>> summaries(L);
     for (EpochId l = 0; l < L; ++l)
         for (ThreadId t = 0; t < T; ++t)
-            summaries[l].push_back(refSummary(layout.block(l, t), cfg));
+            summaries[l].push_back(refSummary(layout.block(l, t), c.cfg));
     std::uint64_t want_total = 0;
     std::map<std::pair<EpochId, ThreadId>, std::vector<ErrorRecord>> want;
     for (EpochId l = 0; l < L; ++l) {
         for (ThreadId t = 0; t < T; ++t) {
-            want[{l, t}] = unionMeetRecords(layout, summaries, l, t, cfg);
+            want[{l, t}] = unionMeetRecords(layout, summaries, l, t, c.cfg);
             want_total += want[{l, t}].size();
         }
     }
 
-    for (Schedule schedule : {Schedule::Barrier, Schedule::Streamed}) {
-        ButterflyAddrCheck check(T, cfg);
-        Pass2Recorder recorder(check);
-        switch (schedule) {
-          case Schedule::Barrier:
-            WindowSchedule().run(layout, recorder);
-            break;
-          case Schedule::Streamed: {
-            EpochStream stream(trace, slicing);
-            WindowSchedule().run(stream, recorder);
-            break;
-          }
-        }
+    for (Schedule schedule : kSchedules) {
+        ButterflyAddrCheck check(T, c.cfg);
+        WalkRecorder recorder(check);
+        walkUnder(schedule, c, layout, recorder);
         const std::string where =
-            what + ", schedule " + std::to_string(int(schedule));
+            c.what + ", schedule " + std::to_string(int(schedule));
         EXPECT_EQ(recorder.byBlock.size(), L * T) << where;
         for (const auto &[block, records] : want) {
             const auto &got = recorder.byBlock[block];
@@ -542,89 +710,28 @@ expectTablesMatchUnionMeet(const Trace &trace,
 
 TEST(AddrCheckWingTable, MatchesUnionMeetOnBuggyScAndTsoTraces)
 {
-    const BugKind kinds[] = {BugKind::UseAfterFree,
-                             BugKind::UnallocatedAccess,
-                             BugKind::DoubleFree};
     std::uint64_t records = 0;
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        for (MemModel model :
-             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
-            WorkloadConfig wcfg;
-            wcfg.numThreads = 2 + seed % 3;
-            wcfg.instrPerThread = 1500;
-            wcfg.seed = seed;
-            Workload w = makeRandomMix(wcfg);
-            Rng bug_rng(seed ^ 0xbeef);
-            injectBugs(w, kinds[seed % 3], 4, bug_rng);
-            InterleaveConfig icfg;
-            icfg.model = model;
-            Rng rng(seed * 31 + 7);
-            const Trace trace = interleave(w.programs, icfg, rng);
-
-            AddrCheckConfig cfg;
-            cfg.heapBase = w.heapBase;
-            cfg.heapLimit = w.heapLimit + 0x100000;
-            records += expectTablesMatchUnionMeet(
-                trace, globalSlicing(100 * wcfg.numThreads), cfg,
-                "seed " + std::to_string(seed));
-        }
-    }
+    for (const WalkCase &c : buggyScAndTsoCases())
+        records += expectTablesMatchUnionMeet(c);
     EXPECT_GT(records, 0u) << "no wing conflicts exercised";
 }
 
 TEST(AddrCheckWingTable, MatchesUnionMeetOnFuzzCases)
 {
-    fuzz::FuzzerConfig fcfg;
-    fcfg.seed = 14;
-    const fuzz::TraceFuzzer fuzzer(fcfg);
     std::uint64_t records = 0;
-    for (std::uint64_t id = 0; id < 60; ++id) {
-        const fuzz::FuzzCase c = fuzzer.generate(id);
-        AddrCheckConfig cfg;
-        cfg.heapBase = c.heapBase;
-        cfg.heapLimit = c.heapLimit;
-        records += expectTablesMatchUnionMeet(
-            c.materialize(), globalSlicing(c.globalH), cfg,
-            c.scenario + " case " + std::to_string(id));
-    }
+    for (const WalkCase &c : fuzzWalkCases())
+        records += expectTablesMatchUnionMeet(c);
     EXPECT_GT(records, 0u) << "no wing conflicts exercised";
 }
 
 TEST(AddrCheckWingTable, MatchesUnionMeetOnSeventyThreads)
 {
-    // More threads than any 64-bit thread mask could name.
-    WorkloadConfig wcfg;
-    wcfg.numThreads = 70;
-    wcfg.instrPerThread = 240;
-    wcfg.seed = 70;
-    const Workload w = makeRandomMix(wcfg);
-    Rng rng(17);
-    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
-    AddrCheckConfig cfg;
-    cfg.heapBase = w.heapBase;
-    cfg.heapLimit = w.heapLimit;
-    EXPECT_GT(expectTablesMatchUnionMeet(
-                  trace, globalSlicing(40 * wcfg.numThreads), cfg,
-                  "70 threads"),
-              0u);
+    EXPECT_GT(expectTablesMatchUnionMeet(seventyThreadCase()), 0u);
 }
 
 TEST(AddrCheckWingTable, MatchesUnionMeetOnOneThread)
 {
-    // No wings at all: the only thread owns every key it touches.
-    WorkloadConfig wcfg;
-    wcfg.numThreads = 1;
-    wcfg.instrPerThread = 2000;
-    wcfg.seed = 1;
-    const Workload w = makeRandomMix(wcfg);
-    Rng rng(3);
-    const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
-    AddrCheckConfig cfg;
-    cfg.heapBase = w.heapBase;
-    cfg.heapLimit = w.heapLimit;
-    EXPECT_EQ(
-        expectTablesMatchUnionMeet(trace, globalSlicing(128), cfg, "1 thread"),
-        0u);
+    EXPECT_EQ(expectTablesMatchUnionMeet(oneThreadCase()), 0u);
 }
 
 TEST(AddrCheckWingTable, LastEpochIgnoresTheStaleRingSlot)
@@ -635,26 +742,330 @@ TEST(AddrCheckWingTable, LastEpochIgnoresTheStaleRingSlot)
     // races with thread 1's epoch-3 read of b.
     const Addr a = 0x100;
     const Addr b = 0x200;
-    const Trace trace = test::traceOf({
-        {Event::alloc(a, 8), Event::alloc(b, 8), Event::heartbeat(),
-         Event::heartbeat(), Event::heartbeat(), Event::heartbeat(),
-         Event::read(a, 8), Event::freeOf(b, 8)},
-        {Event::heartbeat(), Event::read(b, 8), Event::freeOf(a, 8),
-         Event::heartbeat(), Event::heartbeat(), Event::read(b, 8),
-         Event::heartbeat()},
-    });
-    EpochStream::Config slicing;
-    slicing.fromHeartbeats = true;
-    expectTablesMatchUnionMeet(trace, slicing, wideConfig(), "stale slot");
+    const WalkCase c{
+        test::traceOf({
+            {Event::alloc(a, 8), Event::alloc(b, 8), Event::heartbeat(),
+             Event::heartbeat(), Event::heartbeat(), Event::heartbeat(),
+             Event::read(a, 8), Event::freeOf(b, 8)},
+            {Event::heartbeat(), Event::read(b, 8), Event::freeOf(a, 8),
+             Event::heartbeat(), Event::heartbeat(), Event::read(b, 8),
+             Event::heartbeat()},
+        }),
+        heartbeatSlicing(), wideConfig(), "stale slot"};
+    expectTablesMatchUnionMeet(c);
 
-    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    const EpochLayout layout = c.layout();
     ASSERT_EQ(layout.numEpochs(), 5u);
     ButterflyAddrCheck check(layout, wideConfig());
-    Pass2Recorder recorder(check);
+    WalkRecorder recorder(check);
     WindowSchedule().run(layout, recorder);
     const auto &last = recorder.byBlock[{4, 0}];
     ASSERT_EQ(last.size(), 1u);
     EXPECT_EQ(last[0].addr, b);
+}
+
+// --------------------------------------------------------------------
+// Pass 1's key tables and finalize's GEN test against the delta-map
+// pass 1 and the per-thread GEN test they replaced, kept here as the
+// reference.
+// --------------------------------------------------------------------
+
+/** What the reference walk observes of ADDRCHECK. */
+struct RefWalk
+{
+    std::vector<ErrorRecord> records; ///< log order
+    std::uint64_t eventsChecked = 0;
+    std::map<std::pair<EpochId, ThreadId>, std::uint64_t> summarySize;
+    std::map<std::pair<EpochId, ThreadId>, std::uint64_t> errorsInBlock;
+    std::vector<std::uint64_t> sosUpdateWork;  ///< [l]
+    std::vector<std::vector<Addr>> sosAfter;   ///< [l], sorted
+};
+
+/**
+ * ADDRCHECK in the window walk's order, with the per-block summary sets
+ * and allocation-delta map of the pass 1 the key tables replaced, the
+ * per-thread GEN test of the finalize they replaced, and the union meet
+ * for pass 2.
+ */
+RefWalk
+referenceWalk(const EpochLayout &layout, const AddrCheckConfig &cfg)
+{
+    struct Summary
+    {
+        AddrSet genEnd;
+        AddrSet killEnd;
+        AddrSet access;
+    };
+    const std::size_t L = layout.numEpochs();
+    const std::size_t T = layout.numThreads();
+    std::vector<std::vector<Summary>> s(L, std::vector<Summary>(T));
+    std::vector<std::vector<RefSummary>> wings(L);
+    for (EpochId l = 0; l < L; ++l)
+        for (ThreadId t = 0; t < T; ++t)
+            wings[l].push_back(refSummary(layout.block(l, t), cfg));
+
+    RefWalk out;
+    ErrorLog log;
+    AddrSet sos;
+    auto report = [&](EpochId l, ThreadId t, const ErrorRecord &rec) {
+        if (log.report(rec))
+            ++out.errorsInBlock[{l, t}];
+    };
+
+    // LSOS_{l,t} = (GEN_{l-1,t} - U_{u!=t} KILL_{l-2,u})
+    //              U (SOS_l - KILL_{l-1,t})
+    auto lsos = [&](Addr key, EpochId l, ThreadId t) {
+        if (l >= 1 && s[l - 1][t].genEnd.contains(key)) {
+            bool killed = false;
+            for (ThreadId u = 0; l >= 2 && u < T; ++u)
+                killed |= u != t && s[l - 2][u].killEnd.contains(key);
+            if (!killed)
+                return true;
+        }
+        return sos.contains(key) &&
+               !(l >= 1 && s[l - 1][t].killEnd.contains(key));
+    };
+
+    auto pass1 = [&](EpochId l, ThreadId t) {
+        const BlockView block = layout.block(l, t);
+        Summary &b = s[l][t];
+        std::unordered_map<Addr, bool> delta;
+        auto contains = [&](Addr key) {
+            auto it = delta.find(key);
+            return it != delta.end() ? it->second : lsos(key, l, t);
+        };
+        for (InstrOffset i = 0; i < block.size(); ++i) {
+            const Event &e = block.events[i];
+            auto flag = [&](Addr addr, ErrorKind kind) {
+                report(l, t,
+                       ErrorRecord{t, block.first + i, addr, kind, e.size});
+            };
+            auto access = [&](Addr base) {
+                for (Addr k : refKeys(cfg, base, e.size)) {
+                    ++out.eventsChecked;
+                    if (!contains(k))
+                        flag(base, ErrorKind::UnallocatedAccess);
+                    b.access.insert(k);
+                }
+            };
+            switch (e.kind) {
+              case EventKind::Alloc:
+                for (Addr k : refKeys(cfg, e.addr, e.size)) {
+                    ++out.eventsChecked;
+                    if (contains(k))
+                        flag(e.addr, ErrorKind::DoubleAlloc);
+                    delta[k] = true;
+                    b.genEnd.insert(k);
+                    b.killEnd.erase(k);
+                }
+                break;
+              case EventKind::Free:
+                for (Addr k : refKeys(cfg, e.addr, e.size)) {
+                    ++out.eventsChecked;
+                    if (!contains(k))
+                        flag(e.addr, ErrorKind::UnallocatedFree);
+                    delta[k] = false;
+                    b.killEnd.insert(k);
+                    b.genEnd.erase(k);
+                }
+                break;
+              case EventKind::Read:
+              case EventKind::Write:
+              case EventKind::Use:
+                access(e.addr);
+                break;
+              case EventKind::Assign:
+                access(e.addr);
+                if (e.nsrc >= 1)
+                    access(e.src0);
+                if (e.nsrc >= 2)
+                    access(e.src1);
+                break;
+              default:
+                break;
+            }
+        }
+        out.summarySize[{l, t}] =
+            b.genEnd.size() + b.killEnd.size() + b.access.size();
+    };
+
+    auto settle = [&](EpochId l) {
+        for (ThreadId t = 0; t < T; ++t)
+            for (const ErrorRecord &rec :
+                 unionMeetRecords(layout, wings, l, t, cfg))
+                report(l, t, rec);
+
+        AddrSet kill;
+        for (ThreadId t = 0; t < T; ++t)
+            kill.unionWith(s[l][t].killEnd);
+        // GEN_l: allocated by some thread, and every other thread
+        // allocates-or-never-frees it across epochs l-1..l.
+        auto gen_span = [&](Addr key, ThreadId u) {
+            return s[l][u].genEnd.contains(key) ||
+                   (l >= 1 && s[l - 1][u].genEnd.contains(key) &&
+                    !s[l][u].killEnd.contains(key));
+        };
+        auto not_kill_span = [&](Addr key, ThreadId u) {
+            return !(l >= 1 && s[l - 1][u].killEnd.contains(key)) &&
+                   !s[l][u].killEnd.contains(key);
+        };
+        AddrSet gen;
+        for (ThreadId t = 0; t < T; ++t) {
+            for (Addr key : s[l][t].genEnd) {
+                bool all_others = true;
+                for (ThreadId u = 0; u < T && all_others; ++u)
+                    all_others = u == t || gen_span(key, u) ||
+                                 not_kill_span(key, u);
+                if (all_others)
+                    gen.insert(key);
+            }
+        }
+        out.sosUpdateWork.push_back(gen.size() + kill.size());
+        sos.subtract(kill);
+        sos.unionWith(gen);
+        out.sosAfter.push_back(sos.sorted());
+    };
+
+    for (EpochId l = 0; l < L; ++l) {
+        for (ThreadId t = 0; t < T; ++t)
+            pass1(l, t);
+        if (l >= 1)
+            settle(l - 1);
+    }
+    if (L >= 1)
+        settle(L - 1);
+    out.records = log.records();
+    return out;
+}
+
+/**
+ * Run ADDRCHECK over @p c under every schedule and compare it with the
+ * reference walk: the log in order, the checks, every block's summary
+ * size and error count, and every epoch's SOS work and resulting SOS.
+ * Returns the reference for case-specific checks.
+ */
+RefWalk
+expectMatchesReferenceWalk(const WalkCase &c)
+{
+    const EpochLayout layout = c.layout();
+    const RefWalk want = referenceWalk(layout, c.cfg);
+    for (Schedule schedule : kSchedules) {
+        ButterflyAddrCheck check(layout.numThreads(), c.cfg);
+        WalkRecorder recorder(check);
+        walkUnder(schedule, c, layout, recorder);
+        const std::string where =
+            c.what + ", schedule " + std::to_string(int(schedule));
+        EXPECT_EQ(check.errors().records(), want.records) << where;
+        EXPECT_EQ(check.eventsChecked(), want.eventsChecked) << where;
+        for (EpochId l = 0; l < layout.numEpochs(); ++l) {
+            for (ThreadId t = 0; t < layout.numThreads(); ++t) {
+                const auto it = want.errorsInBlock.find({l, t});
+                EXPECT_EQ(check.errorsInBlock(l, t),
+                          it == want.errorsInBlock.end() ? 0 : it->second)
+                    << where << ", block (" << l << ", " << t << ")";
+                EXPECT_EQ(check.summarySize(l, t),
+                          want.summarySize.at({l, t}))
+                    << where << ", block (" << l << ", " << t << ")";
+            }
+            EXPECT_EQ(check.sosUpdateWork(l), want.sosUpdateWork[l])
+                << where << ", epoch " << l;
+            EXPECT_EQ(recorder.sosAfter[l], want.sosAfter[l])
+                << where << ", SOS after epoch " << l;
+        }
+    }
+    return want;
+}
+
+TEST(AddrCheckKeyTable, MatchesReferenceOnBuggyScAndTsoTraces)
+{
+    for (const WalkCase &c : buggyScAndTsoCases())
+        expectMatchesReferenceWalk(c);
+}
+
+TEST(AddrCheckKeyTable, MatchesReferenceOnFuzzCases)
+{
+    for (const WalkCase &c : fuzzWalkCases())
+        expectMatchesReferenceWalk(c);
+}
+
+TEST(AddrCheckKeyTable, MatchesReferenceOnSeventyThreads)
+{
+    expectMatchesReferenceWalk(seventyThreadCase());
+}
+
+TEST(AddrCheckKeyTable, MatchesReferenceOnOneThread)
+{
+    expectMatchesReferenceWalk(oneThreadCase());
+}
+
+/** Whether the reference SOS after epoch @p l holds address @p addr. */
+bool
+sosHolds(const RefWalk &walk, EpochId l, Addr addr)
+{
+    const std::vector<Addr> &sos = walk.sosAfter.at(l);
+    return std::binary_search(sos.begin(), sos.end(), addr / 8);
+}
+
+TEST(AddrCheckKeyTable, GenTestSeesAnotherThreadsFreeInThePreviousEpoch)
+{
+    // Thread 1 allocates and frees a in epoch 0; thread 0 alone
+    // allocates it in epoch 1. Epoch 1's wing table names thread 0 as
+    // a's only state owner, but epoch 0's names thread 1, whose free in
+    // l-1 keeps a out of GEN_1.
+    const Addr a = 0x100;
+    const RefWalk walk = expectMatchesReferenceWalk(WalkCase{
+        test::traceOf({
+            {Event::heartbeat(), Event::alloc(a, 8)},
+            {Event::alloc(a, 8), Event::freeOf(a, 8), Event::heartbeat()},
+        }),
+        heartbeatSlicing(), wideConfig(), "free in l-1"});
+    ASSERT_EQ(walk.sosAfter.size(), 2u);
+    EXPECT_FALSE(sosHolds(walk, 1, a));
+}
+
+TEST(AddrCheckKeyTable, GenTestWithSeveralAllocatingThreads)
+{
+    // Both threads allocate a and b in epoch 0, so the wing table names
+    // several state owners and the per-thread test decides: a, which
+    // thread 1 still holds at its block's end, is in GEN_0; b, which
+    // thread 1 frees again, is in KILL_0 and not in GEN_0.
+    const Addr a = 0x100;
+    const Addr b = 0x200;
+    const RefWalk walk = expectMatchesReferenceWalk(WalkCase{
+        test::traceOf({
+            {Event::alloc(a, 8), Event::alloc(b, 8), Event::heartbeat()},
+            {Event::alloc(a, 8), Event::alloc(b, 8), Event::freeOf(b, 8),
+             Event::heartbeat()},
+        }),
+        heartbeatSlicing(), wideConfig(), "several owners"});
+    ASSERT_EQ(walk.sosAfter.size(), 2u);
+    EXPECT_TRUE(sosHolds(walk, 0, a));
+    EXPECT_FALSE(sosHolds(walk, 0, b));
+    EXPECT_EQ(walk.sosUpdateWork[0], 2u);
+}
+
+TEST(AddrCheckKeyTable, GenTestAfterFreeAndReallocInOneBlock)
+{
+    // Thread 0 allocates a and b in epoch 0. In epoch 1 it frees and
+    // reallocates a, and allocates and frees c, while thread 1 only
+    // reads a: thread 0 is the only state owner in both epochs, so a
+    // is in GEN_1 and c in KILL_1.
+    const Addr a = 0x100;
+    const Addr b = 0x200;
+    const Addr c = 0x300;
+    const RefWalk walk = expectMatchesReferenceWalk(WalkCase{
+        test::traceOf({
+            {Event::alloc(a, 8), Event::alloc(b, 8), Event::heartbeat(),
+             Event::freeOf(a, 8), Event::alloc(a, 8), Event::alloc(c, 8),
+             Event::freeOf(c, 8)},
+            {Event::heartbeat(), Event::read(a, 8)},
+        }),
+        heartbeatSlicing(), wideConfig(), "free and realloc"});
+    ASSERT_EQ(walk.sosAfter.size(), 2u);
+    EXPECT_TRUE(sosHolds(walk, 1, a));
+    EXPECT_TRUE(sosHolds(walk, 1, b));
+    EXPECT_FALSE(sosHolds(walk, 1, c));
+    EXPECT_EQ(walk.sosUpdateWork[1], 2u);
 }
 
 // --------------------------------------------------------------------

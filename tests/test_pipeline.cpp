@@ -645,7 +645,7 @@ TEST(RelaxedFinalize, EarliestFinalizeMatchesTheWalk)
 // --------------------------------------------------------------------
 // beginPass is kept only for the benchmark's wrapping driver: no
 // lifeguard may depend on it, so a wrapper that forwards just the three
-// window hooks (as test_addrcheck's Pass2Recorder forwards ADDRCHECK)
+// window hooks (as test_addrcheck's WalkRecorder forwards ADDRCHECK)
 // must still reproduce the driver's own walk.
 // --------------------------------------------------------------------
 

@@ -16,6 +16,7 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "telemetry/exporter.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_span.hpp"
+#include "tests/helpers.hpp"
 #include "workloads/bugs.hpp"
 #include "workloads/workload.hpp"
 
@@ -420,7 +422,6 @@ TEST_F(TelemetryTest, DisabledTelemetryRecordsNothing)
     auto &tr = telemetry::tracer();
     {
         telemetry::TraceSpan span("test.disabled");
-        tr.instant(tr.internName("test.instant"), SpanTracer::kWallPid, 0);
     }
     EXPECT_TRUE(tr.collect().empty());
     EXPECT_EQ(tr.dropped(), 0u);
@@ -475,10 +476,8 @@ TEST_F(TelemetryTest, ChromeTraceExportIsValidAndConsistent)
         telemetry::TraceSpan outer("test.export.outer");
         telemetry::TraceSpan inner("test.export.inner", "k", 9);
     }
-    tr.instant(tr.internName("test.export.mark"), SpanTracer::kSimPid, 2,
-               tr.internName("epoch"), 4);
     tr.complete(tr.internName("test.export.sim"), /*ts=*/100, /*dur=*/50,
-                SpanTracer::kSimPid, 1);
+                SpanTracer::kSimPid, 1, tr.internName("epoch"), 4);
 
     std::ostringstream os;
     telemetry::writeChromeTrace(os);
@@ -492,8 +491,6 @@ TEST_F(TelemetryTest, ChromeTraceExportIsValidAndConsistent)
     // Sim-domain events keep raw cycle timestamps.
     EXPECT_NE(json.find("\"ts\": 100, \"dur\": 50"), std::string::npos)
         << json;
-    // Instant events carry a scope.
-    EXPECT_NE(json.find("\"s\": \"t\""), std::string::npos);
     EXPECT_NE(json.find("\"args\": {\"epoch\": 4}"), std::string::npos);
 
     // Monotonic consistency: collect() (the exporter's source) is
@@ -647,6 +644,101 @@ TEST_F(TelemetryTest, AddrCheckFlushesItsTalliesOncePerBlock)
     const auto *summaries = snap.histogram("bfly.addrcheck.summary_size");
     ASSERT_NE(summaries, nullptr);
     EXPECT_EQ(summaries->count, blocks);
+
+    // Pass 1 probes the LSOS once per distinct monitored key of a block.
+    std::uint64_t first_touches = 0;
+    for (EpochId l = 0; l < layout.numEpochs(); ++l) {
+        for (ThreadId t = 0; t < layout.numThreads(); ++t) {
+            std::set<Addr> keys;
+            for (const Event &e : layout.block(l, t).events) {
+                auto add = [&](Addr base) {
+                    if (base != kNoAddr && cfg.monitored(base))
+                        keyRange(base, e.size, cfg.granularity)
+                            .forEach([&](Addr k) { keys.insert(k); });
+                };
+                switch (e.kind) {
+                  case EventKind::Assign:
+                    if (e.nsrc >= 1)
+                        add(e.src0);
+                    if (e.nsrc >= 2)
+                        add(e.src1);
+                    [[fallthrough]];
+                  case EventKind::Alloc:
+                  case EventKind::Free:
+                  case EventKind::Read:
+                  case EventKind::Write:
+                  case EventKind::Use:
+                    add(e.addr);
+                    break;
+                  default:
+                    break;
+                }
+            }
+            first_touches += keys.size();
+        }
+    }
+    EXPECT_GT(first_touches, 0u);
+    EXPECT_EQ(snap.value("bfly.addrcheck.lsos_probes"), first_touches);
+}
+
+/** Forwards to ADDRCHECK, reading the key-table gauge after each
+ *  pass-1 block. */
+class TableSlotsRecorder final : public AnalysisDriver
+{
+  public:
+    explicit TableSlotsRecorder(ButterflyAddrCheck &inner) : inner_(inner) {}
+
+    void
+    pass1(const BlockView &block) override
+    {
+        inner_.pass1(block);
+        auto &reg = telemetry::registry();
+        slots.push_back(reg.value(reg.gauge("bfly.addrcheck.table_slots")));
+    }
+
+    void pass2(const BlockView &block) override { inner_.pass2(block); }
+    void finalizeEpoch(EpochId l) override { inner_.finalizeEpoch(l); }
+
+    std::vector<std::uint64_t> slots; ///< after each pass-1 block
+
+  private:
+    ButterflyAddrCheck &inner_;
+};
+
+TEST_F(TelemetryTest, AddrCheckKeyTablesShrinkAfterAnAllocationHeavyBlock)
+{
+    // One thread. Epoch 0 allocates 32 768 keys; each of the next 100
+    // epochs reads two of them. The heavy block's table must not stay
+    // at its size for the rest of the walk.
+    constexpr Addr kBase = 0x100000;
+    constexpr std::uint16_t kChunk = 0x8000; // 4 096 keys of 8 bytes
+    constexpr std::size_t kChunks = 8;
+    constexpr std::size_t kSmallEpochs = 100;
+    std::vector<Event> program;
+    for (std::size_t k = 0; k < kChunks; ++k)
+        program.push_back(Event::alloc(kBase + k * kChunk, kChunk));
+    for (std::size_t l = 0; l < kSmallEpochs; ++l) {
+        program.push_back(Event::heartbeat());
+        program.push_back(Event::read(kBase + 16 * l, 8));
+        program.push_back(Event::read(kBase + 16 * l + 8, 8));
+    }
+    const Trace trace = test::traceOf({std::move(program)});
+    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    ASSERT_EQ(layout.numEpochs(), kSmallEpochs + 1);
+
+    AddrCheckConfig cfg;
+    ButterflyAddrCheck check(layout, cfg);
+    TableSlotsRecorder recorder(check);
+    WindowSchedule().run(layout, recorder);
+    ASSERT_TRUE(check.errors().empty());
+    ASSERT_EQ(recorder.slots.size(), kSmallEpochs + 1);
+
+    // At most half full while it holds the heavy block's keys.
+    const std::uint64_t heavy_keys = kChunks * kChunk / 8;
+    EXPECT_GE(recorder.slots.front(), 2 * heavy_keys);
+    // Four ring slots, each within a small multiple of what a two-key
+    // block needs.
+    EXPECT_LE(recorder.slots.back(), 4u * 64);
 }
 
 } // namespace
