@@ -88,22 +88,21 @@ monitoredKeys(const Event &e, const AddrCheckConfig &cfg,
 
 /**
  * Lifeguard cycles to process one event in pass 1 (or in the timesliced
- * monitor when @p record is false). Updates the filter; counts events
- * that were fully checked (and therefore recorded for pass 2).
+ * monitor when @p record is false), given its monitored keys. Updates
+ * the filter; counts events that were fully checked (and therefore
+ * recorded for pass 2).
  */
 Cycles
-lifeguardEventCost(const Event &e, const AddrCheckConfig &cfg,
+lifeguardEventCost(const Event &e, const std::vector<Addr> &keys,
                    const LifeguardCosts &costs, IdempotentFilter &filter,
-                   bool record, std::vector<Addr> &scratch,
-                   std::uint64_t *recorded)
+                   bool record, std::uint64_t *recorded)
 {
     switch (e.kind) {
       case EventKind::Alloc:
       case EventKind::Free: {
-        monitoredKeys(e, cfg, scratch);
-        for (Addr k : scratch)
+        for (Addr k : keys)
             filter.evict(k); // metadata changed: force re-checks
-        if (scratch.empty())
+        if (keys.empty())
             return record ? costs.bfDispatchCost : costs.dispatchCost;
         if (recorded)
             ++*recorded;
@@ -113,11 +112,10 @@ lifeguardEventCost(const Event &e, const AddrCheckConfig &cfg,
       case EventKind::Write:
       case EventKind::Use:
       case EventKind::Assign: {
-        monitoredKeys(e, cfg, scratch);
-        if (scratch.empty())
+        if (keys.empty())
             return record ? costs.bfDispatchCost : costs.dispatchCost;
         bool all_hit = true;
-        for (Addr k : scratch)
+        for (Addr k : keys)
             all_hit = all_hit && filter.hit(k);
         if (recorded)
             ++*recorded;
@@ -134,7 +132,7 @@ lifeguardEventCost(const Event &e, const AddrCheckConfig &cfg,
                                    : costs.recordCost;
             return costs.filteredCost + rec;
         }
-        for (Addr k : scratch)
+        for (Addr k : keys)
             filter.insert(k);
         return costs.checkCost + (record ? costs.recordCost : 0);
       }
@@ -144,30 +142,20 @@ lifeguardEventCost(const Event &e, const AddrCheckConfig &cfg,
 }
 
 /**
- * Replay the trace through a CMP, filling per-thread, per-event
- * application cycles (indexed by per-thread non-heartbeat event index)
- * into @p costs, which is already allocated. Parallel mode assigns each
- * thread its own core and replays in true (gseq) order so coherence
- * misses land where they occurred; serial mode funnels everything
- * through core 0 in the same order.
+ * Application cycles of event @p e on core @p c of @p cmp: the core
+ * model's cost, plus the cache access of a memory or heap event.
  */
-void
-replayAppCosts(const std::vector<GseqRef> &order, const CoreModel &core,
-               Cmp &cmp, bool parallel,
-               std::vector<std::unique_ptr<Cycles[]>> &costs)
+Cycles
+appEventCost(const Event &e, const CoreModel &core, Cmp &cmp, unsigned c)
 {
-    for (const GseqRef &r : order) {
-        const Event &e = *r.event;
-        Cycles mem = 0;
-        if (e.isMemoryAccess() || e.kind == EventKind::Alloc ||
-            e.kind == EventKind::Free) {
-            const unsigned c = parallel ? r.thread : 0;
-            const bool is_write = e.kind != EventKind::Read &&
-                                  e.kind != EventKind::Use;
-            mem = cmp.access(c, e.addr, is_write);
-        }
-        costs[r.thread][r.index] = core.cost(e, mem);
+    Cycles mem = 0;
+    if (e.isMemoryAccess() || e.kind == EventKind::Alloc ||
+        e.kind == EventKind::Free) {
+        const bool is_write =
+            e.kind != EventKind::Read && e.kind != EventKind::Use;
+        mem = cmp.access(c, e.addr, is_write);
     }
+    return core.cost(e, mem);
 }
 
 /**
@@ -196,15 +184,7 @@ replaySegmentOrderedBaseline(const Trace &trace, const CoreModel &core,
                 progress = true;
                 if (e.kind == EventKind::Heartbeat)
                     continue;
-                Cycles mem = 0;
-                if (e.isMemoryAccess() || e.kind == EventKind::Alloc ||
-                    e.kind == EventKind::Free) {
-                    const bool is_write =
-                        e.kind != EventKind::Read &&
-                        e.kind != EventKind::Use;
-                    mem = cmp.access(0, e.addr, is_write);
-                }
-                total += core.cost(e, mem);
+                total += appEventCost(e, core, cmp, 0);
                 if (e.kind == EventKind::Barrier)
                     break; // next thread's slice of this phase
             }
@@ -266,15 +246,6 @@ checkedTrace(const PerfInputs &in)
     return *in.trace;
 }
 
-/** The three CMP replays, in the order run() executes them inline. */
-enum Replay : std::size_t
-{
-    kParallelReplay,
-    kSerialReplay,
-    kBaselineReplay,
-    kReplays
-};
-
 } // namespace
 
 AppPerformance::AppPerformance(const PerfInputs &in,
@@ -288,35 +259,84 @@ AppPerformance::AppPerformance(const PerfInputs &in,
       serialCmp_(CmpConfig::forCores(2)),
       baselineCmp_(CmpConfig::forCores(2)),
       parallelCosts_(trace_.numThreads()),
-      serialCosts_(trace_.numThreads())
+      // Every slot is written by a task before it is read.
+      produce_(std::make_unique_for_overwrite<Cycles[]>(order.size())),
+      consume_(std::make_unique_for_overwrite<Cycles[]>(order.size()))
 {
-    // Every slot is written by a replay or push_back before it is read.
-    std::size_t events = 0;
-    for (std::size_t t = 0; t < trace_.numThreads(); ++t) {
-        const std::size_t n = trace_.threads[t].instructionCount();
-        parallelCosts_[t] = std::make_unique_for_overwrite<Cycles[]>(n);
-        serialCosts_[t] = std::make_unique_for_overwrite<Cycles[]>(n);
-        events += n;
-    }
-    produce_.reserve(events);
-    consume_.reserve(events);
+    // Indexed by instruction index; a thread's event count bounds it
+    // without a counting pass (heartbeats take no slot).
+    for (std::size_t t = 0; t < trace_.numThreads(); ++t)
+        parallelCosts_[t] = std::make_unique_for_overwrite<Cycles[]>(
+            trace_.threads[t].events.size());
 }
 
 void
-AppPerformance::replay(std::size_t which)
+AppPerformance::submit(WorkerPool &pool, TaskGroup &group)
 {
-    switch (which) {
+    const auto task = [](void *self, std::size_t which) {
+        static_cast<AppPerformance *>(self)->runTask(static_cast<Task>(which));
+    };
+    for (std::size_t which = 0; which < kTasks; ++which)
+        pool.submitTask(group, task, this, which);
+}
+
+void
+AppPerformance::run()
+{
+    for (std::size_t which = 0; which < kTasks; ++which)
+        runTask(static_cast<Task>(which));
+}
+
+void
+AppPerformance::runTask(Task task)
+{
+    switch (task) {
       case kParallelReplay: {
+        // Each thread on its own core, in true (gseq) order, so
+        // coherence misses land where they occurred.
         telemetry::TraceSpan span("perf.app_replay_parallel");
-        replayAppCosts(order_, in_.core, parallelCmp_, true,
-                       parallelCosts_);
-        break;
+        for (const GseqRef &r : order_)
+            parallelCosts_[r.thread][r.index] =
+                appEventCost(*r.event, in_.core, parallelCmp_, r.thread);
+        report_.cacheStats = parallelCmp_.stats();
+        // Parallel, no monitoring: barrier-aware slowest-thread time.
+        const Cycles t = barrierAwareParallelTime(trace_, parallelCosts_);
+        report_.parallelNoMonitor.timing.totalCycles = t;
+        report_.parallelNoMonitor.timing.appCycles = t;
+        return;
       }
       case kSerialReplay: {
-        // Timesliced app core: the fine-grained interleave (cache
-        // interference between the timesliced threads' working sets).
+        // The timesliced application core produces the merged stream:
+        // the fine-grained interleave on one core (cache interference
+        // between the timesliced threads' working sets).
         telemetry::TraceSpan span("perf.app_replay_serial");
-        replayAppCosts(order_, in_.core, serialCmp_, false, serialCosts_);
+        Cycles sum = 0;
+        for (std::size_t k = 0; k < order_.size(); ++k) {
+            produce_[k] = appEventCost(*order_[k].event, in_.core,
+                                       serialCmp_, 0);
+            sum += produce_[k];
+        }
+        produceSum_ = sum;
+        break;
+      }
+      case kConsumerStream: {
+        // One lifeguard core consumes the merged stream with a
+        // persistent idempotent filter. Software DBI instead inlines a
+        // check per memory event, and a dispatch tax per other event,
+        // into that same stream.
+        telemetry::TraceSpan span("perf.consumer_stream");
+        IdempotentFilter filter(in_.costs.filterSlots);
+        std::vector<Addr> keys;
+        Cycles dbi = 0;
+        for (std::size_t k = 0; k < order_.size(); ++k) {
+            const Event &e = *order_[k].event;
+            monitoredKeys(e, in_.addrcheck, keys);
+            dbi += keys.empty() ? in_.costs.dbiPerOtherEvent
+                                : in_.costs.dbiPerMemEvent;
+            consume_[k] = lifeguardEventCost(e, keys, in_.costs, filter,
+                                             false, nullptr);
+        }
+        dbiTerm_ = dbi;
         break;
       }
       case kBaselineReplay: {
@@ -325,94 +345,114 @@ AppPerformance::replay(std::size_t which)
         telemetry::TraceSpan span("perf.sequential_baseline");
         report_.sequentialBaseline =
             replaySegmentOrderedBaseline(trace_, in_.core, baselineCmp_);
-        break;
+        return;
       }
       default:
-        panic("unknown CMP replay");
+        panic("unknown application-half task");
     }
+    // The serial replay and the consumer stream: the second to finish
+    // sees both streams (acq_rel orders the other task's writes first).
+    if (streamsPending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        priceTimesliced();
 }
 
 void
-AppPerformance::run(WorkerPool *pool)
+AppPerformance::priceTimesliced()
 {
-    // --- Application-side cycles -------------------------------------
-    // Each replay owns its Cmp and its output; they share only the
-    // read-only trace and order, so they run concurrently.
-    const auto task = [](void *self, std::size_t which) {
-        static_cast<AppPerformance *>(self)->replay(which);
-    };
-    if (pool) {
-        TaskGroup replays;
-        pool->submitTask(replays, task, this, kSerialReplay);
-        pool->submitTask(replays, task, this, kBaselineReplay);
-        replay(kParallelReplay);
-        pool->waitGroup(replays);
-    } else {
-        for (std::size_t which = 0; which < kReplays; ++which)
-            replay(which);
-    }
-    report_.cacheStats = parallelCmp_.stats();
-
-    // Parallel, no monitoring: barrier-aware slowest-thread time.
-    {
-        const Cycles t = barrierAwareParallelTime(trace_, parallelCosts_);
-        report_.parallelNoMonitor.timing.totalCycles = t;
-        report_.parallelNoMonitor.timing.appCycles = t;
-    }
-
-    // --- Software-only DBI monitoring --------------------------------
+    telemetry::TraceSpan span("perf.timesliced");
+    const std::size_t n = order_.size();
+    report_.timesliced.timing =
+        simulateSpsc(std::span<const Cycles>(produce_.get(), n),
+                     std::span<const Cycles>(consume_.get(), n),
+                     logCapacity(in_));
     // DBI frameworks cannot soundly monitor threads running in parallel
     // (the inter-thread dependence problem this paper addresses), so
     // the deployed tools serialize the threads onto one core (as
-    // Valgrind does) with checks inlined into the instruction stream.
-    {
-        telemetry::TraceSpan span("perf.dbi");
-        Cycles total = 0;
-        std::vector<Addr> scratch;
-        for (std::size_t t = 0; t < trace_.numThreads(); ++t) {
-            std::size_t slot = 0;
-            for (const Event &e : trace_.threads[t].events) {
-                if (e.kind == EventKind::Heartbeat)
-                    continue;
-                monitoredKeys(e, in_.addrcheck, scratch);
-                total += serialCosts_[t][slot] +
-                         (scratch.empty() ? in_.costs.dbiPerOtherEvent
-                                          : in_.costs.dbiPerMemEvent);
-                ++slot;
+    // Valgrind does) with checks inlined into the instruction stream:
+    // the timesliced producer's cycles plus the inlined work.
+    const Cycles dbi = produceSum_ + dbiTerm_;
+    report_.dbiSoftware.timing.totalCycles = dbi;
+    report_.dbiSoftware.timing.appCycles = dbi;
+}
+
+BlockPricing::BlockPricing(const AppPerformance &app, const PerfInputs &in)
+    : layout_(*in.layout), in_(in)
+{
+    ensure(in.trace == &app.trace_ && in.layout,
+           "block pricing needs the priced trace's layout");
+    const std::size_t T = app.trace_.numThreads();
+    const std::size_t L = layout_.numEpochs();
+    timing_.costs.resize(T);
+    for (ThreadId t = 0; t < T; ++t) {
+        timing_.costs[t].resize(L);
+        for (EpochId l = 0; l < L; ++l) {
+            const BlockView block = layout_.block(l, t);
+            EpochCosts &ec = timing_.costs[t][l];
+            // The replay indexes the block's events from block.first
+            // on, in the order the block holds them.
+            ec.appCost = std::span<const Cycles>(
+                app.parallelCosts_[t].get() + block.first, block.size());
+            ec.pass1Cost.reserve(block.size());
+        }
+    }
+    recorded_.resize(T * L);
+}
+
+void
+BlockPricing::submit(WorkerPool &pool, TaskGroup &group)
+{
+    pool.submitTask(
+        group, [](void *self, std::size_t) {
+            static_cast<BlockPricing *>(self)->run();
+        },
+        this, 0);
+}
+
+void
+BlockPricing::run()
+{
+    telemetry::TraceSpan span("perf.block_pricing");
+    const bool traced = telemetry::enabled();
+    const PerfTelemetry *pt = traced ? &PerfTelemetry::get() : nullptr;
+    auto &reg = telemetry::registry();
+    const std::size_t L = layout_.numEpochs();
+    std::vector<Addr> keys;
+    for (ThreadId t = 0; t < timing_.costs.size(); ++t) {
+        IdempotentFilter filter(in_.costs.filterSlots);
+        for (EpochId l = 0; l < L; ++l) {
+            filter.flush(); // butterfly flushes at epoch boundaries
+            const BlockView block = layout_.block(l, t);
+            std::vector<Cycles> &pass1 = timing_.costs[t][l].pass1Cost;
+            std::uint64_t recorded = 0;
+            Cycles total = 0;
+            for (const Event &e : block.events) {
+                monitoredKeys(e, in_.addrcheck, keys);
+                const Cycles c = lifeguardEventCost(e, keys, in_.costs,
+                                                    filter, true, &recorded);
+                total += c;
+                pass1.push_back(c);
+            }
+            recorded_[t * L + l] = recorded;
+            if (traced) {
+                // One histogram sample and one counter flush per
+                // block, never per event.
+                reg.add(pt->recordedEvents, recorded);
+                reg.observe(pt->pass1BlockCycles, total);
             }
         }
-        report_.dbiSoftware.timing.totalCycles = total;
-        report_.dbiSoftware.timing.appCycles = total;
-    }
-
-    // --- Timesliced monitoring ---------------------------------------
-    // One application core produces the merged stream; one lifeguard
-    // core consumes it with a persistent idempotent filter.
-    {
-        telemetry::TraceSpan span("perf.timesliced");
-        IdempotentFilter filter(in_.costs.filterSlots);
-        std::vector<Addr> scratch;
-        for (const GseqRef &r : order_) {
-            produce_.push_back(serialCosts_[r.thread][r.index]);
-            consume_.push_back(lifeguardEventCost(*r.event, in_.addrcheck,
-                                                  in_.costs, filter, false,
-                                                  scratch, nullptr));
-        }
-        report_.timesliced.timing =
-            simulateSpsc(produce_, consume_, logCapacity(in_));
     }
 }
 
 PerfReport
-priceButterfly(const AppPerformance &app, const PerfInputs &in)
+priceButterfly(const AppPerformance &app, BlockPricing &blocks,
+               const PerfInputs &in)
 {
-    ensure(in.trace == &app.trace_ && in.layout && in.butterfly,
+    ensure(in.trace == &app.trace_ && in.layout == &blocks.layout_ &&
+               in.butterfly,
            "perf model needs the priced trace, layout and functional "
            "results");
-    const EpochLayout &layout = *in.layout;
     const std::size_t T = app.trace_.numThreads();
-    const std::size_t capacity = logCapacity(in);
-    const auto &par_costs = app.parallelCosts_;
+    const std::size_t L = blocks.layout_.numEpochs();
 
     PerfReport report = app.report_;
 
@@ -423,34 +463,11 @@ priceButterfly(const AppPerformance &app, const PerfInputs &in)
         const PerfTelemetry *pt = traced ? &PerfTelemetry::get() : nullptr;
         auto &reg = telemetry::registry();
 
-        ButterflyTimingInput bt;
-        bt.bufferCapacity = capacity;
+        ButterflyTimingInput &bt = blocks.timing_;
+        bt.bufferCapacity = logCapacity(in);
         bt.barrierCost = in.costs.barrierCost;
-        bt.costs.resize(T);
-
-        const std::size_t L = layout.numEpochs();
-        std::vector<Addr> scratch;
         for (ThreadId t = 0; t < T; ++t) {
-            bt.costs[t].resize(L);
-            IdempotentFilter filter(in.costs.filterSlots);
             for (EpochId l = 0; l < L; ++l) {
-                filter.flush(); // butterfly flushes at epoch boundaries
-                const BlockView block = layout.block(l, t);
-                EpochCosts &ec = bt.costs[t][l];
-                // The replay indexes the block's events from
-                // block.first on, in the order the block holds them.
-                ec.appCost = std::span<const Cycles>(
-                    par_costs[t].get() + block.first, block.size());
-                ec.pass1Cost.reserve(block.size());
-                std::uint64_t recorded = 0;
-                Cycles pass1_total = 0;
-                for (InstrOffset i = 0; i < block.size(); ++i) {
-                    const Cycles c = lifeguardEventCost(
-                        block.events[i], in.addrcheck, in.costs, filter,
-                        true, scratch, &recorded);
-                    pass1_total += c;
-                    ec.pass1Cost.push_back(c);
-                }
                 // Pass 2: merge the wing summaries, re-analyze recorded
                 // events, process any flagged errors.
                 Cycles meet = 0;
@@ -461,18 +478,13 @@ priceButterfly(const AppPerformance &app, const PerfInputs &in)
                             meet += in.butterfly->summarySize(w, u);
                     }
                 }
+                EpochCosts &ec = bt.costs[t][l];
                 ec.pass2Cost =
-                    in.costs.pass2PerEvent * recorded +
+                    in.costs.pass2PerEvent * blocks.recorded_[t * L + l] +
                     in.costs.meetPerKey * meet +
                     in.costs.fpCost * in.butterfly->errorsInBlock(l, t);
-                if (traced) {
-                    // Per-(thread, epoch) cost breakdown: one histogram
-                    // sample per block, one counter flush per block —
-                    // never per event.
-                    reg.add(pt->recordedEvents, recorded);
-                    reg.observe(pt->pass1BlockCycles, pass1_total);
+                if (traced)
                     reg.observe(pt->pass2BlockCycles, ec.pass2Cost);
-                }
             }
         }
         bt.sosUpdateCost.resize(L);
@@ -541,12 +553,17 @@ computePerformance(const PerfInputs &in)
            "perf model needs trace, layout and functional results");
     const std::vector<GseqRef> order = in.trace->gseqOrder();
     AppPerformance app(in, order);
+    BlockPricing blocks(app, in);
     {
-        // Two workers beside this thread: one per replay it hands off.
+        // The same stages runSession runs: two workers beside this
+        // thread, which helps while it waits.
         WorkerPool pool(2);
-        app.run(&pool);
+        TaskGroup stages;
+        app.submit(pool, stages);
+        blocks.submit(pool, stages);
+        pool.waitGroup(stages);
     }
-    return priceButterfly(app, in);
+    return priceButterfly(app, blocks, in);
 }
 
 } // namespace bfly

@@ -25,6 +25,7 @@
 #ifndef BUTTERFLY_HARNESS_PERF_MODEL_HPP
 #define BUTTERFLY_HARNESS_PERF_MODEL_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -38,6 +39,8 @@
 
 namespace bfly {
 
+class BlockPricing;
+class TaskGroup;
 class WorkerPool;
 
 /** Cycle costs of lifeguard processing (per event / per element). */
@@ -128,20 +131,33 @@ struct PerfReport
 };
 
 /**
- * The application half of the perf model: the parallel, serial and
- * segment-ordered CMP replays, then the modes priced from the
+ * The application half of the perf model: the modes priced from the
  * application side alone (parallel no-monitor, software DBI and
- * timesliced monitoring). It reads the trace, its gseq order and the
- * cost settings, never the layout or the butterfly run, so a session
- * can run it beside the butterfly analysis.
+ * timesliced monitoring) and the parallel replay's per-event costs the
+ * butterfly half reads. It reads the trace, its gseq order and the cost
+ * settings, never the layout or the butterfly run, so a session can run
+ * it beside the butterfly analysis.
  *
- * The constructor allocates every large buffer run() fills: the three
- * Cmp models, the per-event cost arrays and the timesliced
- * producer/consumer streams. Construct it on the thread that owns the
- * session; run() can then execute on a pool thread without growing that
- * thread's malloc arena (DESIGN.md §6, "Session stage graph"). The
- * arrays are allocated but not written, so their first-touch page
- * faults are paid by run(), off the session thread.
+ * It is four independent tasks (Task), each writing only its own
+ * outputs:
+ *  - the parallel CMP replay, then the barrier-aware parallel time;
+ *  - the serial CMP replay, which writes the timesliced producer stream
+ *    in gseq order and sums it;
+ *  - the consumer stream: the timesliced lifeguard's cycles per event
+ *    behind its persistent idempotent filter, and DBI's per-event
+ *    instrumentation term; it reads no replay;
+ *  - the segment-ordered baseline replay.
+ * Whichever of the serial replay and the consumer stream finishes last
+ * then runs simulateSpsc over the two streams and prices DBI as the
+ * producer stream's sum plus the per-event terms.
+ *
+ * The constructor allocates every large buffer the tasks fill: the three
+ * Cmp models, the parallel replay's per-thread cost arrays and the two
+ * timesliced streams. Construct it on the thread that owns the session;
+ * the tasks can then run on pool threads without growing their malloc
+ * arenas (DESIGN.md §6, "Session stage graph"). The arrays are allocated
+ * but not written, so their first-touch page faults are paid by the
+ * tasks, off the session thread.
  */
 class AppPerformance
 {
@@ -149,25 +165,43 @@ class AppPerformance
     /**
      * @param in     the trace and cost settings to price; in.layout and
      *               in.butterfly are not read and may still be null
-     * @param order  in.trace->gseqOrder(); borrowed, like the trace
+     * @param order  every non-heartbeat event of in.trace in execution
+     *               order (in.trace->gseqOrder(), or the order interleave()
+     *               emitted); borrowed, like the trace
      */
     AppPerformance(const PerfInputs &in, const std::vector<GseqRef> &order);
-    /** Its replay tasks hold its address. */
+    /** Its tasks hold its address. */
     AppPerformance(const AppPerformance &) = delete;
     AppPerformance &operator=(const AppPerformance &) = delete;
 
-    /**
-     * Run the three replays, concurrently on @p pool unless it is null
-     * (safe from inside one of the pool's tasks), then price the
-     * application-side modes.
-     */
-    void run(WorkerPool *pool);
+    /** Queue every task into @p group, longest first. The caller waits
+     *  for the group before pricing. */
+    void submit(WorkerPool &pool, TaskGroup &group);
+
+    /** Run every task on this thread, in the same order. */
+    void run();
 
   private:
+    /** The tasks, longest first: the order submit() queues them in. */
+    enum Task : std::size_t
+    {
+        kParallelReplay,
+        kSerialReplay,
+        kConsumerStream,
+        kBaselineReplay,
+        kTasks
+    };
+
+    /** Run task @p task on this thread. Each task runs exactly once. */
+    void runTask(Task task);
+
+    friend class BlockPricing;
     friend PerfReport priceButterfly(const AppPerformance &app,
+                                     BlockPricing &blocks,
                                      const PerfInputs &in);
 
-    void replay(std::size_t which);
+    /** simulateSpsc and DBI, once both timesliced streams exist. */
+    void priceTimesliced();
 
     const Trace &trace_;
     const std::vector<GseqRef> &order_;
@@ -175,29 +209,80 @@ class AppPerformance
     Cmp parallelCmp_; ///< 2T cores: T application + T lifeguard
     Cmp serialCmp_;   ///< the timesliced application core
     Cmp baselineCmp_; ///< sequential unmonitored run
-    /** Application cycles per thread and per-thread event index. */
+    /** Parallel application cycles per thread and per-thread event
+     *  index. */
     std::vector<std::unique_ptr<Cycles[]>> parallelCosts_;
-    std::vector<std::unique_ptr<Cycles[]>> serialCosts_;
     /** Timesliced producer and consumer cycles, in gseq order. */
-    std::vector<Cycles> produce_;
-    std::vector<Cycles> consume_;
-    /** The application-side modes; priceButterfly adds the rest. */
+    std::unique_ptr<Cycles[]> produce_;
+    std::unique_ptr<Cycles[]> consume_;
+    Cycles produceSum_ = 0; ///< serial replay: sum of produce_
+    Cycles dbiTerm_ = 0;    ///< consumer stream: DBI's per-event cycles
+    /** Timesliced streams still being written; the task that brings it
+     *  to zero prices the timesliced and DBI modes. */
+    std::atomic<int> streamsPending_{2};
+    /** The application-side modes; priceButterfly adds the rest. Each
+     *  task writes its own fields. */
     PerfReport report_;
 };
 
 /**
- * The butterfly half of the perf model: price barrier-scheduled and
- * pipelined butterfly monitoring from @p app's parallel application
- * costs, in.layout and the functional run in.butterfly, then normalize
- * every mode by the sequential baseline. @p app must have run() over
- * in.trace.
+ * The layout-only part of the butterfly half: the per-block filter
+ * replay (the butterfly lifeguard flushes its idempotent filter at every
+ * epoch boundary) that gives each block's pass-1 cycles per event and
+ * how many events it records for pass 2. It reads the layout and the
+ * cost settings, never the butterfly run, so it runs beside that run
+ * once the layout exists.
+ *
+ * The constructor allocates every per-block cost array and points each
+ * block's application costs at its slice of @p app's parallel replay
+ * (EpochCosts::appCost); construct it on the session thread, like
+ * AppPerformance. run() fills the pass-1 costs and counts; the replay's
+ * costs are read only by priceButterfly, after both have run.
  */
-PerfReport priceButterfly(const AppPerformance &app, const PerfInputs &in);
+class BlockPricing
+{
+  public:
+    /** @param in  in.layout must be set and slice @p app's trace */
+    BlockPricing(const AppPerformance &app, const PerfInputs &in);
+    /** Its task holds its address. */
+    BlockPricing(const BlockPricing &) = delete;
+    BlockPricing &operator=(const BlockPricing &) = delete;
+
+    /** Queue run() into @p group. */
+    void submit(WorkerPool &pool, TaskGroup &group);
+
+    /** Replay every block through its filter, on this thread. */
+    void run();
+
+  private:
+    friend PerfReport priceButterfly(const AppPerformance &app,
+                                     BlockPricing &blocks,
+                                     const PerfInputs &in);
+
+    const EpochLayout &layout_;
+    PerfInputs in_;
+    /** costs[t][l] hold appCost and pass1Cost; priceButterfly adds the
+     *  pass-2 and SOS costs. */
+    ButterflyTimingInput timing_;
+    /** Events block (l, t) records for pass 2, at [t * epochs + l]. */
+    std::vector<std::uint64_t> recorded_;
+};
+
+/**
+ * The rest of the butterfly half: pass-2 costs from the functional run
+ * in.butterfly and @p blocks' recorded counts, SOS-update costs, then the
+ * barrier-scheduled and pipelined butterfly simulations, and every mode
+ * normalized by the sequential baseline. @p app and @p blocks must have
+ * run over in.trace and in.layout; this completes @p blocks' timing
+ * input in place.
+ */
+PerfReport priceButterfly(const AppPerformance &app, BlockPricing &blocks,
+                          const PerfInputs &in);
 
 /**
  * Compute the full performance report for one workload run: the
- * application half, its replays on a pool of its own, then the
- * butterfly half.
+ * application half's tasks and the block pricing on a pool of its own,
+ * then the rest of the butterfly half.
  */
 PerfReport computePerformance(const PerfInputs &inputs);
 

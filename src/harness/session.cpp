@@ -47,10 +47,11 @@ struct SessionMetrics
 };
 
 /**
- * Pool threads for the stage graph. Its widest point is the oracle and
- * the perf model's three replays; with the session thread running the
- * butterfly analysis, three workers fill a four-core box, and the last
- * replay starts when the first of the others finishes.
+ * Pool threads for the stage graph. Its widest point is the oracle, the
+ * perf model's four application-half tasks and the block pricing; with
+ * the session thread running the butterfly analysis, three workers fill
+ * a four-core box, and the session thread helps with what is left once
+ * its run ends (waitGroup executes queued tasks).
  */
 constexpr std::size_t kStageWorkers = 3;
 
@@ -98,7 +99,10 @@ runSession(const SessionConfig &config)
     SessionResult result;
 
     // 1. Generate the workload and execute it under the memory model.
-    Workload workload = config.factory(config.workload);
+    Workload workload = [&] {
+        telemetry::TraceSpan span("session.generate");
+        return config.factory(config.workload);
+    }();
 
     // 1b. Static elision pre-pass: classify the kernels' emitting sites
     // (pseudo-sites fill in for anything the generator left unstamped)
@@ -114,12 +118,16 @@ runSession(const SessionConfig &config)
         result.planFingerprint = plan.fingerprint();
     }
 
+    // Nothing reads the programs after this, so they move into the
+    // trace instead of being copied, and the interleaver emits the
+    // execution order as it stamps it: no sort.
     Rng rng(config.interleaveSeed);
     InterleaveConfig icfg;
     icfg.model = config.model;
+    std::vector<GseqRef> order;
     Trace trace = [&] {
         telemetry::TraceSpan span("session.interleave");
-        return interleave(workload.programs, icfg, rng);
+        return interleave(std::move(workload.programs), icfg, rng, &order);
     }();
 
     // The monitored stream: what the application actually logs. With
@@ -140,13 +148,12 @@ runSession(const SessionConfig &config)
 
     // 2. Start the stages that read only the trace (DESIGN.md §6,
     // "Session stage graph"): the exact oracle over the full trace, and
-    // the perf model's application half over the monitored one. They
-    // run on the pool while this thread slices the epochs and runs the
-    // butterfly analysis. The two share one gseq order unless elision
-    // makes them read different traces. The orders and every large
-    // buffer of the application half are allocated here, on the
-    // session thread; the stages only fill them.
-    const std::vector<GseqRef> order = trace.gseqOrder();
+    // the perf model's application-half tasks over the monitored one.
+    // They run on the pool while this thread slices the epochs and runs
+    // the butterfly analysis. The two share the interleaver's order
+    // unless elision makes them read different traces. Every buffer a
+    // stage fills is allocated here, on the session thread; the stages
+    // only fill them.
     const std::vector<GseqRef> elidedOrder =
         config.elide ? elided.gseqOrder() : std::vector<GseqRef>{};
     AddrCheckOracle oracle(acfg);
@@ -158,19 +165,15 @@ runSession(const SessionConfig &config)
     AppPerformance app(pin, config.elide ? elidedOrder : order);
 
     // One pool per session runs the stage graph.
-    TaskGroup stages;
     WorkerPool pool(kStageWorkers);
-    auto appStage = [&] {
-        telemetry::TraceSpan span("session.perf_app");
-        app.run(&pool);
-    };
+    TaskGroup stages;
     // Ground truth from the exact oracle over the true interleaving.
     auto oracleStage = [&] {
         telemetry::TraceSpan span("session.oracle");
         oracle.runInOrder(trace, order);
     };
     const StageJoin join(pool, stages);
-    submitStage(pool, stages, appStage);
+    app.submit(pool, stages); // longest first
     submitStage(pool, stages, oracleStage);
 
     // 3. Slice into heartbeat epochs.
@@ -183,6 +186,14 @@ runSession(const SessionConfig &config)
             monitored, config.epochSize * monitored.numThreads());
     }();
 
+    // The butterfly half's layout-only stage, beside the butterfly run.
+    // Its own group, joined before the layout it reads is destroyed.
+    pin.layout = &layout;
+    BlockPricing blocks(app, pin);
+    TaskGroup blockStage;
+    const StageJoin blockJoin(pool, blockStage);
+    blocks.submit(pool, blockStage);
+
     // 4. Functional butterfly ADDRCHECK run, on this thread.
     ButterflyAddrCheck butterfly(layout, acfg);
     {
@@ -190,6 +201,7 @@ runSession(const SessionConfig &config)
         WindowSchedule().run(layout, butterfly);
     }
     pool.waitGroup(stages);
+    pool.waitGroup(blockStage);
 
     if (config.elide) {
         const auto encodedBytes = [](const Trace &t) {
@@ -204,8 +216,8 @@ runSession(const SessionConfig &config)
 
     result.workloadName = workload.name;
     result.threads = trace.numThreads();
-    result.instructions = trace.instructionCount();
-    result.memoryAccesses = trace.memoryAccessCount();
+    result.instructions = order.size();
+    result.memoryAccesses = oracle.memoryAccesses();
     result.epochs = layout.numEpochs();
     result.butterflyErrorCount = butterfly.errors().size();
     result.oracleErrorCount = oracle.errors().size();
@@ -214,13 +226,12 @@ runSession(const SessionConfig &config)
     result.falsePositiveRate =
         result.accuracy.falsePositiveRate(result.memoryAccesses);
 
-    // 5. Timing for every monitoring mode: the butterfly half of the
-    // perf model, on top of the application half the pool ran.
-    pin.layout = &layout;
+    // 5. Timing for every monitoring mode: the rest of the butterfly
+    // half, on top of the stages the pool ran.
     pin.butterfly = &butterfly;
     {
         telemetry::TraceSpan span("session.perf_model");
-        result.perf = priceButterfly(app, pin);
+        result.perf = priceButterfly(app, blocks, pin);
     }
 
     if (telemetry::enabled()) {

@@ -21,6 +21,7 @@ struct AddrCheckTelemetry
     telemetry::MetricId sosSize;     ///< gauge, keys in the SOS
     telemetry::MetricId lsosProbes;  ///< first touches of a key in a block
     telemetry::MetricId tableSlots;  ///< gauge, slots of the key tables
+    telemetry::MetricId wingSlots;   ///< gauge, slots the wing tables hold
 
     static const AddrCheckTelemetry &
     get()
@@ -38,6 +39,7 @@ struct AddrCheckTelemetry
             s.sosSize = r.gauge("bfly.addrcheck.sos_size");
             s.lsosProbes = r.counter("bfly.addrcheck.lsos_probes");
             s.tableSlots = r.gauge("bfly.addrcheck.table_slots");
+            s.wingSlots = r.gauge("bfly.addrcheck.wing_slots");
             return s;
         }();
         return m;
@@ -60,11 +62,12 @@ publishBlock(std::uint64_t checks, std::uint64_t probes,
     reg.add(m.blocksCommitted);
 }
 
-/** Fewest slots a key table holds. */
+/** Fewest slots a key table or a wing table holds. */
 constexpr std::size_t kMinSlots = 16;
 
-/** A key table keeps its slots at reset while they are at most this
- *  many times what its previous block needed. */
+/** A key table keeps its slots at reset, and a wing table its slot
+ *  array at a rebuild, while they are at most this many times what the
+ *  previous block (or this epoch) needs. */
 constexpr std::size_t kSlack = 4;
 
 /** Linear-probing home of @p key in a power-of-two table. */
@@ -203,9 +206,24 @@ ButterflyAddrCheck::buildWingTable(EpochId l)
         if (const KeyTable *s = tableIfValid(l, u))
             keys += s->used;
     WingTable &table = wingTables_[l % kWindow];
-    // assign() keeps the slot array whenever it is large enough.
-    table.slots.assign(std::bit_ceil(2 * keys + 1), WingTable::Slot{});
+    // assign() keeps the slot array whenever it is large enough. Past
+    // kSlack times the need it is given back, as a key table's is at
+    // reset, so an allocation-heavy epoch does not pin its table; the
+    // kMinSlots floor keeps small epochs from trading arrays back and
+    // forth.
+    const std::size_t need =
+        std::max(kMinSlots, std::bit_ceil(2 * keys + 1));
+    if (table.slots.capacity() > kSlack * need)
+        table.slots = std::vector<WingTable::Slot>(need);
+    else
+        table.slots.assign(need, WingTable::Slot{});
     table.epoch = l;
+    if (telemetry::enabled()) {
+        std::size_t held = 0;
+        for (const WingTable &w : wingTables_)
+            held += w.slots.capacity();
+        telemetry::registry().set(AddrCheckTelemetry::get().wingSlots, held);
+    }
     for (ThreadId u = 0; u < tables_.size(); ++u) {
         const KeyTable *s = tableIfValid(l, u);
         if (!s)

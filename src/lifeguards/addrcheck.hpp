@@ -194,7 +194,8 @@ class ButterflyAddrCheck : public AnalysisDriver
      * the one that accessed it, each kNoThread if none and kSeveral if
      * several. Key k is in the wings of (l, t) iff a table of epochs
      * l-1..l+1 names an owner other than t. Linear probing over a
-     * power-of-two array at most half full, rebuilt in place.
+     * power-of-two array at most half full, rebuilt in place unless the
+     * array is more than four times the epoch's need.
      */
     struct WingTable
     {

@@ -30,6 +30,7 @@ void
 AddrCheckOracle::processOne(ThreadId tid, std::uint64_t index,
                             const Event &e)
 {
+    memoryAccesses_ += e.isMemoryAccess() ? 1 : 0;
     switch (e.kind) {
       case EventKind::Alloc: {
         checkKeys(tid, index, e.addr, e.size, false,

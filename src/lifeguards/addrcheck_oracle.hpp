@@ -33,8 +33,9 @@ class AddrCheckOracle
 
     /**
      * runOnTrace with the order already computed: @p order must be
-     * @p trace.gseqOrder(). Lets a caller that needs the order for other
-     * stages too compute it once.
+     * @p trace's execution order (its gseqOrder(), or the order
+     * interleave() emitted for it). Lets a caller that needs the order
+     * for other stages too compute it once.
      */
     void runInOrder(const Trace &trace, const std::vector<GseqRef> &order);
 
@@ -49,6 +50,11 @@ class AddrCheckOracle
     /** Number of metadata checks performed (cost-model feed). */
     std::uint64_t eventsChecked() const { return eventsChecked_; }
 
+    /** Memory-access events replayed (Event::isMemoryAccess): the
+     *  denominator of the paper's Fig. 13, counted in the replay's own
+     *  walk. */
+    std::uint64_t memoryAccesses() const { return memoryAccesses_; }
+
   private:
     void checkKeys(ThreadId tid, std::uint64_t index, Addr base,
                    std::uint16_t size, bool want_allocated,
@@ -58,6 +64,7 @@ class AddrCheckOracle
     ShadowMemory<std::uint8_t> allocated_{0};
     ErrorLog errors_;
     std::uint64_t eventsChecked_ = 0;
+    std::uint64_t memoryAccesses_ = 0;
 };
 
 } // namespace bfly

@@ -1,6 +1,7 @@
 #include "memmodel/interleaver.hpp"
 
 #include <deque>
+#include <limits>
 
 #include "common/logging.hpp"
 
@@ -57,40 +58,74 @@ rangesOverlap(const Event &a, const Event &b)
 } // namespace
 
 Trace
-interleave(const std::vector<std::vector<Event>> &programs,
-           const InterleaveConfig &config, Rng &rng)
+interleave(std::vector<std::vector<Event>> programs,
+           const InterleaveConfig &config, Rng &rng,
+           std::vector<GseqRef> *order)
 {
     const std::size_t nthreads = programs.size();
     ensure(nthreads > 0, "interleave needs at least one thread");
 
+    // The programs become the trace's threads; the interleaver stamps
+    // them in place.
     Trace trace;
     trace.threads.resize(nthreads);
+    std::size_t events = 0;
     for (std::size_t t = 0; t < nthreads; ++t) {
         trace.threads[t].tid = static_cast<ThreadId>(t);
-        trace.threads[t].events = programs[t];
+        trace.threads[t].events = std::move(programs[t]);
+        events += trace.threads[t].events.size();
+    }
+    auto program = [&trace](std::size_t t) -> std::vector<Event> & {
+        return trace.threads[t].events;
+    };
+    if (order) {
+        ensure(events <= std::numeric_limits<std::uint32_t>::max(),
+               "too many events for 32-bit instruction indices");
+        order->clear();
+        order->reserve(events);
     }
 
-    // Per-thread cursor into the program, and (TSO) a FIFO of indices of
+    // Per-thread cursor into the program, heartbeats passed so far (a
+    // position minus them is the instruction index), and (TSO) a FIFO of
     // buffered stores awaiting visibility.
+    struct Buffered
+    {
+        std::size_t position;
+        std::uint32_t index;
+    };
     std::vector<std::size_t> cursor(nthreads, 0);
-    std::vector<std::deque<std::size_t>> store_buffer(nthreads);
+    std::vector<std::size_t> heartbeats(nthreads, 0);
+    std::vector<std::deque<Buffered>> store_buffer(nthreads);
 
     std::uint64_t gseq = 1;
     std::size_t last_thread = nthreads;
     std::size_t burst = 0;
 
+    /** Make event @p position of thread @p t globally visible. */
+    auto stamp = [&](std::size_t t, std::size_t position,
+                     std::uint32_t index) {
+        Event &e = program(t)[position];
+        e.gseq = gseq++;
+        if (order)
+            order->push_back(GseqRef{&e, static_cast<ThreadId>(t), index});
+    };
+    auto stamp_oldest = [&](std::size_t t) {
+        const Buffered b = store_buffer[t].front();
+        store_buffer[t].pop_front();
+        stamp(t, b.position, b.index);
+    };
     auto finished = [&](std::size_t t) {
-        return cursor[t] >= programs[t].size() && store_buffer[t].empty();
+        return cursor[t] >= program(t).size() && store_buffer[t].empty();
     };
     auto at_barrier = [&](std::size_t t) {
-        return cursor[t] < programs[t].size() &&
-               programs[t][cursor[t]].kind == EventKind::Barrier;
+        return cursor[t] < program(t).size() &&
+               program(t)[cursor[t]].kind == EventKind::Barrier;
     };
     /** Thread can take a scheduler step right now. */
     auto steppable = [&](std::size_t t) {
         if (!store_buffer[t].empty())
             return true; // can always drain
-        return cursor[t] < programs[t].size() && !at_barrier(t);
+        return cursor[t] < program(t).size() && !at_barrier(t);
     };
 
     for (;;) {
@@ -108,7 +143,8 @@ interleave(const std::vector<std::vector<Event>> &programs,
         if (any_parked && all_parked_or_done) {
             for (std::size_t t = 0; t < nthreads; ++t) {
                 if (at_barrier(t)) {
-                    trace.threads[t].events[cursor[t]].gseq = gseq++;
+                    stamp(t, cursor[t], static_cast<std::uint32_t>(
+                                            cursor[t] - heartbeats[t]));
                     ++cursor[t];
                 }
             }
@@ -168,23 +204,25 @@ interleave(const std::vector<std::vector<Event>> &programs,
 
         auto &buf = store_buffer[t];
         const bool must_drain =
-            cursor[t] >= programs[t].size() || at_barrier(t);
+            cursor[t] >= program(t).size() || at_barrier(t);
 
         if (!buf.empty() &&
             (must_drain || rng.chance(config.drainProbability) ||
              buf.size() >= config.storeBufferDepth)) {
             // Oldest buffered store becomes globally visible.
-            trace.threads[t].events[buf.front()].gseq = gseq++;
-            buf.pop_front();
+            stamp_oldest(t);
             continue;
         }
         if (must_drain)
             continue;
 
         const std::size_t i = cursor[t]++;
-        Event &e = trace.threads[t].events[i];
-        if (e.kind == EventKind::Heartbeat)
+        const Event &e = program(t)[i];
+        if (e.kind == EventKind::Heartbeat) {
+            ++heartbeats[t];
             continue; // markers take no execution step
+        }
+        const auto index = static_cast<std::uint32_t>(i - heartbeats[t]);
 
         if (config.model == MemModel::TSO) {
             // Lock/unlock carry acquire/release semantics: on x86-TSO a
@@ -192,10 +230,8 @@ interleave(const std::vector<std::vector<Event>> &programs,
             // buffered store becomes visible before the sync operation.
             if (e.kind == EventKind::Lock ||
                 e.kind == EventKind::Unlock) {
-                while (!buf.empty()) {
-                    trace.threads[t].events[buf.front()].gseq = gseq++;
-                    buf.pop_front();
-                }
+                while (!buf.empty())
+                    stamp_oldest(t);
             }
             // Intra-thread dependences are respected (paper Section 4.4
             // assumption (i)): a TSO core forwards from its own store
@@ -205,23 +241,21 @@ interleave(const std::vector<std::vector<Event>> &programs,
             std::size_t drain_through = 0;
             bool found = false;
             for (std::size_t k = 0; k < buf.size(); ++k) {
-                if (rangesOverlap(trace.threads[t].events[buf[k]], e)) {
+                if (rangesOverlap(program(t)[buf[k].position], e)) {
                     drain_through = k;
                     found = true;
                 }
             }
             if (found) {
-                for (std::size_t k = 0; k <= drain_through; ++k) {
-                    trace.threads[t].events[buf.front()].gseq = gseq++;
-                    buf.pop_front();
-                }
+                for (std::size_t k = 0; k <= drain_through; ++k)
+                    stamp_oldest(t);
             }
         }
 
         if (config.model == MemModel::TSO && isStoreLike(e)) {
-            buf.push_back(i);
+            buf.push_back(Buffered{i, index});
         } else {
-            e.gseq = gseq++;
+            stamp(t, i, index);
         }
     }
     return trace;

@@ -65,14 +65,26 @@ struct InterleaveConfig
  *
  * @param programs  one event sequence per thread, program order; any
  *                  embedded Heartbeat markers are preserved in the output
- *                  trace but take no execution step
+ *                  trace but take no execution step. Taken by value and
+ *                  moved into the trace: a caller that keeps its
+ *                  programs passes a copy (an lvalue argument is copied),
+ *                  one that does not moves them in and pays no copy
  * @param config    model and scheduling parameters
  * @param rng       scheduling randomness (deterministic per seed)
+ * @param order     if not null, receives every event in the order it is
+ *                  stamped, which is ascending gseq: what
+ *                  Trace::gseqOrder() returns, without its sort (equal
+ *                  whenever every event is stamped, i.e. unless the
+ *                  barriers deadlock). Its refs point into the returned
+ *                  trace's events, so it is valid while that Trace (or
+ *                  one moved from it) lives, never for a copy; that is
+ *                  why it is kept outside the Trace.
  * @return a Trace whose threads hold the same events in program order with
  *         gseq stamped by global visibility order
  */
-Trace interleave(const std::vector<std::vector<Event>> &programs,
-                 const InterleaveConfig &config, Rng &rng);
+Trace interleave(std::vector<std::vector<Event>> programs,
+                 const InterleaveConfig &config, Rng &rng,
+                 std::vector<GseqRef> *order = nullptr);
 
 } // namespace bfly
 

@@ -80,8 +80,8 @@ class ConsumeRing
 } // namespace
 
 TimingResult
-simulateSpsc(const std::vector<Cycles> &prod_cost,
-             const std::vector<Cycles> &cons_cost, std::size_t capacity)
+simulateSpsc(std::span<const Cycles> prod_cost,
+             std::span<const Cycles> cons_cost, std::size_t capacity)
 {
     ensure(prod_cost.size() == cons_cost.size(),
            "producer/consumer cost streams must align");

@@ -75,8 +75,8 @@ struct TimingResult
  * @param cons_cost  lifeguard cycles to consume each record
  * @param capacity   log buffer capacity in records
  */
-TimingResult simulateSpsc(const std::vector<Cycles> &prod_cost,
-                          const std::vector<Cycles> &cons_cost,
+TimingResult simulateSpsc(std::span<const Cycles> prod_cost,
+                          std::span<const Cycles> cons_cost,
                           std::size_t capacity);
 
 /** Per-(thread, epoch) cost inputs for the butterfly timing model. */

@@ -7,12 +7,71 @@ namespace bfly::telemetry {
 
 namespace {
 
-/** Logical tid of this thread; kUnassigned until first use/pin. */
+/** Logical tid of this thread; kUnassigned until first use. */
 constexpr std::uint16_t kUnassignedTid = 0xFFFF;
 thread_local std::uint16_t t_logicalTid = kUnassignedTid;
 
-/** Monotonic auto-assignment for threads that never pin a tid. */
-std::atomic<std::uint32_t> g_nextAutoTid{0};
+/**
+ * Logical tids: never-used ones in ascending order, then those of
+ * threads that exited. A thread takes one on its first span and gives it
+ * back when it exits, so a process that starts a pool per session (as
+ * runSession does) keeps a bounded set of tids. The ring and the events
+ * of an exited thread stay; the next thread to take its tid appends to
+ * them, still one writer at a time. The mutex orders the old owner's
+ * last push before the new owner's first.
+ */
+class TidAllocator
+{
+  public:
+    std::uint16_t
+    take()
+    {
+        std::lock_guard<std::mutex> guard(mutex_);
+        if (!free_.empty()) {
+            const std::uint16_t tid = free_.back();
+            free_.pop_back();
+            return tid;
+        }
+        // Beyond kMaxTids live threads we keep handing out kMaxTids;
+        // ringFor() rejects it and counts the events as dropped rather
+        // than sharing a ring (which would break single-writer).
+        if (next_ < SpanTracer::kMaxTids)
+            return next_++;
+        return SpanTracer::kMaxTids;
+    }
+
+    void
+    give(std::uint16_t tid)
+    {
+        if (tid >= SpanTracer::kMaxTids)
+            return;
+        std::lock_guard<std::mutex> guard(mutex_);
+        free_.push_back(tid);
+    }
+
+  private:
+    std::mutex mutex_;
+    std::uint16_t next_ = 0;
+    std::vector<std::uint16_t> free_;
+};
+
+/** Never destroyed: threads may exit after static destructors ran. */
+TidAllocator &
+tids()
+{
+    static TidAllocator *a = new TidAllocator;
+    return *a;
+}
+
+/** Gives this thread's tid back when the thread exits. */
+struct TidRelease
+{
+    ~TidRelease()
+    {
+        if (t_logicalTid != kUnassignedTid)
+            tids().give(t_logicalTid);
+    }
+};
 
 } // namespace
 
@@ -38,13 +97,11 @@ std::uint16_t
 SpanTracer::currentTid()
 {
     if (t_logicalTid == kUnassignedTid) {
-        const std::uint32_t next =
-            g_nextAutoTid.fetch_add(1, std::memory_order_relaxed);
-        // Beyond kMaxTids auto-assigned threads we keep handing out ids;
-        // ringFor() rejects them and counts the events as dropped rather
-        // than sharing a ring (which would break single-writer).
-        t_logicalTid = static_cast<std::uint16_t>(
-            next < kMaxTids ? next : kMaxTids);
+        // Constructed on first use only, so the fast path above touches
+        // no thread_local with a destructor.
+        static thread_local TidRelease release;
+        (void)release;
+        t_logicalTid = tids().take();
     }
     return t_logicalTid;
 }

@@ -15,7 +15,9 @@
  *
  * Concurrency model: each ring has a single writer. A thread's wall-clock
  * spans go to the ring of its *logical tid*, auto-assigned on first use
- * and never shared between threads; simulated-pipeline events name their
+ * and never shared between live threads (a thread's tid is reused only
+ * after it exits, so a process may start any number of short-lived
+ * threads over its life); simulated-pipeline events name their
  * track explicitly and are written from one thread once the pool is idle.
  * Rings overwrite their oldest events on wrap; the drop count is
  * reported in the export. collect() is meant for quiescent points
@@ -113,7 +115,8 @@ class SpanTracer
 
     std::size_t ringCapacity() const { return capacity_; }
 
-    /** Current thread's logical tid (auto-assigns on first call). */
+    /** Current thread's logical tid (auto-assigns on first call; the
+     *  tid is freed for another thread when this one exits). */
     static std::uint16_t currentTid();
 
   private:

@@ -1,5 +1,7 @@
 #include "workloads/workload.hpp"
 
+#include <bit>
+
 #include "common/logging.hpp"
 
 namespace bfly {
@@ -11,6 +13,12 @@ ProgramBuilder::ProgramBuilder(const WorkloadConfig &config, Addr heap_base,
       programs_(config.numThreads)
 {
     ensure(config_.numThreads > 0, "workload needs at least one thread");
+    // Every kernel runs until budgetExhausted(), so each thread emits at
+    // least instrPerThread events: reserving the power of two doubling
+    // would reach for that budget never holds more than doubling did,
+    // and a thread that ends below it never reallocates.
+    for (auto &p : programs_)
+        p.reserve(std::bit_ceil(config_.instrPerThread));
 }
 
 staticpass::SiteId

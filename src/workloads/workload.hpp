@@ -82,7 +82,10 @@ struct Workload
 /**
  * Helper for emitting per-thread event programs against a shared simulated
  * heap. Tracks per-thread event counts so kernels can run until they hit
- * the configured budget.
+ * the configured budget. Each thread's program is reserved up front at
+ * the power of two at or above that budget, the capacity push_back's
+ * doubling would reach anyway, so a kernel that ends inside it (OCEAN at
+ * benchmark sizes) never reallocates or copies its program.
  */
 class ProgramBuilder
 {

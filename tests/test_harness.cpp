@@ -236,10 +236,12 @@ expectSameResult(const SessionResult &a, const SessionResult &b)
 
 /**
  * runSession composed from its public calls, one stage after another
- * on this thread: interleave, EpochLayout::byGlobalSeq,
- * WindowSchedule::run, AddrCheckOracle::runOnTrace, computePerformance.
- * Also checks that the perf model's two halves without a pool compose
- * to computePerformance.
+ * on this thread: interleave (copying the programs, without an emitted
+ * order), EpochLayout::byGlobalSeq, WindowSchedule::run,
+ * AddrCheckOracle::runOnTrace, computePerformance, and the counts read
+ * off the trace. Also checks that the perf model's stages without a
+ * pool (the application-half tasks in order, then the block pricing)
+ * compose to computePerformance.
  */
 SessionResult
 sequentialSession(const SessionConfig &cfg)
@@ -286,8 +288,10 @@ sequentialSession(const SessionConfig &cfg)
 
     const std::vector<GseqRef> order = monitored.gseqOrder();
     AppPerformance app(pin, order);
-    app.run(nullptr);
-    expectSamePerf(priceButterfly(app, pin), r.perf);
+    app.run();
+    BlockPricing blocks(app, pin);
+    blocks.run();
+    expectSamePerf(priceButterfly(app, blocks, pin), r.perf);
 
     if (cfg.elide) {
         for (const ThreadTrace &tt : trace.threads)
@@ -405,9 +409,11 @@ TEST(SessionStageGraph, TwentyRunsInARowAgree)
 
 TEST(SessionStageGraph, PerfHalvesRunInsideAPoolTask)
 {
-    // runSession calls AppPerformance::run from a pool task that then
-    // waits on its own replays: the nested wait must not deadlock, even
-    // on a one-thread pool whose only worker is the waiting task.
+    // runSession queues the application half's tasks and the block
+    // pricing on its pool, and whichever timesliced stream finishes
+    // last chains simulateSpsc inside its task. Here one task of a
+    // one-thread pool queues them all and waits: the nested wait must
+    // not deadlock, and the stages must compose to computePerformance.
     const SessionConfig cfg = baseConfig(makeOcean, 2);
     Workload workload = cfg.factory(cfg.workload);
     Rng rng(cfg.interleaveSeed);
@@ -426,21 +432,30 @@ TEST(SessionStageGraph, PerfHalvesRunInsideAPoolTask)
     pin.addrcheck = acfg;
 
     const std::vector<GseqRef> order = trace.gseqOrder();
+    AppPerformance app(pin, order);
+    BlockPricing blocks(app, pin);
     struct Stage
     {
-        AppPerformance app;
+        AppPerformance &app;
+        BlockPricing &blocks;
         WorkerPool pool{1};
-    } stage{AppPerformance(pin, order)};
+    } stage{app, blocks};
     TaskGroup group;
     stage.pool.submitTask(
         group,
         [](void *ctx, std::size_t) {
             Stage &s = *static_cast<Stage *>(ctx);
-            s.app.run(&s.pool);
+            TaskGroup tasks;
+            s.app.submit(s.pool, tasks);
+            s.blocks.submit(s.pool, tasks);
+            s.pool.waitGroup(tasks);
         },
         &stage, 0);
     stage.pool.waitGroup(group);
-    expectSamePerf(priceButterfly(stage.app, pin), computePerformance(pin));
+    const PerfReport staged = priceButterfly(app, blocks, pin);
+    EXPECT_GT(staged.timesliced.timing.totalCycles, 0u);
+    EXPECT_GT(staged.dbiSoftware.timing.totalCycles, 0u);
+    expectSamePerf(staged, computePerformance(pin));
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include "memmodel/interleaver.hpp"
 #include "memmodel/valid_orderings.hpp"
 #include "tests/helpers.hpp"
+#include "workloads/workload.hpp"
 
 namespace bfly {
 namespace {
@@ -122,6 +123,113 @@ TEST(InterleaverBarrier, NothingCrossesTheBarrier)
         }
         EXPECT_LT(max_before, min_after);
     }
+}
+
+/** Refs of @p emitted that differ from @p sorted, ref for ref. */
+std::size_t
+orderMismatches(const std::vector<GseqRef> &emitted,
+                const std::vector<GseqRef> &sorted)
+{
+    std::size_t bad = emitted.size() == sorted.size() ? 0 : 1;
+    for (std::size_t k = 0; k < std::min(emitted.size(), sorted.size());
+         ++k) {
+        bad += emitted[k].event != sorted[k].event ||
+                       emitted[k].thread != sorted[k].thread ||
+                       emitted[k].index != sorted[k].index
+                   ? 1
+                   : 0;
+    }
+    return bad;
+}
+
+TEST(Interleave, EmitsTheOrderItStamps)
+{
+    // The order interleave() emits as it stamps is Trace::gseqOrder(),
+    // ref for ref: on all six paper workloads, under SC and TSO, with
+    // the default scheduler, a burst bound and speed weights.
+    InterleaveConfig burst;
+    burst.maxBurst = 3;
+    InterleaveConfig weighted;
+    weighted.speedWeights = {1.0, 2.5, 0.5, 1.5};
+    const InterleaveConfig schedulers[] = {InterleaveConfig{}, burst,
+                                           weighted};
+    std::size_t cases = 0;
+    for (const auto &[name, factory] : paperWorkloads()) {
+        for (const MemModel model :
+             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+            for (const InterleaveConfig &scheduler : schedulers) {
+                SCOPED_TRACE(name);
+                WorkloadConfig wc;
+                wc.instrPerThread = 3000;
+                wc.warmupNops = 200;
+                InterleaveConfig cfg = scheduler;
+                cfg.model = model;
+                Rng rng(17);
+                std::vector<GseqRef> order;
+                const Trace trace =
+                    interleave(factory(wc).programs, cfg, rng, &order);
+                EXPECT_EQ(order.size(), trace.instructionCount());
+                EXPECT_EQ(orderMismatches(order, trace.gseqOrder()), 0u);
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 36u);
+}
+
+TEST(Interleave, EmittedOrderSkipsHeartbeatsInItsIndices)
+{
+    // Embedded markers take no step and no instruction index: the
+    // emitted refs still count instructions only, as gseqOrder does.
+    WorkloadConfig wc;
+    wc.numThreads = 3;
+    wc.instrPerThread = 2000;
+    for (const MemModel model :
+         {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+        std::vector<std::vector<Event>> programs;
+        for (const auto &program : makeOcean(wc).programs) {
+            programs.emplace_back();
+            for (std::size_t i = 0; i < program.size(); ++i) {
+                if (i % 97 == 0)
+                    programs.back().push_back(Event::heartbeat());
+                programs.back().push_back(program[i]);
+            }
+        }
+        InterleaveConfig cfg;
+        cfg.model = model;
+        Rng rng(5);
+        std::vector<GseqRef> order;
+        const Trace trace =
+            interleave(std::move(programs), cfg, rng, &order);
+        EXPECT_EQ(orderMismatches(order, trace.gseqOrder()), 0u);
+    }
+}
+
+TEST(Interleave, LeavesAnLvalueArgumentUntouched)
+{
+    // Callers that keep their programs pass them as lvalues, which
+    // interleave() copies: the stamps land in the trace only.
+    WorkloadConfig wc;
+    wc.instrPerThread = 2000;
+    const Workload w = makeOcean(wc);
+    std::vector<std::vector<Event>> programs = w.programs;
+    Rng rng(9);
+    const Trace trace = interleave(programs, InterleaveConfig{}, rng);
+    ASSERT_EQ(programs.size(), w.programs.size());
+    std::size_t stamped = 0;
+    for (std::size_t t = 0; t < programs.size(); ++t) {
+        ASSERT_EQ(programs[t].size(), w.programs[t].size());
+        ASSERT_EQ(trace.threads[t].events.size(), programs[t].size());
+        for (std::size_t i = 0; i < programs[t].size(); ++i) {
+            const Event &kept = programs[t][i];
+            const Event &orig = w.programs[t][i];
+            EXPECT_EQ(kept.gseq, orig.gseq);
+            EXPECT_EQ(kept.kind, orig.kind);
+            EXPECT_EQ(kept.addr, orig.addr);
+            stamped += trace.threads[t].events[i].gseq != kept.gseq;
+        }
+    }
+    EXPECT_EQ(stamped, trace.instructionCount());
 }
 
 TEST(ValidOrderings, CountsSingleEpochInterleavings)

@@ -572,9 +572,10 @@ TEST_F(TelemetryTest, SessionMetricsMatchSessionResult)
 
 TEST_F(TelemetryTest, StageSpansLandBesidePassSpans)
 {
-    // The oracle and the perf model's replays run on pool threads while
-    // the session thread runs the butterfly passes: every span must
-    // arrive exactly once, with nothing dropped.
+    // The oracle, the perf model's application-half tasks and the block
+    // pricing run on pool threads while the session thread runs the
+    // butterfly passes: every span must arrive exactly once, with
+    // nothing dropped.
     SessionConfig cfg;
     cfg.factory = makeRandomMix;
     cfg.workload.numThreads = 4;
@@ -590,14 +591,67 @@ TEST_F(TelemetryTest, StageSpansLandBesidePassSpans)
         if (e.pid == SpanTracer::kWallPid)
             ++spans[e.name];
     for (const char *stage :
-         {"session", "session.oracle", "session.perf_app",
-          "perf.app_replay_parallel", "perf.app_replay_serial",
-          "perf.sequential_baseline", "perf.dbi", "perf.timesliced",
-          "session.epoch_slice", "session.butterfly", "session.perf_model",
-          "perf.butterfly"})
+         {"session", "session.generate", "session.interleave",
+          "session.oracle", "perf.app_replay_parallel",
+          "perf.app_replay_serial", "perf.consumer_stream",
+          "perf.sequential_baseline", "perf.timesliced",
+          "session.epoch_slice", "perf.block_pricing", "session.butterfly",
+          "session.perf_model", "perf.butterfly"})
         EXPECT_EQ(spans[stage], 1u) << stage;
     EXPECT_EQ(spans["block.pass1"], 4u * r.epochs);
     EXPECT_EQ(spans["block.pass2"], 4u * r.epochs);
+    EXPECT_EQ(telemetry::tracer().dropped(), 0u);
+}
+
+TEST_F(TelemetryTest, HundredTracedSessionsKeepTheirStageSpans)
+{
+    // runSession starts a three-thread pool per session. A thread's
+    // span tid is freed when it exits, so a long-lived traced process
+    // never runs out of tids: every session keeps its stage spans.
+    SessionConfig cfg;
+    cfg.factory = makeFft;
+    cfg.workload.numThreads = 2;
+    cfg.workload.instrPerThread = 1500;
+    cfg.workload.phaseEvents = 500;
+    cfg.epochSize = 256;
+    for (int session = 0; session < 100; ++session) {
+        SCOPED_TRACE(session);
+        telemetry::tracer().clear();
+        runSession(cfg);
+        std::map<std::string, std::size_t> spans;
+        for (const ResolvedEvent &e : telemetry::tracer().collect())
+            if (e.pid == SpanTracer::kWallPid)
+                ++spans[e.name];
+        for (const char *stage :
+             {"session.interleave", "session.oracle",
+              "perf.app_replay_parallel", "perf.app_replay_serial",
+              "perf.consumer_stream", "perf.sequential_baseline",
+              "perf.timesliced", "perf.block_pricing", "session.butterfly",
+              "session.perf_model"})
+            ASSERT_EQ(spans[stage], 1u) << stage;
+        ASSERT_EQ(telemetry::tracer().dropped(), 0u);
+    }
+}
+
+TEST_F(TelemetryTest, AnExitedThreadsTidIsReusedAndItsEventsStay)
+{
+    // Twice as many short-lived threads as there are tids, one after
+    // another: each thread's span lands, none is dropped, and the
+    // threads share a handful of tids (each takes a freed one).
+    const std::size_t threads = 2 * SpanTracer::kMaxTids;
+    for (std::size_t k = 0; k < threads; ++k)
+        std::thread([] { telemetry::TraceSpan span("test.short_lived"); })
+            .join();
+    std::size_t spans = 0;
+    std::set<std::uint16_t> tids;
+    for (const ResolvedEvent &e : telemetry::tracer().collect()) {
+        if (e.name == "test.short_lived") {
+            ++spans;
+            tids.insert(e.tid);
+        }
+    }
+    EXPECT_EQ(spans, threads);
+    EXPECT_LT(tids.size(), std::size_t{SpanTracer::kMaxTids});
     EXPECT_EQ(telemetry::tracer().dropped(), 0u);
 }
 
@@ -681,8 +735,8 @@ TEST_F(TelemetryTest, AddrCheckFlushesItsTalliesOncePerBlock)
     EXPECT_EQ(snap.value("bfly.addrcheck.lsos_probes"), first_touches);
 }
 
-/** Forwards to ADDRCHECK, reading the key-table gauge after each
- *  pass-1 block. */
+/** Forwards to ADDRCHECK, reading the key-table and wing-table gauges
+ *  after each pass-1 block. */
 class TableSlotsRecorder final : public AnalysisDriver
 {
   public:
@@ -694,12 +748,14 @@ class TableSlotsRecorder final : public AnalysisDriver
         inner_.pass1(block);
         auto &reg = telemetry::registry();
         slots.push_back(reg.value(reg.gauge("bfly.addrcheck.table_slots")));
+        wings.push_back(reg.value(reg.gauge("bfly.addrcheck.wing_slots")));
     }
 
     void pass2(const BlockView &block) override { inner_.pass2(block); }
     void finalizeEpoch(EpochId l) override { inner_.finalizeEpoch(l); }
 
     std::vector<std::uint64_t> slots; ///< after each pass-1 block
+    std::vector<std::uint64_t> wings; ///< after each pass-1 block
 
   private:
     ButterflyAddrCheck &inner_;
@@ -739,6 +795,53 @@ TEST_F(TelemetryTest, AddrCheckKeyTablesShrinkAfterAnAllocationHeavyBlock)
     // Four ring slots, each within a small multiple of what a two-key
     // block needs.
     EXPECT_LE(recorder.slots.back(), 4u * 64);
+}
+
+TEST_F(TelemetryTest, AddrCheckWingTablesShrinkAfterAnAllocationHeavyEpoch)
+{
+    // Two threads. Epoch 0 allocates 32 768 keys on thread 0; from
+    // epoch 2 on, when the allocations are in the SOS, each epoch reads
+    // two of them on each thread. The heavy epoch's wing table must not
+    // stay at its size for the rest of the walk.
+    constexpr Addr kBase = 0x100000;
+    constexpr std::uint16_t kChunk = 0x8000; // 4 096 keys of 8 bytes
+    constexpr std::size_t kChunks = 8;
+    constexpr std::size_t kSmallEpochs = 100;
+    std::vector<std::vector<Event>> programs(2);
+    for (std::size_t k = 0; k < kChunks; ++k)
+        programs[0].push_back(Event::alloc(kBase + k * kChunk, kChunk));
+    for (std::size_t l = 0; l < kSmallEpochs; ++l) {
+        for (std::size_t t = 0; t < 2; ++t) {
+            programs[t].push_back(Event::heartbeat());
+            if (l == 0)
+                continue;
+            programs[t].push_back(Event::read(kBase + 16 * l + 8 * t, 8));
+            programs[t].push_back(Event::read(kBase + 16 * l + 4096, 8));
+        }
+    }
+    const Trace trace = test::traceOf(std::move(programs));
+    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    ASSERT_EQ(layout.numEpochs(), kSmallEpochs + 1);
+
+    AddrCheckConfig cfg;
+    ButterflyAddrCheck check(layout, cfg);
+    TableSlotsRecorder recorder(check);
+    WindowSchedule().run(layout, recorder);
+    ASSERT_EQ(recorder.wings.size(), 2 * (kSmallEpochs + 1));
+
+    // At most half full while it holds the heavy epoch's keys.
+    const std::uint64_t heavy_keys = kChunks * kChunk / 8;
+    EXPECT_GE(*std::max_element(recorder.wings.begin(),
+                                recorder.wings.end()),
+              2 * heavy_keys);
+    // Four ring slots, each within a small multiple of what a
+    // three-key epoch needs.
+    EXPECT_LE(recorder.wings.back(), 4u * 64);
+
+    // Every read hits a live allocation, and every key stays in the
+    // SOS, whatever size the tables have.
+    EXPECT_TRUE(check.errors().empty());
+    EXPECT_EQ(check.sosNow().size(), heavy_keys);
 }
 
 } // namespace

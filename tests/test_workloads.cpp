@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "memmodel/interleaver.hpp"
 #include "workloads/bugs.hpp"
 #include "workloads/workload.hpp"
@@ -111,6 +113,60 @@ TEST_P(PaperWorkloads, FreesCarrySizes)
 INSTANTIATE_TEST_SUITE_P(
     Suite, PaperWorkloads, ::testing::ValuesIn(paperWorkloads()),
     [](const auto &info) { return info.param.first; });
+
+TEST(ProgramBuilder, OceanKeepsTheCapacityItReserved)
+{
+    // session-ocean's shape. The builder reserves every program before
+    // the first event, and every thread ends inside that reservation,
+    // so no program reallocates (or copies itself) while it grows.
+    WorkloadConfig cfg;
+    cfg.numThreads = 4;
+    cfg.instrPerThread = 100000;
+    cfg.phaseEvents = 9000;
+    cfg.warmupNops = 3 * 2048;
+    const Workload empty =
+        ProgramBuilder(cfg, 0x10000000, 1 << 20).finish("empty");
+    for (const auto &program : empty.programs)
+        EXPECT_EQ(program.capacity(), std::bit_ceil(cfg.instrPerThread));
+    for (std::uint64_t seed : {1u, 2u}) {
+        cfg.seed = seed;
+        const Workload w = makeOcean(cfg);
+        for (const auto &program : w.programs) {
+            EXPECT_GT(program.size(), cfg.instrPerThread);
+            EXPECT_EQ(program.capacity(),
+                      std::bit_ceil(cfg.instrPerThread));
+        }
+    }
+}
+
+TEST(ProgramBuilder, NoKernelHoldsMoreThanDoublingGave)
+{
+    // push_back's doubling ends at the power of two at or above a
+    // program's final size; the reservation must never hold more, even
+    // where a kernel overshoots its budget (LU ends up to 36% past it
+    // at the default sizes, and about twice past it on eight threads).
+    std::vector<std::pair<std::string, WorkloadFactory>> kernels =
+        paperWorkloads();
+    kernels.emplace_back("randommix", makeRandomMix);
+    kernels.emplace_back("taintmix", makeTaintMix);
+    WorkloadConfig defaults;
+    WorkloadConfig warm = smallConfig();
+    warm.warmupNops = 3 * 512;
+    warm.phaseEvents = 1500;
+    WorkloadConfig wide;
+    wide.numThreads = 8;
+    wide.phaseEvents = 2000;
+    wide.warmupNops = 2000;
+    for (const WorkloadConfig &cfg : {defaults, smallConfig(), warm, wide}) {
+        for (const auto &[name, factory] : kernels) {
+            const Workload w = factory(cfg);
+            for (const auto &program : w.programs)
+                EXPECT_LE(program.capacity(), std::bit_ceil(program.size()))
+                    << name << " at " << cfg.instrPerThread << " x "
+                    << cfg.numThreads;
+        }
+    }
+}
 
 TEST(Workloads, SharingStructureDiffers)
 {
