@@ -1,8 +1,8 @@
 /**
  * @file
  * Hot-path microbenchmarks: three substrates this repo's monitoring
- * overhead is built from, and one lifeguard kernel, each reporting the
- * tree's own throughput:
+ * overhead is built from, one lifeguard kernel and two simulator loops,
+ * each reporting the tree's own throughput:
  *
  *   dispatch       one task group per pass on the persistent WorkerPool;
  *   set_algebra    the open-addressed inline-buffered FlatSet, over the
@@ -13,7 +13,13 @@
  *                  sequential pointwise traffic;
  *   addrcheck_walk ADDRCHECK's window walk (pass 1, pass 2, finalize)
  *                  over an EpochStream of a serve-long-shaped OCEAN
- *                  trace, in key checks per second.
+ *                  trace, in key checks per second;
+ *   interleave     the SC interleaver over session-ocean's programs
+ *                  (OCEAN, 4 threads x 100 000 instructions), emitting
+ *                  its order, in events per second;
+ *   cmp_replay     that order through the perf model's 2T-core CMP (T
+ *                  application cores, T idle lifeguard cores), in
+ *                  memory accesses per second.
  *
  * A change to one of these is judged by an interleaved A/B of this
  * binary against a build of the parent commit; the numbers of one run
@@ -40,6 +46,7 @@
 #include "common/worker_pool.hpp"
 #include "lifeguards/addrcheck.hpp"
 #include "memmodel/interleaver.hpp"
+#include "sim/cmp.hpp"
 #include "workloads/workload.hpp"
 
 namespace bfly {
@@ -241,6 +248,82 @@ benchAddrCheckWalk(bool quick)
     return {"addrcheck_walk", static_cast<double>(checks) / secs};
 }
 
+// ---------------------------------------------------------------------
+// Groups 5 and 6: the simulator's per-event loops.
+// ---------------------------------------------------------------------
+
+/** session-ocean's workload: OCEAN, 4 threads, h = 2048. */
+Workload
+sessionOceanWorkload(bool quick)
+{
+    constexpr std::size_t kH = 2048;
+    WorkloadConfig wc;
+    wc.numThreads = 4;
+    wc.instrPerThread = quick ? 20000 : 100000;
+    wc.phaseEvents = 9000;
+    wc.warmupNops = 3 * kH;
+    wc.seed = 1;
+    return makeOcean(wc);
+}
+
+GroupResult
+benchInterleave(bool quick)
+{
+    // The programs are built, and copied for each run, outside the
+    // timed region; interleave() consumes its copy.
+    const Workload workload = sessionOceanWorkload(quick);
+    const std::size_t reps = quick ? 1 : 10;
+    std::vector<GseqRef> order;
+    std::uint64_t events = 0;
+    double secs = 0;
+    for (std::size_t r = 0; r < reps; ++r) {
+        std::vector<std::vector<Event>> programs = workload.programs;
+        Rng rng(2 + r);
+        const double t0 = now();
+        const Trace trace = interleave(std::move(programs),
+                                       InterleaveConfig{}, rng, &order);
+        secs += now() - t0;
+        events += order.size();
+        g_sink.fetch_add(trace.numThreads(), std::memory_order_relaxed);
+    }
+    return {"interleave", static_cast<double>(events) / secs};
+}
+
+GroupResult
+benchCmpReplay(bool quick)
+{
+    // The perf model's parallel replay: each event's memory access on
+    // its thread's core, in the emitted (gseq) order.
+    const Workload workload = sessionOceanWorkload(quick);
+    Rng rng(2);
+    std::vector<GseqRef> order;
+    const Trace trace =
+        interleave(workload.programs, InterleaveConfig{}, rng, &order);
+    const auto cores = static_cast<unsigned>(2 * trace.numThreads());
+
+    const std::size_t reps = quick ? 1 : 10;
+    std::uint64_t accesses = 0;
+    double secs = 0;
+    for (std::size_t r = 0; r < reps; ++r) {
+        Cmp cmp(CmpConfig::forCores(cores));
+        Cycles cycles = 0;
+        const double t0 = now();
+        for (const GseqRef &ref : order) {
+            const Event &e = *ref.event;
+            if (!e.isMemoryAccess() && e.kind != EventKind::Alloc &&
+                e.kind != EventKind::Free)
+                continue;
+            const bool is_write =
+                e.kind != EventKind::Read && e.kind != EventKind::Use;
+            cycles += cmp.access(ref.thread, e.addr, is_write);
+            ++accesses;
+        }
+        secs += now() - t0;
+        g_sink.fetch_add(cycles, std::memory_order_relaxed);
+    }
+    return {"cmp_replay", static_cast<double>(accesses) / secs};
+}
+
 } // namespace
 } // namespace bfly
 
@@ -259,6 +342,8 @@ main(int argc, char **argv)
         bfly::benchSetAlgebra(quick),
         bfly::benchShadowRange(quick),
         bfly::benchAddrCheckWalk(quick),
+        bfly::benchInterleave(quick),
+        bfly::benchCmpReplay(quick),
     };
 
     std::printf("%-16s %16s\n", "group", "ops/s");

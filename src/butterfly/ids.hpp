@@ -52,8 +52,14 @@ struct InstrId
     std::string
     toString() const
     {
-        return "(" + std::to_string(l) + "," + std::to_string(t) + "," +
-               std::to_string(i) + ")";
+        std::string s = "(";
+        s += std::to_string(l);
+        s += ',';
+        s += std::to_string(t);
+        s += ',';
+        s += std::to_string(i);
+        s += ')';
+        return s;
     }
 };
 

@@ -55,8 +55,12 @@ class Rng
     {
         ensure(bound > 0, "Rng::below bound must be positive");
         // Rejection-free Lemire reduction is overkill here; modulo bias is
-        // negligible for the bounds we use (all << 2^64).
-        return next() % bound;
+        // negligible for the bounds we use (all << 2^64). A power-of-two
+        // bound masks, which is the same value as the modulo.
+        const std::uint64_t x = next();
+        if ((bound & (bound - 1)) == 0)
+            return x & (bound - 1);
+        return x % bound;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */

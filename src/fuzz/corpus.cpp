@@ -82,8 +82,7 @@ struct Reader
 std::vector<std::uint8_t>
 encodeCase(const FuzzCase &c)
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + 4);
+    std::vector<std::uint8_t> out(kMagic, kMagic + 4);
     out.push_back(kVersion);
     putU64(out, c.caseId);
     putU64(out, c.interleaveSeed);

@@ -55,6 +55,48 @@ rangesOverlap(const Event &a, const Event &b)
     return false;
 }
 
+/** A buffered store: its event's position and instruction index. */
+struct Buffered
+{
+    std::size_t position;
+    std::uint32_t index;
+};
+
+/**
+ * Where a thread stands for the scheduler; exactly one holds. It can
+ * take a step (drain a buffered store, or run an instruction that is
+ * not a barrier), it is parked at a barrier with its store buffer
+ * drained (barriers are fences), or it has run and drained everything.
+ */
+enum Status : std::uint8_t { kSteppable, kParked, kFinished };
+
+/** One thread's progress through its program. */
+struct Runner
+{
+    Event *events = nullptr;
+    std::size_t size = 0;
+    std::size_t cursor = 0;      ///< next event to run
+    std::size_t heartbeats = 0;  ///< markers passed so far
+    std::deque<Buffered> buffer; ///< (TSO) stores awaiting visibility
+    Status status = kFinished;
+
+    bool
+    atBarrier() const
+    {
+        return cursor < size && events[cursor].kind == EventKind::Barrier;
+    }
+
+    Status
+    classify() const
+    {
+        if (!buffer.empty())
+            return kSteppable; // can always drain
+        if (cursor >= size)
+            return kFinished;
+        return atBarrier() ? kParked : kSteppable;
+    }
+};
+
 } // namespace
 
 Trace
@@ -75,9 +117,6 @@ interleave(std::vector<std::vector<Event>> programs,
         trace.threads[t].events = std::move(programs[t]);
         events += trace.threads[t].events.size();
     }
-    auto program = [&trace](std::size_t t) -> std::vector<Event> & {
-        return trace.threads[t].events;
-    };
     if (order) {
         ensure(events <= std::numeric_limits<std::uint32_t>::max(),
                "too many events for 32-bit instruction indices");
@@ -85,17 +124,24 @@ interleave(std::vector<std::vector<Event>> programs,
         order->reserve(events);
     }
 
-    // Per-thread cursor into the program, heartbeats passed so far (a
-    // position minus them is the instruction index), and (TSO) a FIFO of
-    // buffered stores awaiting visibility.
-    struct Buffered
-    {
-        std::size_t position;
-        std::uint32_t index;
+    // Each thread's state is kept current, with a count per state, so a
+    // step looks only at the thread it moved (a position minus the
+    // heartbeats passed is the instruction index).
+    std::vector<Runner> threads(nthreads);
+    std::size_t count[3] = {0, 0, 0};
+    for (std::size_t t = 0; t < nthreads; ++t) {
+        Runner &r = threads[t];
+        r.events = trace.threads[t].events.data();
+        r.size = trace.threads[t].events.size();
+        r.status = r.classify();
+        ++count[r.status];
+    }
+    auto refresh = [&](Runner &r) {
+        const Status s = r.classify();
+        --count[r.status];
+        ++count[s];
+        r.status = s;
     };
-    std::vector<std::size_t> cursor(nthreads, 0);
-    std::vector<std::size_t> heartbeats(nthreads, 0);
-    std::vector<std::deque<Buffered>> store_buffer(nthreads);
 
     std::uint64_t gseq = 1;
     std::size_t last_thread = nthreads;
@@ -104,125 +150,38 @@ interleave(std::vector<std::vector<Event>> programs,
     /** Make event @p position of thread @p t globally visible. */
     auto stamp = [&](std::size_t t, std::size_t position,
                      std::uint32_t index) {
-        Event &e = program(t)[position];
+        Event &e = threads[t].events[position];
         e.gseq = gseq++;
         if (order)
             order->push_back(GseqRef{&e, static_cast<ThreadId>(t), index});
     };
     auto stamp_oldest = [&](std::size_t t) {
-        const Buffered b = store_buffer[t].front();
-        store_buffer[t].pop_front();
+        const Buffered b = threads[t].buffer.front();
+        threads[t].buffer.pop_front();
         stamp(t, b.position, b.index);
     };
-    auto finished = [&](std::size_t t) {
-        return cursor[t] >= program(t).size() && store_buffer[t].empty();
-    };
-    auto at_barrier = [&](std::size_t t) {
-        return cursor[t] < program(t).size() &&
-               program(t)[cursor[t]].kind == EventKind::Barrier;
-    };
-    /** Thread can take a scheduler step right now. */
-    auto steppable = [&](std::size_t t) {
-        if (!store_buffer[t].empty())
-            return true; // can always drain
-        return cursor[t] < program(t).size() && !at_barrier(t);
-    };
 
-    for (;;) {
-        // Barrier release: every thread is finished, or parked at a
-        // barrier with a drained store buffer (barriers are fences).
-        bool any_parked = false;
-        bool all_parked_or_done = true;
-        for (std::size_t t = 0; t < nthreads; ++t) {
-            if (at_barrier(t) && store_buffer[t].empty()) {
-                any_parked = true;
-            } else if (!finished(t)) {
-                all_parked_or_done = false;
-            }
-        }
-        if (any_parked && all_parked_or_done) {
-            for (std::size_t t = 0; t < nthreads; ++t) {
-                if (at_barrier(t)) {
-                    stamp(t, cursor[t], static_cast<std::uint32_t>(
-                                            cursor[t] - heartbeats[t]));
-                    ++cursor[t];
-                }
-            }
-            continue;
-        }
-
-        bool any = false;
-        for (std::size_t t = 0; t < nthreads; ++t)
-            any = any || steppable(t);
-        if (!any)
-            break; // all finished (or deadlocked barrier; callers emit
-                   // barriers symmetrically so this means done)
-
-        // Pick a steppable thread, honouring speed weights and the
-        // fairness bound.
-        std::size_t t;
-        for (;;) {
-            if (!config.speedWeights.empty()) {
-                double total = 0;
-                for (std::size_t u = 0; u < nthreads; ++u)
-                    if (steppable(u))
-                        total += config.speedWeights[u];
-                double pick = rng.uniform() * total;
-                t = nthreads;
-                for (std::size_t u = 0; u < nthreads; ++u) {
-                    if (!steppable(u))
-                        continue;
-                    pick -= config.speedWeights[u];
-                    if (pick <= 0) {
-                        t = u;
-                        break;
-                    }
-                }
-                if (t == nthreads)
-                    continue;
-            } else {
-                t = rng.below(nthreads);
-            }
-            if (!steppable(t))
-                continue;
-            if (config.maxBurst > 0 && t == last_thread &&
-                burst >= config.maxBurst && nthreads > 1) {
-                bool other = false;
-                for (std::size_t u = 0; u < nthreads; ++u)
-                    other = other || (u != t && steppable(u));
-                if (other)
-                    continue;
-            }
-            break;
-        }
-        if (t == last_thread) {
-            ++burst;
-        } else {
-            last_thread = t;
-            burst = 1;
-        }
-
-        auto &buf = store_buffer[t];
-        const bool must_drain =
-            cursor[t] >= program(t).size() || at_barrier(t);
-
+    /** Thread @p t takes one scheduler step. */
+    auto step = [&](std::size_t t) {
+        Runner &r = threads[t];
+        std::deque<Buffered> &buf = r.buffer;
         if (!buf.empty() &&
-            (must_drain || rng.chance(config.drainProbability) ||
+            (r.cursor >= r.size || r.atBarrier() ||
+             rng.chance(config.drainProbability) ||
              buf.size() >= config.storeBufferDepth)) {
             // Oldest buffered store becomes globally visible.
             stamp_oldest(t);
-            continue;
+            return;
         }
-        if (must_drain)
-            continue;
-
-        const std::size_t i = cursor[t]++;
-        const Event &e = program(t)[i];
+        // A steppable thread with no store to drain has an instruction
+        // to run, and it is not a barrier.
+        const std::size_t i = r.cursor++;
+        const Event &e = r.events[i];
         if (e.kind == EventKind::Heartbeat) {
-            ++heartbeats[t];
-            continue; // markers take no execution step
+            ++r.heartbeats;
+            return; // markers take no execution step
         }
-        const auto index = static_cast<std::uint32_t>(i - heartbeats[t]);
+        const auto index = static_cast<std::uint32_t>(i - r.heartbeats);
 
         if (config.model == MemModel::TSO) {
             // Lock/unlock carry acquire/release semantics: on x86-TSO a
@@ -238,25 +197,79 @@ interleave(std::vector<std::vector<Event>> programs,
             // buffer, so any buffered store to an overlapping address
             // must become visible no later than this event. Drain the
             // FIFO through the last overlapping store.
-            std::size_t drain_through = 0;
-            bool found = false;
-            for (std::size_t k = 0; k < buf.size(); ++k) {
-                if (rangesOverlap(program(t)[buf[k].position], e)) {
-                    drain_through = k;
-                    found = true;
-                }
+            std::size_t drain = 0;
+            for (std::size_t k = 0; k < buf.size(); ++k)
+                if (rangesOverlap(r.events[buf[k].position], e))
+                    drain = k + 1;
+            for (; drain > 0; --drain)
+                stamp_oldest(t);
+            if (isStoreLike(e)) {
+                buf.push_back(Buffered{i, index});
+                return;
             }
-            if (found) {
-                for (std::size_t k = 0; k <= drain_through; ++k)
-                    stamp_oldest(t);
+        }
+        stamp(t, i, index);
+    };
+
+    for (;;) {
+        if (count[kSteppable] == 0) {
+            // All finished (or a deadlocked barrier; callers emit
+            // barriers symmetrically so this means done).
+            if (count[kParked] == 0)
+                break;
+            // Barrier release: every thread is finished or parked.
+            for (std::size_t t = 0; t < nthreads; ++t) {
+                Runner &r = threads[t];
+                if (r.status != kParked)
+                    continue;
+                stamp(t, r.cursor,
+                      static_cast<std::uint32_t>(r.cursor - r.heartbeats));
+                ++r.cursor;
+                refresh(r);
             }
+            continue;
         }
 
-        if (config.model == MemModel::TSO && isStoreLike(e)) {
-            buf.push_back(Buffered{i, index});
-        } else {
-            stamp(t, i, index);
+        // Pick a steppable thread, honouring speed weights and the
+        // fairness bound.
+        std::size_t t;
+        for (;;) {
+            if (!config.speedWeights.empty()) {
+                double total = 0;
+                for (std::size_t u = 0; u < nthreads; ++u)
+                    if (threads[u].status == kSteppable)
+                        total += config.speedWeights[u];
+                double pick = rng.uniform() * total;
+                t = nthreads;
+                for (std::size_t u = 0; u < nthreads; ++u) {
+                    if (threads[u].status != kSteppable)
+                        continue;
+                    pick -= config.speedWeights[u];
+                    if (pick <= 0) {
+                        t = u;
+                        break;
+                    }
+                }
+                if (t == nthreads)
+                    continue;
+            } else {
+                t = rng.below(nthreads);
+                if (threads[t].status != kSteppable)
+                    continue;
+            }
+            if (config.maxBurst > 0 && t == last_thread &&
+                burst >= config.maxBurst && count[kSteppable] > 1)
+                continue;
+            break;
         }
+        if (t == last_thread) {
+            ++burst;
+        } else {
+            last_thread = t;
+            burst = 1;
+        }
+        step(t);
+        refresh(threads[t]);
     }
     return trace;
 }

@@ -5,7 +5,8 @@
  * Functional-for-timing only: the model tracks which lines are resident so
  * the CMP can charge hit/miss latencies (Table 1 of the paper); it stores no
  * data. Invalidation hooks support the write-invalidate coherence the CMP
- * layer implements across L1s.
+ * layer implements across L1s. The geometry is a power of two throughout,
+ * so a line, a set and a bank are a shift and a mask away from an address.
  */
 
 #ifndef BUTTERFLY_SIM_CACHE_HPP
@@ -18,7 +19,11 @@
 
 namespace bfly {
 
-/** Geometry and latency of one cache level. */
+/**
+ * Geometry and latency of one cache level. lineBytes (at least 2),
+ * indexDivisor and numSets() must be powers of two; Cache refuses any
+ * other geometry.
+ */
 struct CacheConfig
 {
     std::size_t sizeBytes = 64 * 1024;
@@ -40,6 +45,7 @@ struct CacheConfig
 class Cache
 {
   public:
+    /** Refuses a geometry that is not a power of two (see CacheConfig). */
     explicit Cache(const CacheConfig &config);
 
     /**
@@ -51,11 +57,17 @@ class Cache
     /** True if the line containing @p addr is resident (no state change). */
     bool probe(Addr addr) const;
 
-    /** Drop the line containing @p addr if resident. */
-    void invalidate(Addr addr);
+    /**
+     * Drop the line containing @p addr if resident.
+     * @return true if it was resident.
+     */
+    bool invalidate(Addr addr);
 
     /** Drop everything. */
     void flush();
+
+    /** True if no line is resident. */
+    bool empty() const { return resident_ == 0; }
 
     const CacheConfig &config() const { return config_; }
     std::uint64_t hits() const { return hits_; }
@@ -63,24 +75,27 @@ class Cache
     std::uint64_t invalidations() const { return invalidations_; }
 
   private:
-    struct Way
-    {
-        Addr tag = kNoAddr;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** Tag of an empty way; no line of two bytes or more reaches it. */
+    static constexpr Addr kEmpty = kNoAddr;
 
-    Addr lineOf(Addr addr) const { return addr / config_.lineBytes; }
+    Addr lineOf(Addr addr) const { return addr >> lineShift_; }
 
+    /** Index of the first way of @p line's set. */
     std::size_t
-    setOf(Addr line) const
+    baseOf(Addr line) const
     {
-        return (line / config_.indexDivisor) % numSets_;
+        return ((line >> indexShift_) & setMask_) * config_.assoc;
     }
 
     CacheConfig config_;
-    std::size_t numSets_;
-    std::vector<Way> ways_;  ///< numSets_ x assoc, row-major
+    unsigned lineShift_ = 0;
+    unsigned indexShift_ = 0;
+    std::size_t setMask_ = 0;
+    // Ways, numSets x assoc, row-major: the resident line (kEmpty if
+    // none) and the clock_ value of its last use.
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::size_t resident_ = 0;
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -1,5 +1,7 @@
 #include "sim/cmp.hpp"
 
+#include <bit>
+
 #include "common/logging.hpp"
 
 namespace bfly {
@@ -21,7 +23,11 @@ CmpConfig::forCores(unsigned cores)
 Cmp::Cmp(const CmpConfig &config) : config_(config)
 {
     ensure(config_.numCores > 0, "CMP needs at least one core");
-    ensure(config_.l2Banks > 0, "L2 needs at least one bank");
+    ensure(std::has_single_bit(config_.l2Banks),
+           "L2 bank count must be a power of two");
+    l2LineShift_ =
+        static_cast<unsigned>(std::countr_zero(config_.l2.lineBytes));
+    bankMask_ = config_.l2Banks - 1;
     l1_.reserve(config_.numCores);
     for (unsigned c = 0; c < config_.numCores; ++c)
         l1_.emplace_back(config_.l1d);
@@ -50,12 +56,12 @@ Cmp::access(unsigned core, Addr addr, bool is_write)
     }
 
     if (is_write) {
-        // Write-invalidate coherence: knock the line out of all other L1s.
+        // Write-invalidate coherence: knock the line out of all other L1s
+        // (an L1 that holds no line, such as an idle core's, has none to
+        // lose).
         for (unsigned c = 0; c < l1_.size(); ++c) {
-            if (c != core && l1_[c].probe(addr)) {
-                l1_[c].invalidate(addr);
+            if (c != core && !l1_[c].empty() && l1_[c].invalidate(addr))
                 ++coherenceMisses_;
-            }
         }
     }
     return latency;

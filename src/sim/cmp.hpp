@@ -7,6 +7,8 @@
  * every other core's L1, so producer/consumer sharing patterns (e.g. OCEAN's
  * boundary exchanges) pay coherence misses just as on real hardware. The
  * returned latency per access is what the core timing model charges.
+ * Every geometry is a power of two: L1 and L2 as Cache requires, and the
+ * L2 bank count.
  */
 
 #ifndef BUTTERFLY_SIM_CMP_HPP
@@ -70,10 +72,13 @@ class Cmp
     std::vector<Cache> l2_;   ///< one per bank
     std::uint64_t coherenceMisses_ = 0;
 
+    unsigned l2LineShift_ = 0;
+    std::size_t bankMask_ = 0;
+
     std::size_t
     bankOf(Addr addr) const
     {
-        return (addr / config_.l2.lineBytes) % config_.l2Banks;
+        return (addr >> l2LineShift_) & bankMask_;
     }
 };
 

@@ -48,33 +48,31 @@ struct SimTimeline
 /**
  * Ring of the last @c capacity consume-completion times, so production of
  * record i can wait for the consumption of record i-capacity (slot reuse)
- * without storing the whole history.
+ * without storing the whole history. Records arrive in order, and record
+ * i-capacity's slot is the one record i fills, so one wrapping index
+ * walks the ring.
  */
 class ConsumeRing
 {
   public:
-    explicit ConsumeRing(std::size_t capacity)
-        : ring_(capacity, 0), capacity_(capacity)
-    {}
+    explicit ConsumeRing(std::size_t capacity) : ring_(capacity, 0) {}
 
-    /** Completion time of record @p i - capacity (0 if i < capacity). */
-    Cycles
-    slotFree(std::uint64_t i) const
-    {
-        if (i < capacity_)
-            return 0;
-        return ring_[(i - capacity_) % capacity_];
-    }
+    /** Completion time of the record capacity before the next one (0
+     *  while fewer than capacity have been recorded). */
+    Cycles slotFree() const { return ring_[slot_]; }
 
+    /** Record the next record's completion time. */
     void
-    record(std::uint64_t i, Cycles done)
+    record(Cycles done)
     {
-        ring_[i % capacity_] = done;
+        ring_[slot_] = done;
+        if (++slot_ == ring_.size())
+            slot_ = 0;
     }
 
   private:
     std::vector<Cycles> ring_;
-    std::size_t capacity_;
+    std::size_t slot_ = 0;
 };
 
 } // namespace
@@ -92,13 +90,13 @@ simulateSpsc(std::span<const Cycles> prod_cost,
     Cycles produce = 0;
     Cycles consume = 0;
 
-    for (std::uint64_t i = 0; i < prod_cost.size(); ++i) {
-        const Cycles slot_free = ring.slotFree(i);
+    for (std::size_t i = 0; i < prod_cost.size(); ++i) {
+        const Cycles slot_free = ring.slotFree();
         const Cycles stall = slot_free > produce ? slot_free - produce : 0;
         result.appStallCycles += stall;
         produce = std::max(produce, slot_free) + prod_cost[i];
         consume = std::max(consume, produce) + cons_cost[i];
-        ring.record(i, consume);
+        ring.record(consume);
     }
     result.appCycles = produce;
     result.totalCycles = consume;
@@ -138,7 +136,6 @@ simulateButterfly(const ButterflyTimingInput &input)
                                    ConsumeRing(input.bufferCapacity));
     std::vector<Cycles> produce(nthreads, 0);
     std::vector<Cycles> consume(nthreads, 0);
-    std::vector<std::uint64_t> record_index(nthreads, 0);
     std::vector<Cycles> lg_ready(nthreads, 0);
 
     Cycles final_time = 0;
@@ -154,17 +151,18 @@ simulateButterfly(const ButterflyTimingInput &input)
                        "app/pass1 cost streams must align");
                 Cycles cons = std::max(consume[t], lg_ready[t]);
                 const Cycles cons_start = cons;
+                ConsumeRing &ring = rings[t];
+                Cycles prod = produce[t];
+                Cycles stalls = 0;
                 for (std::size_t k = 0; k < block.appCost.size(); ++k) {
-                    const std::uint64_t i = record_index[t]++;
-                    const Cycles slot_free = rings[t].slotFree(i);
-                    const Cycles stall =
-                        slot_free > produce[t] ? slot_free - produce[t] : 0;
-                    result.appStallCycles += stall;
-                    produce[t] = std::max(produce[t], slot_free) +
-                                 block.appCost[k];
-                    cons = std::max(cons, produce[t]) + block.pass1Cost[k];
-                    rings[t].record(i, cons);
+                    const Cycles slot_free = ring.slotFree();
+                    stalls += slot_free > prod ? slot_free - prod : 0;
+                    prod = std::max(prod, slot_free) + block.appCost[k];
+                    cons = std::max(cons, prod) + block.pass1Cost[k];
+                    ring.record(cons);
                 }
+                result.appStallCycles += stalls;
+                produce[t] = prod;
                 consume[t] = cons;
                 pass1_done[t] = cons;
                 if (traced)

@@ -34,16 +34,19 @@ Boundaries
 globalSeqBoundaries(const Trace &trace, std::size_t global_h)
 {
     ensure(global_h > 0, "global epoch size must be positive");
+    constexpr std::uint64_t kTop = ~std::uint64_t{0};
     Boundaries b;
     b.starts.resize(trace.threads.size());
     b.markers.resize(trace.threads.size());
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
         // Epoch of event i = its gseq bucket, clamped non-decreasing so
         // the block stays contiguous when relaxed visibility reordered
-        // gseq slightly out of program order.
+        // gseq slightly out of program order. The bucket after the
+        // current one starts at `next`, which saturates at kTop rather
+        // than wrapping (g = gseq - 1 never reaches kTop).
         std::vector<std::size_t> &starts = b.starts[t];
         starts.push_back(0);
-        EpochId current = 0;
+        std::uint64_t next = global_h;
         std::size_t i = 0;
         for (const Event &e : trace.threads[t].events) {
             if (e.kind == EventKind::Heartbeat) {
@@ -51,10 +54,9 @@ globalSeqBoundaries(const Trace &trace, std::size_t global_h)
                 continue;
             }
             const std::uint64_t g = e.gseq > 0 ? e.gseq - 1 : 0;
-            const EpochId epoch = std::max<EpochId>(current, g / global_h);
-            while (current < epoch) {
+            while (g >= next) {
                 starts.push_back(i);
-                ++current;
+                next = next > kTop - global_h ? kTop : next + global_h;
             }
             ++i;
         }

@@ -567,6 +567,24 @@ TEST(Rng, BelowStaysInRange)
         EXPECT_LT(rng.below(10), 10u);
 }
 
+TEST(Rng, BelowIsTheRemainderOfNext)
+{
+    // A power-of-two bound masks and any other divides; both give the
+    // value next() % bound, so every draw a seed makes stays the same.
+    Rng rng(21), ref(21);
+    for (unsigned k = 0; k < 64; ++k) {
+        const std::uint64_t pow2 = std::uint64_t{1} << k;
+        for (const std::uint64_t bound : {pow2, pow2 + 1, pow2 * 3}) {
+            if (bound == 0)
+                continue;
+            for (int i = 0; i < 8; ++i)
+                EXPECT_EQ(rng.below(bound), ref.next() % bound) << bound;
+        }
+    }
+    EXPECT_EQ(rng.below(~std::uint64_t{0}), ref.next() % ~std::uint64_t{0});
+    EXPECT_EQ(rng.next(), ref.next());
+}
+
 TEST(Rng, UniformInUnitInterval)
 {
     Rng rng(9);

@@ -13,6 +13,7 @@
 #include "lifeguards/addrcheck_oracle.hpp"
 #include "staticpass/elision_plan.hpp"
 #include "trace/log_codec.hpp"
+#include "workloads/bugs.hpp"
 
 namespace bfly {
 namespace {
@@ -392,6 +393,72 @@ TEST(SessionStageGraph, KeepsTheSequentialSessionsFftNumbers)
         EXPECT_EQ(r.butterflyErrorCount, 0u);
         EXPECT_EQ(r.accuracy.truePositives, 0u);
         EXPECT_EQ(r.accuracy.falsePositives, 0u);
+        EXPECT_EQ(r.accuracy.falseNegatives, 0u);
+    }
+}
+
+/** OCEAN with use-after-free and double-free bugs planted at fixed
+ *  positions, so the oracle flags errors. */
+Workload
+makeBuggyOcean(const WorkloadConfig &config)
+{
+    Workload w = makeOcean(config);
+    Rng bug_rng(7);
+    injectBugs(w, BugKind::UseAfterFree, 3, bug_rng);
+    injectBugs(w, BugKind::DoubleFree, 2, bug_rng);
+    return w;
+}
+
+TEST(SessionStageGraph, KeepsTheOceanTsoAndInjectedBugNumbers)
+{
+    // Every simulated statistic of two more sessions: OCEAN under TSO on
+    // a thread count that is not a power of two (the cache and bank
+    // indexing, the store buffers and the interleaver's draws), and an
+    // OCEAN with planted bugs (flagged records in the block costs).
+    // Computed before the simulator's per-event loops were rewritten.
+    struct Pinned
+    {
+        const char *name;
+        WorkloadFactory factory;
+        unsigned threads;
+        MemModel model;
+        Cycles sequential, parallelNoMonitor, timesliced, butterfly,
+            butterflyPipelined, dbi;
+        CacheStats cache;
+        std::size_t oracleErrors, butterflyErrors, truePositives,
+            falsePositives;
+    };
+    const Pinned pinned[] = {
+        {"ocean TSO, 3 threads", makeOcean, 3, MemModel::TSO, 160314,
+         54878, 213987, 551760, 501091, 1918464,
+         {468, 27852, 1350, 720, 630}, 0, 0, 0, 0},
+        {"ocean with bugs", makeBuggyOcean, 4,
+         MemModel::SequentiallyConsistent, 214670, 55754, 409863, 601697,
+         544751, 2559848, {624, 37149, 1805, 960, 845}, 5, 5, 5, 0},
+    };
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(p.name);
+        SessionConfig cfg = baseConfig(p.factory, p.threads);
+        cfg.model = p.model;
+        const SessionResult r = runSession(cfg);
+        EXPECT_EQ(r.perf.sequentialBaseline, p.sequential);
+        EXPECT_EQ(r.perf.parallelNoMonitor.timing.totalCycles,
+                  p.parallelNoMonitor);
+        EXPECT_EQ(r.perf.timesliced.timing.totalCycles, p.timesliced);
+        EXPECT_EQ(r.perf.butterfly.timing.totalCycles, p.butterfly);
+        EXPECT_EQ(r.perf.butterflyPipelined.timing.totalCycles,
+                  p.butterflyPipelined);
+        EXPECT_EQ(r.perf.dbiSoftware.timing.totalCycles, p.dbi);
+        EXPECT_EQ(r.perf.cacheStats.coherenceInvalidations,
+                  p.cache.coherenceInvalidations);
+        EXPECT_EQ(r.perf.cacheStats.l1Hits, p.cache.l1Hits);
+        EXPECT_EQ(r.perf.cacheStats.l1Misses, p.cache.l1Misses);
+        EXPECT_EQ(r.perf.cacheStats.l2Hits, p.cache.l2Hits);
+        EXPECT_EQ(r.perf.cacheStats.l2Misses, p.cache.l2Misses);
+        EXPECT_EQ(r.oracleErrorCount, p.oracleErrors);
+        EXPECT_EQ(r.butterflyErrorCount, p.butterflyErrors);
+        EXPECT_EQ(r.accuracy.truePositives, p.truePositives);
+        EXPECT_EQ(r.accuracy.falsePositives, p.falsePositives);
         EXPECT_EQ(r.accuracy.falseNegatives, 0u);
     }
 }

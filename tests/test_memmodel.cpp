@@ -1,6 +1,8 @@
 /** @file Unit tests for src/memmodel: interleavers and valid orderings. */
 
 #include <algorithm>
+#include <deque>
+
 #include <gtest/gtest.h>
 
 #include "memmodel/interleaver.hpp"
@@ -230,6 +232,426 @@ TEST(Interleave, LeavesAnLvalueArgumentUntouched)
         }
     }
     EXPECT_EQ(stamped, trace.instructionCount());
+}
+
+// ---------------------------------------------------------------------
+// The rescanning interleaver, kept as the reference for interleave().
+// ---------------------------------------------------------------------
+
+bool
+refIsStoreLike(const Event &e)
+{
+    switch (e.kind) {
+      case EventKind::Write:
+      case EventKind::Alloc:
+      case EventKind::Free:
+      case EventKind::TaintSrc:
+      case EventKind::Untaint:
+      case EventKind::Assign:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+refRangesOverlap(const Event &a, const Event &b)
+{
+    auto overlap1 = [](Addr base_a, std::uint16_t sz_a, Addr base_b,
+                       std::uint16_t sz_b) {
+        if (base_a == kNoAddr || base_b == kNoAddr)
+            return false;
+        const Addr end_a = base_a + (sz_a > 0 ? sz_a : 1);
+        const Addr end_b = base_b + (sz_b > 0 ? sz_b : 1);
+        return base_a < end_b && base_b < end_a;
+    };
+    Addr a_addrs[3] = {a.addr, kNoAddr, kNoAddr};
+    Addr b_addrs[3] = {b.addr, kNoAddr, kNoAddr};
+    if (a.kind == EventKind::Assign) {
+        a_addrs[1] = a.nsrc >= 1 ? a.src0 : kNoAddr;
+        a_addrs[2] = a.nsrc >= 2 ? a.src1 : kNoAddr;
+    }
+    if (b.kind == EventKind::Assign) {
+        b_addrs[1] = b.nsrc >= 1 ? b.src0 : kNoAddr;
+        b_addrs[2] = b.nsrc >= 2 ? b.src1 : kNoAddr;
+    }
+    for (Addr aa : a_addrs)
+        for (Addr bb : b_addrs)
+            if (overlap1(aa, a.size, bb, b.size))
+                return true;
+    return false;
+}
+
+/**
+ * interleave() as it was before it kept per-thread states: every
+ * scheduled step rescans all threads for a barrier release and then for
+ * any steppable thread, and the store buffers are deques.
+ */
+Trace
+referenceInterleave(std::vector<std::vector<Event>> programs,
+                    const InterleaveConfig &config, Rng &rng,
+                    std::vector<GseqRef> &order)
+{
+    const std::size_t nthreads = programs.size();
+    Trace trace;
+    trace.threads.resize(nthreads);
+    for (std::size_t t = 0; t < nthreads; ++t) {
+        trace.threads[t].tid = static_cast<ThreadId>(t);
+        trace.threads[t].events = std::move(programs[t]);
+    }
+    auto program = [&trace](std::size_t t) -> std::vector<Event> & {
+        return trace.threads[t].events;
+    };
+    order.clear();
+
+    struct Buffered
+    {
+        std::size_t position;
+        std::uint32_t index;
+    };
+    std::vector<std::size_t> cursor(nthreads, 0);
+    std::vector<std::size_t> heartbeats(nthreads, 0);
+    std::vector<std::deque<Buffered>> store_buffer(nthreads);
+
+    std::uint64_t gseq = 1;
+    std::size_t last_thread = nthreads;
+    std::size_t burst = 0;
+
+    auto stamp = [&](std::size_t t, std::size_t position,
+                     std::uint32_t index) {
+        Event &e = program(t)[position];
+        e.gseq = gseq++;
+        order.push_back(GseqRef{&e, static_cast<ThreadId>(t), index});
+    };
+    auto stamp_oldest = [&](std::size_t t) {
+        const Buffered b = store_buffer[t].front();
+        store_buffer[t].pop_front();
+        stamp(t, b.position, b.index);
+    };
+    auto finished = [&](std::size_t t) {
+        return cursor[t] >= program(t).size() && store_buffer[t].empty();
+    };
+    auto at_barrier = [&](std::size_t t) {
+        return cursor[t] < program(t).size() &&
+               program(t)[cursor[t]].kind == EventKind::Barrier;
+    };
+    auto steppable = [&](std::size_t t) {
+        if (!store_buffer[t].empty())
+            return true;
+        return cursor[t] < program(t).size() && !at_barrier(t);
+    };
+
+    for (;;) {
+        bool any_parked = false;
+        bool all_parked_or_done = true;
+        for (std::size_t t = 0; t < nthreads; ++t) {
+            if (at_barrier(t) && store_buffer[t].empty()) {
+                any_parked = true;
+            } else if (!finished(t)) {
+                all_parked_or_done = false;
+            }
+        }
+        if (any_parked && all_parked_or_done) {
+            for (std::size_t t = 0; t < nthreads; ++t) {
+                if (at_barrier(t)) {
+                    stamp(t, cursor[t], static_cast<std::uint32_t>(
+                                            cursor[t] - heartbeats[t]));
+                    ++cursor[t];
+                }
+            }
+            continue;
+        }
+
+        bool any = false;
+        for (std::size_t t = 0; t < nthreads; ++t)
+            any = any || steppable(t);
+        if (!any)
+            break;
+
+        std::size_t t;
+        for (;;) {
+            if (!config.speedWeights.empty()) {
+                double total = 0;
+                for (std::size_t u = 0; u < nthreads; ++u)
+                    if (steppable(u))
+                        total += config.speedWeights[u];
+                double pick = rng.uniform() * total;
+                t = nthreads;
+                for (std::size_t u = 0; u < nthreads; ++u) {
+                    if (!steppable(u))
+                        continue;
+                    pick -= config.speedWeights[u];
+                    if (pick <= 0) {
+                        t = u;
+                        break;
+                    }
+                }
+                if (t == nthreads)
+                    continue;
+            } else {
+                t = rng.next() % nthreads;
+            }
+            if (!steppable(t))
+                continue;
+            if (config.maxBurst > 0 && t == last_thread &&
+                burst >= config.maxBurst && nthreads > 1) {
+                bool other = false;
+                for (std::size_t u = 0; u < nthreads; ++u)
+                    other = other || (u != t && steppable(u));
+                if (other)
+                    continue;
+            }
+            break;
+        }
+        if (t == last_thread) {
+            ++burst;
+        } else {
+            last_thread = t;
+            burst = 1;
+        }
+
+        auto &buf = store_buffer[t];
+        const bool must_drain =
+            cursor[t] >= program(t).size() || at_barrier(t);
+
+        if (!buf.empty() &&
+            (must_drain || rng.chance(config.drainProbability) ||
+             buf.size() >= config.storeBufferDepth)) {
+            stamp_oldest(t);
+            continue;
+        }
+        if (must_drain)
+            continue;
+
+        const std::size_t i = cursor[t]++;
+        const Event &e = program(t)[i];
+        if (e.kind == EventKind::Heartbeat) {
+            ++heartbeats[t];
+            continue;
+        }
+        const auto index = static_cast<std::uint32_t>(i - heartbeats[t]);
+
+        if (config.model == MemModel::TSO) {
+            if (e.kind == EventKind::Lock ||
+                e.kind == EventKind::Unlock) {
+                while (!buf.empty())
+                    stamp_oldest(t);
+            }
+            std::size_t drain_through = 0;
+            bool found = false;
+            for (std::size_t k = 0; k < buf.size(); ++k) {
+                if (refRangesOverlap(program(t)[buf[k].position], e)) {
+                    drain_through = k;
+                    found = true;
+                }
+            }
+            if (found) {
+                for (std::size_t k = 0; k <= drain_through; ++k)
+                    stamp_oldest(t);
+            }
+        }
+
+        if (config.model == MemModel::TSO && refIsStoreLike(e)) {
+            buf.push_back(Buffered{i, index});
+        } else {
+            stamp(t, i, index);
+        }
+    }
+    return trace;
+}
+
+/**
+ * Random programs over a small address pool, so stores overlap later
+ * accesses: every kind the store buffer treats specially, a barrier
+ * every ~@p barrier_every events (0: none; up to two more on some
+ * threads, which pass them alone once the others finish), and a
+ * heartbeat every ~@p heartbeat_every events (0: none), runs of them
+ * included.
+ */
+std::vector<std::vector<Event>>
+randomPrograms(std::size_t threads, std::size_t events, Rng &rng,
+               std::size_t barrier_every, std::size_t heartbeat_every)
+{
+    std::vector<std::vector<Event>> programs(threads);
+    for (auto &p : programs) {
+        const std::size_t barriers =
+            barrier_every == 0 ? 0 : events / barrier_every + rng.below(3);
+        std::vector<std::size_t> at;
+        for (std::size_t b = 0; b < barriers; ++b)
+            at.push_back(rng.below(events));
+        std::sort(at.begin(), at.end());
+        std::size_t next_barrier = 0;
+        for (std::size_t i = 0; i < events; ++i) {
+            while (next_barrier < at.size() && at[next_barrier] == i) {
+                p.push_back(Event::barrier());
+                ++next_barrier;
+            }
+            if (heartbeat_every > 0 && rng.below(heartbeat_every) == 0) {
+                const std::size_t run = 1 + rng.below(3);
+                for (std::size_t k = 0; k < run; ++k)
+                    p.push_back(Event::heartbeat());
+            }
+            const Addr a = 0x1000 + 4 * rng.below(24);
+            switch (rng.below(12)) {
+              case 0: case 1: case 2:
+                p.push_back(Event::read(a, 4));
+                break;
+              case 3: case 4: case 5:
+                p.push_back(Event::write(a, 8));
+                break;
+              case 6:
+                p.push_back(Event::alloc(a, 16));
+                break;
+              case 7:
+                p.push_back(Event::freeOf(a));
+                break;
+              case 8:
+                p.push_back(
+                    Event::assign2(a, a + 8, 0x1000 + 4 * rng.below(24)));
+                break;
+              case 9:
+                p.push_back(rng.chance(0.5) ? Event::lock(0x9000)
+                                            : Event::unlock(0x9000));
+                break;
+              case 10:
+                p.push_back(Event::taintSrc(a, 2));
+                break;
+              default:
+                p.push_back(Event::nop());
+                break;
+            }
+        }
+        while (next_barrier++ < at.size())
+            p.push_back(Event::barrier());
+        if (heartbeat_every > 0)
+            p.push_back(Event::heartbeat());
+    }
+    return programs;
+}
+
+/**
+ * Run interleave() and the reference on @p programs under @p config from
+ * the same seed; they must stamp the same gseqs, emit the same order and
+ * leave the generators in the same state.
+ */
+void
+expectMatchesReference(const std::vector<std::vector<Event>> &programs,
+                       const InterleaveConfig &config, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Rng ref_rng(seed);
+    std::vector<GseqRef> order;
+    std::vector<GseqRef> ref_order;
+    const Trace trace = interleave(programs, config, rng, &order);
+    const Trace ref = referenceInterleave(programs, config, ref_rng,
+                                          ref_order);
+    ASSERT_EQ(trace.threads.size(), ref.threads.size());
+    std::size_t gseq_mismatches = 0;
+    for (std::size_t t = 0; t < ref.threads.size(); ++t) {
+        ASSERT_EQ(trace.threads[t].events.size(),
+                  ref.threads[t].events.size());
+        for (std::size_t i = 0; i < ref.threads[t].events.size(); ++i)
+            gseq_mismatches += trace.threads[t].events[i].gseq !=
+                               ref.threads[t].events[i].gseq;
+    }
+    EXPECT_EQ(gseq_mismatches, 0u);
+    ASSERT_EQ(order.size(), ref_order.size());
+    std::size_t order_mismatches = 0;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const GseqRef &a = order[k];
+        const GseqRef &b = ref_order[k];
+        order_mismatches +=
+            a.thread != b.thread || a.index != b.index ||
+            a.event - trace.threads[a.thread].events.data() !=
+                b.event - ref.threads[b.thread].events.data();
+    }
+    EXPECT_EQ(order_mismatches, 0u);
+    EXPECT_EQ(rng.next(), ref_rng.next());
+}
+
+TEST(Interleave, MatchesTheRescanningReference)
+{
+    // SC and TSO; 1, 2, 3, 4, 5 and 8 threads; the uniform scheduler,
+    // two burst bounds, speed weights, and a shallow, always-draining
+    // store buffer; over barrier-heavy and heartbeat-marked programs.
+    std::size_t cases = 0;
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 5u, 8u}) {
+        InterleaveConfig burst1;
+        burst1.maxBurst = 1;
+        InterleaveConfig burst3;
+        burst3.maxBurst = 3;
+        InterleaveConfig weighted;
+        for (std::size_t t = 0; t < threads; ++t)
+            weighted.speedWeights.push_back(1.0 + 0.75 * (t % 3));
+        InterleaveConfig shallow;
+        shallow.storeBufferDepth = 1;
+        shallow.drainProbability = 0.05;
+        InterleaveConfig weighted_burst = weighted;
+        weighted_burst.maxBurst = 2;
+        const InterleaveConfig schedulers[] = {
+            InterleaveConfig{}, burst1, burst3, weighted, shallow,
+            weighted_burst};
+        struct Shape
+        {
+            std::size_t barrierEvery;
+            std::size_t heartbeatEvery;
+        };
+        const Shape shapes[] = {{0, 0}, {6, 0}, {0, 9}, {3, 5}};
+        for (const MemModel model :
+             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+            for (const InterleaveConfig &scheduler : schedulers) {
+                for (const Shape &shape : shapes) {
+                    SCOPED_TRACE(testing::Message()
+                                 << threads << " threads, case " << cases);
+                    InterleaveConfig cfg = scheduler;
+                    cfg.model = model;
+                    Rng gen(cases + 1);
+                    expectMatchesReference(
+                        randomPrograms(threads, 300, gen,
+                                       shape.barrierEvery,
+                                       shape.heartbeatEvery),
+                        cfg, 1000 + cases);
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 6u * 2 * 6 * 4);
+}
+
+TEST(Interleave, MatchesTheReferenceOnThePaperWorkloads)
+{
+    // The generators' own barriers, allocations and locks, with
+    // heartbeat markers on a 3-thread run.
+    for (const auto &[name, factory] : paperWorkloads()) {
+        for (const MemModel model :
+             {MemModel::SequentiallyConsistent, MemModel::TSO}) {
+            for (const unsigned threads : {3u, 4u}) {
+                SCOPED_TRACE(testing::Message() << name << ", " << threads
+                                                << " threads");
+                WorkloadConfig wc;
+                wc.numThreads = threads;
+                wc.instrPerThread = 2000;
+                wc.phaseEvents = 300;
+                std::vector<std::vector<Event>> programs =
+                    factory(wc).programs;
+                for (auto &p : programs) {
+                    if (threads != 3)
+                        break;
+                    std::vector<Event> marked;
+                    for (std::size_t i = 0; i < p.size(); ++i) {
+                        if (i % 211 == 0)
+                            marked.push_back(Event::heartbeat());
+                        marked.push_back(p[i]);
+                    }
+                    p = std::move(marked);
+                }
+                InterleaveConfig cfg;
+                cfg.model = model;
+                expectMatchesReference(programs, cfg, 42);
+            }
+        }
+    }
 }
 
 TEST(ValidOrderings, CountsSingleEpochInterleavings)

@@ -325,6 +325,104 @@ TEST(EpochLayout, SkewedWithZeroSkewMatchesExact)
         EXPECT_EQ(a.block(l, 0).size(), b.block(l, 0).size());
 }
 
+/**
+ * byGlobalSeq's boundary table computed the way the slicer did before
+ * it walked a running bucket bound: each event's epoch is its gseq
+ * bucket by division, clamped non-decreasing. starts[t][l] is block
+ * (l,t)'s first instruction index; the last entry is the count.
+ */
+std::vector<std::vector<std::size_t>>
+referenceGlobalSeqStarts(const Trace &trace, std::size_t global_h)
+{
+    std::vector<std::vector<std::size_t>> starts;
+    std::size_t epochs = 0;
+    for (const ThreadTrace &tt : trace.threads) {
+        std::vector<std::size_t> s{0};
+        EpochId current = 0;
+        std::size_t i = 0;
+        for (const Event &e : tt.events) {
+            if (e.kind == EventKind::Heartbeat)
+                continue;
+            const std::uint64_t g = e.gseq > 0 ? e.gseq - 1 : 0;
+            const EpochId epoch = std::max<EpochId>(current, g / global_h);
+            while (current < epoch) {
+                s.push_back(i);
+                ++current;
+            }
+            ++i;
+        }
+        s.push_back(i);
+        epochs = std::max(epochs, s.size() - 1);
+        starts.push_back(std::move(s));
+    }
+    for (auto &s : starts)
+        s.resize(epochs + 1, s.back());
+    return starts;
+}
+
+void
+expectGlobalSeqMatchesReference(const Trace &trace, std::size_t global_h)
+{
+    const auto want = referenceGlobalSeqStarts(trace, global_h);
+    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, global_h);
+    ASSERT_EQ(layout.numEpochs() + 1, want[0].size());
+    std::size_t mismatches = 0;
+    for (ThreadId t = 0; t < trace.numThreads(); ++t) {
+        for (EpochId l = 0; l < layout.numEpochs(); ++l) {
+            const BlockView b = layout.block(l, t);
+            mismatches += b.first != want[t][l] ||
+                          b.first + b.size() != want[t][l + 1];
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(EpochLayout, GlobalSeqMatchesTheDividingReference)
+{
+    // TSO interleavings with heartbeat markers (gseq out of program
+    // order, and buckets that thread skips), at epoch sizes from one
+    // event to more than the trace.
+    WorkloadConfig wc;
+    wc.numThreads = 3;
+    wc.instrPerThread = 4000;
+    std::vector<std::vector<Event>> programs;
+    for (const auto &program : makeOcean(wc).programs) {
+        programs.emplace_back();
+        for (std::size_t i = 0; i < program.size(); ++i) {
+            if (i % 500 == 0)
+                programs.back().push_back(Event::heartbeat());
+            programs.back().push_back(program[i]);
+        }
+    }
+    InterleaveConfig cfg;
+    cfg.model = MemModel::TSO;
+    Rng rng(11);
+    const Trace trace = interleave(programs, cfg, rng);
+    for (const std::size_t h : {std::size_t{1}, std::size_t{3},
+                                std::size_t{64}, std::size_t{1000},
+                                std::size_t{6144}, std::size_t{1} << 20}) {
+        SCOPED_TRACE(h);
+        expectGlobalSeqMatchesReference(trace, h);
+    }
+
+    // gseqs near the top of their range: the running bound saturates
+    // instead of wrapping.
+    std::vector<Event> prog;
+    for (const std::uint64_t g :
+         {std::uint64_t{1}, std::uint64_t{1} << 62, std::uint64_t{1} << 63,
+          ~std::uint64_t{0} - 1, ~std::uint64_t{0}}) {
+        prog.push_back(Event::read(0x100, 8));
+        prog.back().gseq = g;
+    }
+    const Trace top = test::traceOf({prog});
+    for (const std::size_t h :
+         {std::size_t{1} << 62, (std::size_t{1} << 63) + 1,
+          ~std::size_t{0} - 1, ~std::size_t{0}}) {
+        SCOPED_TRACE(h);
+        expectGlobalSeqMatchesReference(top, h);
+    }
+}
+
 TEST(EpochLayout, SkewedSlicingIsDeterministicInSeed)
 {
     std::vector<std::vector<Event>> programs(3);
